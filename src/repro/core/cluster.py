@@ -2,10 +2,13 @@
 
 Fenrir finds routing "modes" by clustering the vectors of a series
 under the Gower distance. This module implements HAC from scratch
-(single, complete and average linkage via Lance–Williams updates) on a
-precomputed distance matrix, plus the paper's adaptive threshold rule:
-sweep thresholds from 0 to 1 in steps of 0.01 and keep the first model
-with fewer than 15 clusters, each backed by at least 2 observations.
+(single, complete and average linkage via Lance–Williams updates on a
+nearest-neighbour chain, O(T²)) on a precomputed distance matrix, plus
+the paper's adaptive threshold rule: sweep thresholds from 0 to 1 in
+steps of 0.01 and keep the first model with fewer than 15 clusters,
+each backed by at least 2 observations. The sweep walks the merges
+once in height order and cuts the dendrogram only at the threshold it
+keeps.
 
 The linkage output matches :func:`scipy.cluster.hierarchy.linkage`
 conventions, which the test suite uses as an oracle.
@@ -35,7 +38,18 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
     """Agglomerate a full distance matrix into a dendrogram.
 
     ``distance`` must be a square symmetric matrix with zero diagonal.
+    Nearest-neighbour-chain HAC (Müllner, arXiv:1109.2378): follow
+    nearest neighbours from any cluster until two clusters are each
+    other's nearest, merge them with a Lance–Williams row update, and
+    continue from what is left of the chain. It is exact for the three
+    reducible linkages here and takes O(T²) time rather than the O(T³)
+    of a global minimum search per merge. Merges come out of the chain
+    out of height order, so they are stably sorted by height and then
+    numbered in the scipy convention.
     """
+    update = _UPDATES.get(method)
+    if update is None:
+        raise ValueError(f"unknown linkage method: {method}")
     distance = np.asarray(distance, dtype=np.float64)
     if distance.ndim != 2 or distance.shape[0] != distance.shape[1]:
         raise ValueError(f"distance matrix must be square, got {distance.shape}")
@@ -45,53 +59,98 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
     if num_points == 0:
         raise ValueError("cannot cluster zero points")
 
+    # Row/column r of ``working`` holds the cluster whose representative
+    # is point r; retired rows and columns, and the diagonal, hold inf.
     working = distance.copy()
     np.fill_diagonal(working, np.inf)
-    active = np.ones(num_points * 2 - 1, dtype=bool)
-    active[num_points:] = False
-    sizes = np.ones(num_points * 2 - 1, dtype=np.int64)
-    # Map matrix row index -> current cluster id.
-    cluster_id = np.arange(num_points, dtype=np.int64)
-    merges = np.zeros((max(num_points - 1, 0), 4), dtype=np.float64)
-
-    # The matrix stays num_points wide; merged-away rows are disabled with inf.
+    sizes = np.ones(num_points, dtype=np.int64)
     alive = np.ones(num_points, dtype=bool)
+    pairs = np.empty((num_points - 1, 2), dtype=np.int64)
+    heights = np.empty(num_points - 1, dtype=np.float64)
+    chain: list[int] = []
 
     for step in range(num_points - 1):
-        flat = np.argmin(working)
-        i, j = divmod(int(flat), num_points)
-        height = working[i, j]
-        if not np.isfinite(height):
-            raise RuntimeError("ran out of finite distances before full merge")
-        if i > j:
-            i, j = j, i
-        id_i, id_j = cluster_id[i], cluster_id[j]
-        new_id = num_points + step
-        size_i, size_j = sizes[id_i], sizes[id_j]
-        merges[step] = (min(id_i, id_j), max(id_i, id_j), height, size_i + size_j)
+        if not chain:
+            chain.append(int(np.argmax(alive)))
+        while True:
+            x = chain[-1]
+            row = working[x]
+            y = int(np.argmin(row))
+            if not np.isfinite(row[y]):
+                raise RuntimeError("ran out of finite distances before full merge")
+            # Prefer the previous link on a tie, so the chain always ends.
+            if len(chain) > 1 and row[chain[-2]] <= row[y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        heights[step] = row[y]
+        if x > y:
+            x, y = y, x
+        pairs[step] = (x, y)
 
-        # Lance-Williams update into row/column i; retire row/column j.
-        row_i, row_j = working[i].copy(), working[j].copy()
-        if method == "single":
-            updated = np.minimum(row_i, row_j)
-        elif method == "complete":
-            updated = np.maximum(row_i, row_j)
-        elif method == "average":
-            updated = (size_i * row_i + size_j * row_j) / (size_i + size_j)
-        else:
-            raise ValueError(f"unknown linkage method: {method}")
-        updated[i] = np.inf
-        updated[j] = np.inf
-        updated[~alive] = np.inf
-        working[i, :] = updated
-        working[:, i] = updated
-        working[j, :] = np.inf
-        working[:, j] = np.inf
-        alive[j] = False
-        cluster_id[i] = new_id
-        sizes[new_id] = size_i + size_j
+        # Lance-Williams update into row/column x; retire row/column y.
+        merged = update(working[x], working[y], sizes[x], sizes[y])
+        merged[x] = np.inf
+        merged[y] = np.inf
+        working[x, :] = merged
+        working[:, x] = merged
+        working[y, :] = np.inf
+        working[:, y] = np.inf
+        alive[y] = False
+        sizes[x] += sizes[y]
 
-    return Linkage(merges, num_points)
+    return Linkage(_number_merges(pairs, heights, num_points), num_points)
+
+
+def _single(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
+    return np.minimum(a, b)
+
+
+def _complete(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
+    return np.maximum(a, b)
+
+
+def _average(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
+    return (size_a * a + size_b * b) / (size_a + size_b)
+
+
+_UPDATES = {"single": _single, "complete": _complete, "average": _average}
+
+
+def _find(parent: list[int], node: int) -> int:
+    """Root of ``node`` in a union-find forest, compressing the path."""
+    root = node
+    while parent[root] != root:
+        root = parent[root]
+    while parent[node] != root:
+        parent[node], node = root, parent[node]
+    return root
+
+
+def _number_merges(
+    pairs: np.ndarray, heights: np.ndarray, num_points: int
+) -> np.ndarray:
+    """Scipy-convention merge rows from (point, point) merges in any order.
+
+    The merges are stably sorted by height; a union-find then maps each
+    merge's representative points to the ids of their current clusters,
+    the merge at sorted position ``k`` creating cluster ``num_points + k``.
+    """
+    order = np.argsort(heights, kind="stable")
+    parent = list(range(2 * num_points - 1))
+    sizes = [1] * num_points + [0] * (num_points - 1)
+    rows = []
+    for position, (x, y) in enumerate(pairs[order].tolist()):
+        a, b = _find(parent, x), _find(parent, y)
+        new_id = num_points + position
+        parent[a] = parent[b] = new_id
+        sizes[new_id] = sizes[a] + sizes[b]
+        rows.append((min(a, b), max(a, b), sizes[new_id]))
+    merges = np.empty((len(order), 4), dtype=np.float64)
+    merges[:, [0, 1, 3]] = np.reshape(rows, (-1, 3))
+    merges[:, 2] = heights[order]
+    return merges
 
 
 def cut_linkage(linkage: Linkage, threshold: float) -> np.ndarray:
@@ -101,23 +160,14 @@ def cut_linkage(linkage: Linkage, threshold: float) -> np.ndarray:
     0 is always the cluster of the first observation.
     """
     num_points = linkage.num_points
-    parent = np.arange(num_points * 2 - 1, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    parent = list(range(num_points * 2 - 1))
     for step, (a, b, height, _size) in enumerate(linkage.merges):
         if height <= threshold:
             new_id = num_points + step
-            parent[find(int(a))] = new_id
-            parent[find(int(b))] = new_id
+            parent[_find(parent, int(a))] = new_id
+            parent[_find(parent, int(b))] = new_id
 
-    raw = np.array([find(i) for i in range(num_points)])
+    raw = [_find(parent, i) for i in range(num_points)]
     labels = np.empty(num_points, dtype=np.int64)
     relabel: dict[int, int] = {}
     for index, root in enumerate(raw):
@@ -156,14 +206,42 @@ def adaptive_clusters(
     if linkage is None:
         linkage = hac_linkage(distance, method)
     num_points = linkage.num_points
-    thresholds = np.arange(0.0, 1.0 + step / 2, step)
-    for threshold in thresholds:
-        labels = cut_linkage(linkage, float(threshold))
-        counts = np.bincount(labels)
-        num_clusters = len(counts)
+    heights = linkage.merges[:, 2]
+    order = np.argsort(heights, kind="stable")
+    # One walk over the merges in height order. A merge joins the
+    # components of its two children and of its own node, so a union-find
+    # over all 2T-1 nodes gives the cut at any threshold; only points
+    # count towards a component's size.
+    parent = list(range(2 * num_points - 1))
+    sizes = [1] * num_points + [0] * (num_points - 1)
+    num_clusters = num_points
+    num_small = num_points if min_cluster_size > 1 else 0
+
+    def union(a: int, b: int) -> None:
+        nonlocal num_clusters, num_small
+        a, b = _find(parent, a), _find(parent, b)
+        if a == b:
+            return
+        size_a, size_b = sizes[a], sizes[b]
+        parent[a] = b
+        sizes[b] = size_a + size_b
+        if size_a and size_b:
+            num_clusters -= 1
+            num_small -= (size_a < min_cluster_size) + (size_b < min_cluster_size)
+            num_small += size_a + size_b < min_cluster_size
+
+    applied = 0
+    for threshold in np.arange(0.0, 1.0 + step / 2, step):
+        while applied < len(order) and heights[order[applied]] <= threshold:
+            index = int(order[applied])
+            a, b = int(linkage.merges[index, 0]), int(linkage.merges[index, 1])
+            union(a, num_points + index)
+            union(b, num_points + index)
+            applied += 1
         if num_clusters < max_clusters and (
-            num_points < min_cluster_size or counts.min() >= min_cluster_size
+            num_points < min_cluster_size or num_small == 0
         ):
+            labels = cut_linkage(linkage, float(threshold))
             return AdaptiveResult(labels, float(threshold), num_clusters, linkage)
     # Unreachable for threshold=1.0 with >=2 points, but keep a safe fallback.
     labels = np.zeros(num_points, dtype=np.int64)

@@ -138,17 +138,19 @@ def _matches_by_state(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _matches_pairwise(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted known-match counts by direct row comparison (many states)."""
+    """Weighted known-match counts, one row against the rest (many states).
+
+    Row ``i`` of the upper triangle is the equality kernel of
+    :func:`phi_one_to_many` against rows ``i..T-1``; the lower triangle
+    is its mirror.
+    """
     num_times = codes.shape[0]
     known = codes != UNKNOWN_CODE
     matches = np.zeros((num_times, num_times), dtype=np.float64)
     for i in range(num_times):
-        row = codes[i]
-        row_known = known[i]
-        for j in range(i, num_times):
-            value = float(w[(row == codes[j]) & row_known].sum())
-            matches[i, j] = value
-            matches[j, i] = value
+        row = ((codes[i:] == codes[i]) & known[i]) @ w
+        matches[i, i:] = row
+        matches[i:, i] = row
     return matches
 
 

@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compare import UnknownPolicy, phi
+from .compare import UnknownPolicy, _check_weights
 from .series import VectorSeries
+from .vector import UNKNOWN_CODE
 
 __all__ = [
     "DetectedEvent",
@@ -59,13 +60,22 @@ def step_changes(
     weights: Optional[np.ndarray] = None,
     policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC,
 ) -> np.ndarray:
-    """Per-step change ``1 - Φ(t_i, t_{i+1})`` for consecutive vectors."""
-    changes = np.empty(max(len(series) - 1, 0), dtype=np.float64)
-    for index in range(len(series) - 1):
-        changes[index] = 1.0 - phi(
-            series[index], series[index + 1], weights=weights, policy=policy
-        )
-    return changes
+    """Per-step change ``1 - Φ(t_i, t_{i+1})`` for consecutive vectors.
+
+    One pass over all consecutive pairs with the equality kernel of
+    :func:`~repro.core.compare.phi_one_to_many`; a step whose Φ is
+    undefined (no jointly known network under EXCLUDE) comes back NaN.
+    """
+    codes = series.matrix
+    w = _check_weights(weights, codes.shape[1])
+    known = codes != UNKNOWN_CODE
+    matches = ((codes[1:] == codes[:-1]) & known[:-1]) @ w
+    if policy is UnknownPolicy.PESSIMISTIC:
+        denominator = w.sum()
+    else:
+        denominator = (known[1:] & known[:-1]) @ w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 1.0 - np.where(denominator > 0, matches / denominator, np.nan)
 
 
 def _adaptive_threshold(changes: np.ndarray, sensitivity: float) -> float:

@@ -1,0 +1,117 @@
+"""Reference oracles for mode discovery: the straightforward forms.
+
+Production code in ``repro.core`` keeps one fast implementation of each
+step; the slow, obviously-correct forms it replaced live here so the
+property tests can hold the fast ones to them:
+
+* :func:`global_argmin_linkage` — HAC by a global ``argmin`` over the
+  whole T×T matrix for every merge, with Lance–Williams row updates.
+  O(T³), and single linkage under it is trivially exact under ties.
+* :func:`grid_sweep` — the adaptive threshold rule by one full
+  :func:`~repro.core.cluster.cut_linkage` per grid threshold.
+* :func:`pairwise_matches` — weighted known-match counts by one masked
+  sum per pair of rows.
+* :func:`scalar_step_changes` — per-step change by one scalar
+  :func:`~repro.core.compare.phi` per consecutive pair.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.cluster import Linkage, cut_linkage
+from repro.core.compare import UnknownPolicy, phi
+from repro.core.series import VectorSeries
+from repro.core.vector import UNKNOWN_CODE
+
+
+def global_argmin_linkage(distance: np.ndarray, method: str = "average") -> Linkage:
+    """HAC merging the globally closest pair of clusters at every step."""
+    distance = np.asarray(distance, dtype=np.float64)
+    num_points = distance.shape[0]
+    working = distance.copy()
+    np.fill_diagonal(working, np.inf)
+    sizes = np.ones(num_points * 2 - 1, dtype=np.int64)
+    # Map matrix row index -> current cluster id.
+    cluster_id = np.arange(num_points, dtype=np.int64)
+    merges = np.zeros((max(num_points - 1, 0), 4), dtype=np.float64)
+    # The matrix stays num_points wide; merged-away rows are disabled with inf.
+    alive = np.ones(num_points, dtype=bool)
+
+    for step in range(num_points - 1):
+        i, j = divmod(int(np.argmin(working)), num_points)
+        height = working[i, j]
+        if i > j:
+            i, j = j, i
+        id_i, id_j = cluster_id[i], cluster_id[j]
+        new_id = num_points + step
+        size_i, size_j = sizes[id_i], sizes[id_j]
+        merges[step] = (min(id_i, id_j), max(id_i, id_j), height, size_i + size_j)
+
+        # Lance-Williams update into row/column i; retire row/column j.
+        row_i, row_j = working[i].copy(), working[j].copy()
+        if method == "single":
+            updated = np.minimum(row_i, row_j)
+        elif method == "complete":
+            updated = np.maximum(row_i, row_j)
+        else:
+            updated = (size_i * row_i + size_j * row_j) / (size_i + size_j)
+        updated[i] = np.inf
+        updated[j] = np.inf
+        updated[~alive] = np.inf
+        working[i, :] = updated
+        working[:, i] = updated
+        working[j, :] = np.inf
+        working[:, j] = np.inf
+        alive[j] = False
+        cluster_id[i] = new_id
+        sizes[new_id] = size_i + size_j
+
+    return Linkage(merges, num_points)
+
+
+def grid_sweep(
+    linkage: Linkage,
+    max_clusters: int = 15,
+    min_cluster_size: int = 2,
+    step: float = 0.01,
+) -> tuple[np.ndarray, float, int]:
+    """(labels, threshold, num_clusters) of the first qualifying grid cut."""
+    num_points = linkage.num_points
+    for threshold in np.arange(0.0, 1.0 + step / 2, step):
+        labels = cut_linkage(linkage, float(threshold))
+        counts = np.bincount(labels)
+        if len(counts) < max_clusters and (
+            num_points < min_cluster_size or counts.min() >= min_cluster_size
+        ):
+            return labels, float(threshold), len(counts)
+    return np.zeros(num_points, dtype=np.int64), 1.0, 1
+
+
+def pairwise_matches(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted known-match counts, one masked sum per pair of rows."""
+    num_times = codes.shape[0]
+    known = codes != UNKNOWN_CODE
+    matches = np.zeros((num_times, num_times), dtype=np.float64)
+    for i in range(num_times):
+        row = codes[i]
+        row_known = known[i]
+        for j in range(i, num_times):
+            value = float(w[(row == codes[j]) & row_known].sum())
+            matches[i, j] = value
+            matches[j, i] = value
+    return matches
+
+
+def scalar_step_changes(
+    series: VectorSeries,
+    weights: np.ndarray | None = None,
+    policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC,
+) -> np.ndarray:
+    """Per-step change ``1 - Φ(t_i, t_{i+1})``, one scalar Φ per step."""
+    changes = np.empty(max(len(series) - 1, 0), dtype=np.float64)
+    for index in range(len(series) - 1):
+        changes[index] = 1.0 - phi(
+            series[index], series[index + 1], weights=weights, policy=policy
+        )
+    return changes

@@ -83,6 +83,22 @@ class TestHacSmall:
         with pytest.raises(ValueError):
             hac_linkage(np.zeros((2, 2)), "ward")  # type: ignore[arg-type]
 
+    def test_infinite_distance_between_groups_rejected(self):
+        distance = np.array(
+            [
+                [0.0, 0.1, np.inf],
+                [0.1, 0.0, np.inf],
+                [np.inf, np.inf, 0.0],
+            ]
+        )
+        with pytest.raises(RuntimeError, match="finite distances"):
+            hac_linkage(distance, "single")
+
+    def test_unknown_method_rejected_before_any_merge(self):
+        # A single point needs no merge, so the method must be checked up front.
+        with pytest.raises(ValueError, match="unknown linkage method"):
+            hac_linkage(np.zeros((1, 1)), "ward")  # type: ignore[arg-type]
+
 
 class TestCutLinkage:
     def test_cut_labels_by_first_appearance(self):
@@ -128,6 +144,8 @@ class TestAgainstScipy:
         ours = hac_linkage(distance, method)
         theirs = scipy_linkage(squareform(distance, checks=False), method=method)
         assert np.allclose(np.sort(ours.merges[:, 2]), np.sort(theirs[:, 2]), atol=1e-9)
+        # Tie-free, so the whole linkage array matches: ids, order and sizes.
+        assert np.array_equal(ours.merges[:, [0, 1, 3]], theirs[:, [0, 1, 3]])
         for threshold in [0.2, 0.5, 0.8]:
             ours_labels = cut_linkage(ours, threshold)
             theirs_labels = fcluster(theirs, threshold, criterion="distance")

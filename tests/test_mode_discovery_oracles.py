@@ -1,0 +1,200 @@
+"""Mode discovery against its reference oracles (``tests/oracles.py``).
+
+The production kernels — nearest-neighbour-chain HAC, the one-pass
+adaptive threshold sweep, the row-block many-state Φ path and the
+vectorized step changes — must reproduce the straightforward forms they
+replaced. Inputs are tie-heavy on purpose: distances are ``1 - k/N``
+fractions from small integer code matrices, which is the shape real Φ
+has and where merge order is most ambiguous. Agreement with scipy on
+tie-free inputs is checked in ``tests/test_core_cluster.py``.
+"""
+
+from __future__ import annotations
+
+from datetime import datetime, timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracles import (
+    global_argmin_linkage,
+    grid_sweep,
+    pairwise_matches,
+    scalar_step_changes,
+)
+from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
+from repro.core.compare import UnknownPolicy, _matches_by_state, _matches_pairwise
+from repro.core.detect import step_changes
+from repro.core.series import VectorSeries
+from repro.core.vector import RoutingVector, StateCatalog
+
+GRID = [float(threshold) for threshold in np.arange(0.0, 1.005, 0.01)]
+METHODS = ["single", "complete", "average"]
+
+
+@st.composite
+def code_matrices(draw, max_times=24, max_networks=8, max_states=4):
+    """A small T×N matrix of state codes; code 0 is unknown."""
+    num_times = draw(st.integers(min_value=1, max_value=max_times))
+    num_networks = draw(st.integers(min_value=1, max_value=max_networks))
+    num_states = draw(st.integers(min_value=1, max_value=max_states))
+    return draw(
+        arrays(
+            np.int32,
+            (num_times, num_networks),
+            elements=st.integers(min_value=0, max_value=num_states),
+        )
+    )
+
+
+def tie_heavy_distance(codes: np.ndarray) -> np.ndarray:
+    """``1 - k/N`` with k the known matches of each pair of rows."""
+    known = codes != 0
+    matches = ((codes[:, None, :] == codes[None, :, :]) & known[:, None, :]).sum(-1)
+    distance = 1.0 - matches / codes.shape[1]
+    np.fill_diagonal(distance, 0.0)
+    return distance
+
+
+class TestSingleLinkageUnderTies:
+    @settings(max_examples=150, deadline=None)
+    @given(code_matrices())
+    def test_heights_and_grid_cuts_equal_oracle(self, codes):
+        distance = tie_heavy_distance(codes)
+        ours = hac_linkage(distance, "single")
+        oracle = global_argmin_linkage(distance, "single")
+        assert ours.merges[:, 2].tobytes() == oracle.merges[:, 2].tobytes()
+        for threshold in GRID:
+            assert np.array_equal(
+                cut_linkage(ours, threshold), cut_linkage(oracle, threshold)
+            )
+
+
+class TestLinkageStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(code_matrices(), st.sampled_from(METHODS))
+    def test_heights_sorted_and_sizes_consistent(self, codes, method):
+        linkage = hac_linkage(tie_heavy_distance(codes), method)
+        heights = linkage.merges[:, 2]
+        assert np.all(np.diff(heights) >= 0)
+        num_points = linkage.num_points
+        sizes = np.ones(2 * num_points - 1)
+        for step, (a, b, _height, size) in enumerate(linkage.merges):
+            assert a < b < num_points + step
+            sizes[num_points + step] = sizes[int(a)] + sizes[int(b)]
+            assert size == sizes[num_points + step]
+
+
+class TestOnePassSweep:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        code_matrices(),
+        st.sampled_from(METHODS),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 2, 3, 5, 15]),
+    )
+    def test_equals_cut_per_threshold(
+        self, codes, method, min_cluster_size, max_clusters
+    ):
+        distance = tie_heavy_distance(codes)
+        for linkage in (
+            hac_linkage(distance, method),
+            global_argmin_linkage(distance, method),
+        ):
+            result = adaptive_clusters(
+                distance,
+                max_clusters=max_clusters,
+                min_cluster_size=min_cluster_size,
+                linkage=linkage,
+            )
+            labels, threshold, num_clusters = grid_sweep(
+                linkage, max_clusters, min_cluster_size
+            )
+            assert np.array_equal(result.labels, labels)
+            assert result.threshold == threshold
+            assert result.num_clusters == num_clusters
+
+
+class TestManyStatePhi:
+    @settings(max_examples=80, deadline=None)
+    @given(code_matrices(max_states=6), st.data())
+    def test_bit_equal_under_integer_weights(self, codes, data):
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=0, max_value=1000).map(float),
+            )
+        )
+        expected = pairwise_matches(codes, weights)
+        assert _matches_pairwise(codes, weights).tobytes() == expected.tobytes()
+        assert _matches_by_state(codes, weights).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(code_matrices(max_states=6), st.data())
+    def test_close_under_float_weights(self, codes, data):
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.floats(min_value=0.0, max_value=1e3),
+            )
+        )
+        expected = pairwise_matches(codes, weights)
+        assert _matches_pairwise(codes, weights) == pytest.approx(expected)
+
+
+def series_of(codes: np.ndarray) -> VectorSeries:
+    num_states = max(int(codes.max()), 3)
+    catalog = StateCatalog(f"site{index}" for index in range(num_states))
+    networks = tuple(f"n{index}" for index in range(codes.shape[1]))
+    start = datetime(2024, 1, 1)
+    return VectorSeries.from_vectors(
+        [
+            RoutingVector(networks, row, catalog, start + timedelta(days=index))
+            for index, row in enumerate(codes)
+        ]
+    )
+
+
+class TestStepChanges:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        code_matrices(),
+        st.sampled_from([UnknownPolicy.PESSIMISTIC, UnknownPolicy.EXCLUDE]),
+        st.data(),
+    )
+    def test_bit_equal_under_integer_weights(self, codes, policy, data):
+        series = series_of(codes)
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=1, max_value=1000).map(float),
+            )
+        )
+        expected = scalar_step_changes(series, weights, policy)
+        assert step_changes(series, weights, policy).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        code_matrices(),
+        st.sampled_from([UnknownPolicy.PESSIMISTIC, UnknownPolicy.EXCLUDE]),
+        st.data(),
+    )
+    def test_close_under_float_weights(self, codes, policy, data):
+        series = series_of(codes)
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.floats(min_value=0.01, max_value=1e3),
+            )
+        )
+        expected = scalar_step_changes(series, weights, policy)
+        ours = step_changes(series, weights, policy)
+        assert np.array_equal(np.isnan(ours), np.isnan(expected))
+        assert ours[~np.isnan(ours)] == pytest.approx(expected[~np.isnan(expected)])
