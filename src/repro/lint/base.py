@@ -7,7 +7,7 @@ Two rule shapes:
   ``ast.NodeVisitor`` internally.
 * :class:`CrossFileRule` — whole-project: gets every collected file at
   once plus the project root, for checks no single file can answer
-  (wire-protocol handler/client/docs agreement, metric kind clashes).
+  (metric kind clashes across files).
 
 Scoping: a rule that only makes sense for one subsystem declares
 ``scopes`` — path *segments* (``("serve",)``, ``("core", "bgp",

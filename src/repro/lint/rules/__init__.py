@@ -19,7 +19,6 @@ from . import (  # noqa: F401  (imports register the rules)
     locks,
     metrics,
     spans,
-    wire_protocol,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "locks",
     "metrics",
     "spans",
-    "wire_protocol",
 ]

@@ -1,11 +1,12 @@
 """:class:`AsyncServeClient`: the pooled, optionally ring-aware client.
 
-The command surface mirrors the blocking
-:class:`~repro.serve.client.ServeClient` coroutine-for-method, so
-callers port by adding ``await``; under the hood every call borrows a
-slot from a :class:`~repro.serve.aio.pool.ConnectionPool`, which means
-thousands of logical requests can be in flight from one process over a
-handful of sockets.
+The command surface is the blocking
+:class:`~repro.serve.client.ServeClient`'s, from the same definitions
+(:mod:`repro.serve.commands`), so callers port by adding ``await``;
+under the hood every call borrows a slot from a
+:class:`~repro.serve.aio.pool.ConnectionPool`, which means thousands of
+logical requests can be in flight from one process over a handful of
+sockets.
 
 Ring-aware mode (``ring_aware=True``) additionally learns the cluster
 shape from the ``topology`` command and sends monitor-scoped commands
@@ -21,16 +22,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from datetime import datetime
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .. import protocol
-from ..protocol import (
-    ERR_NO_SUCH_MONITOR,
-    BatchRejectedError,
-    OverloadedError,
-    ServeTimeout,
-)
+from ..commands import AsyncCommands
+from ..protocol import ERR_NO_SUCH_MONITOR, ServeTimeout
 from ..ring import HashRing
 from .pool import ConnectionPool
 
@@ -55,8 +51,13 @@ class _Topology:
         self.fetched = fetched
 
 
-class AsyncServeClient:
+class AsyncServeClient(AsyncCommands):
     """Async client for one server or a cluster router.
+
+    The command coroutines (``create``, ``ingest``, …, ``topology``)
+    come from :class:`~repro.serve.commands.CommandMethods`, shared
+    with the blocking client; this class supplies the pooled,
+    optionally ring-aware :meth:`request`.
 
     Use as an async context manager::
 
@@ -221,186 +222,3 @@ class AsyncServeClient:
                 return None
             self._topology = _Topology(response, time.monotonic())
             return self._topology
-
-    # -- commands (mirror ServeClient) ---------------------------------------
-
-    async def create(
-        self,
-        monitor: str,
-        networks: Sequence[str],
-        event_threshold: float = 0.1,
-        mode_threshold: float = 0.7,
-        policy: str = "pessimistic",
-    ) -> dict:
-        return await self.request(
-            "create",
-            monitor=monitor,
-            networks=list(networks),
-            event_threshold=event_threshold,
-            mode_threshold=mode_threshold,
-            policy=policy,
-        )
-
-    async def ingest(
-        self, monitor: str, states: Mapping[str, str], when: datetime | str
-    ) -> dict:
-        time_text = when.isoformat() if isinstance(when, datetime) else when
-        return await self.request(
-            "ingest", monitor=monitor, states=dict(states), time=time_text
-        )
-
-    async def ingest_series(
-        self, monitor: str, rounds: Iterable[Tuple[Mapping[str, str], datetime]]
-    ) -> list[dict]:
-        """Ingest rounds one request each, *serially* — a monitor's
-        timestamps must arrive in order, so its rounds cannot be raced.
-        Concurrency comes from many monitors, not one monitor's rounds.
-        """
-        results = []
-        for states, when in rounds:
-            results.append(await self.ingest(monitor, states, when))
-        return results
-
-    async def ingest_batch(
-        self,
-        monitor: str,
-        rounds: Sequence[Tuple[Mapping[str, str], datetime | str]],
-    ) -> dict:
-        documents = []
-        for states, when in rounds:
-            time_text = when.isoformat() if isinstance(when, datetime) else when
-            documents.append({"time": time_text, "states": dict(states)})
-        return await self.request("ingest_batch", monitor=monitor, rounds=documents)
-
-    async def ingest_many(
-        self,
-        monitor: str,
-        rounds: Sequence[Tuple[Mapping[str, str], datetime | str]],
-        batch_size: int = 128,
-        retry_overload: bool = True,
-        backoff_seconds: float = 0.05,
-    ) -> list[dict]:
-        """Batched streaming ingest with overload retry, as in the
-        blocking client (see :meth:`ServeClient.ingest_many`); batches
-        go serially because rounds are ordered.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        applied: list[dict] = []
-        for start in range(0, len(rounds), batch_size):
-            chunk = rounds[start : start + batch_size]
-            while True:
-                try:
-                    response = await self.ingest_batch(monitor, chunk)
-                except OverloadedError:
-                    if not retry_overload:
-                        raise
-                    await asyncio.sleep(backoff_seconds)
-                    continue
-                break
-            applied.extend(response["results"])
-            failed = response.get("failed")
-            if failed is not None:
-                raise BatchRejectedError(
-                    failed["error"],
-                    failed["message"],
-                    response,
-                    index=start + failed["index"],
-                    applied=applied,
-                )
-        return applied
-
-    async def query(
-        self, monitor: str, states: Optional[Mapping[str, str]] = None
-    ) -> dict:
-        if states is None:
-            return await self.request("query", monitor=monitor)
-        return await self.request("query", monitor=monitor, states=dict(states))
-
-    async def timeline(self, monitor: str) -> dict:
-        return await self.request("timeline", monitor=monitor)
-
-    async def stats(self) -> dict:
-        return await self.request("stats")
-
-    async def metrics(self) -> str:
-        response = await self.request("metrics")
-        return str(response["text"])
-
-    async def snapshot(self, monitor: str) -> dict:
-        return await self.request("snapshot", monitor=monitor)
-
-    async def vps(
-        self,
-        monitor: str,
-        plan: Optional[Mapping[str, object]] = None,
-        dedup: bool = True,
-        **options: object,
-    ) -> dict:
-        if plan is None:
-            return await self.request("vps", monitor=monitor)
-        return await self.request(
-            "vps", monitor=monitor, plan=dict(plan), dedup=dedup, **options
-        )
-
-    async def dedup(self, monitor: str, mode: Optional[str] = None) -> dict:
-        if mode is None:
-            return await self.request("dedup", monitor=monitor)
-        return await self.request("dedup", monitor=monitor, mode=mode)
-
-    async def classify(
-        self,
-        monitor: str,
-        *,
-        model: Optional[Mapping[str, object]] = None,
-        stream: Optional[str] = None,
-        features: Optional[Sequence[float]] = None,
-        before: Optional[Mapping[str, str]] = None,
-        after: Optional[Mapping[str, str]] = None,
-        revert: Optional[Mapping[str, str]] = None,
-    ) -> dict:
-        """Async mirror of :meth:`ServeClient.classify` — one optional
-        argument group per request shape (docs/classification.md)."""
-        fields: dict = {}
-        if model is not None:
-            fields["model"] = dict(model)
-        if stream is not None:
-            fields["stream"] = stream
-        if features is not None:
-            fields["features"] = [float(value) for value in features]
-        if before is not None:
-            fields["before"] = dict(before)
-        if after is not None:
-            fields["after"] = dict(after)
-        if revert is not None:
-            fields["revert"] = dict(revert)
-        return await self.request("classify", monitor=monitor, **fields)
-
-    async def list_monitors(self) -> list[str]:
-        response = await self.request("list")
-        return list(response["monitors"])
-
-    async def handoff(
-        self, monitor: str, after_rounds: Optional[int] = None
-    ) -> dict:
-        if after_rounds is None:
-            return await self.request("handoff", monitor=monitor)
-        return await self.request(
-            "handoff", monitor=monitor, after_rounds=after_rounds
-        )
-
-    async def install(
-        self, monitor: str, seq: int, state: Mapping[str, object]
-    ) -> dict:
-        return await self.request(
-            "install", monitor=monitor, seq=seq, state=dict(state)
-        )
-
-    async def retire(self, monitor: str) -> dict:
-        return await self.request("retire", monitor=monitor)
-
-    async def promote(self) -> dict:
-        return await self.request("promote")
-
-    async def topology(self) -> dict:
-        return await self.request("topology")

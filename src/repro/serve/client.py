@@ -10,11 +10,10 @@ concurrency lives.
 from __future__ import annotations
 
 import socket
-import time as _time
-from datetime import datetime
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from . import protocol
+from .commands import BlockingCommands
 from .protocol import (
     BatchRejectedError,
     OverloadedError,
@@ -33,8 +32,13 @@ __all__ = [
 ]
 
 
-class ServeClient:
-    """One connection to a Fenrir server; use as a context manager."""
+class ServeClient(BlockingCommands):
+    """One connection to a Fenrir server; use as a context manager.
+
+    The command methods (``create``, ``ingest``, …, ``topology``) come
+    from :class:`~repro.serve.commands.CommandMethods`; this class
+    supplies only the transport, :meth:`request`.
+    """
 
     def __init__(
         self,
@@ -119,219 +123,3 @@ class ServeClient:
                 f"no response to {command!r} within {self.timeout}s"
             ) from exc
         return check_response(response)
-
-    # -- commands ------------------------------------------------------------
-
-    def create(
-        self,
-        monitor: str,
-        networks: Sequence[str],
-        event_threshold: float = 0.1,
-        mode_threshold: float = 0.7,
-        policy: str = "pessimistic",
-    ) -> dict:
-        return self.request(
-            "create",
-            monitor=monitor,
-            networks=list(networks),
-            event_threshold=event_threshold,
-            mode_threshold=mode_threshold,
-            policy=policy,
-        )
-
-    def ingest(
-        self, monitor: str, states: Mapping[str, str], when: datetime | str
-    ) -> dict:
-        time_text = when.isoformat() if isinstance(when, datetime) else when
-        return self.request(
-            "ingest", monitor=monitor, states=dict(states), time=time_text
-        )
-
-    def ingest_series(
-        self, monitor: str, rounds: Iterable[tuple[Mapping[str, str], datetime]]
-    ) -> list[dict]:
-        """Ingest many rounds one request each; per-round responses."""
-        return [self.ingest(monitor, states, when) for states, when in rounds]
-
-    def ingest_batch(
-        self, monitor: str, rounds: Sequence[tuple[Mapping[str, str], datetime | str]]
-    ) -> dict:
-        """One ``ingest_batch`` request; returns the raw response.
-
-        The response is ``ok: true`` even on partial failure — check
-        ``failed`` (None when every round was applied). Most callers
-        want :meth:`ingest_many`, which chunks, retries overload, and
-        raises on rejected records.
-        """
-        documents = []
-        for states, when in rounds:
-            time_text = when.isoformat() if isinstance(when, datetime) else when
-            documents.append({"time": time_text, "states": dict(states)})
-        return self.request("ingest_batch", monitor=monitor, rounds=documents)
-
-    def ingest_many(
-        self,
-        monitor: str,
-        rounds: Sequence[tuple[Mapping[str, str], datetime | str]],
-        batch_size: int = 128,
-        retry_overload: bool = True,
-        backoff_seconds: float = 0.05,
-    ) -> list[dict]:
-        """Stream ``rounds`` in batches; returns one update doc per round.
-
-        Overload responses are retried after a short backoff (safe: an
-        overloaded batch was rejected before anything was enqueued, so
-        the retry cannot double-apply). A rejected record raises
-        :class:`BatchRejectedError` carrying the absolute index of the
-        bad round and every update applied before it.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        applied: list[dict] = []
-        for start in range(0, len(rounds), batch_size):
-            chunk = rounds[start : start + batch_size]
-            while True:
-                try:
-                    response = self.ingest_batch(monitor, chunk)
-                except OverloadedError:
-                    if not retry_overload:
-                        raise
-                    _time.sleep(backoff_seconds)
-                    continue
-                break
-            applied.extend(response["results"])
-            failed = response.get("failed")
-            if failed is not None:
-                raise BatchRejectedError(
-                    failed["error"],
-                    failed["message"],
-                    response,
-                    index=start + failed["index"],
-                    applied=applied,
-                )
-        return applied
-
-    def query(
-        self, monitor: str, states: Optional[Mapping[str, str]] = None
-    ) -> dict:
-        if states is None:
-            return self.request("query", monitor=monitor)
-        return self.request("query", monitor=monitor, states=dict(states))
-
-    def timeline(self, monitor: str) -> dict:
-        return self.request("timeline", monitor=monitor)
-
-    def stats(self) -> dict:
-        return self.request("stats")
-
-    def metrics(self) -> str:
-        """The server's metrics as Prometheus text exposition."""
-        return self.request("metrics")["text"]
-
-    def snapshot(self, monitor: str) -> dict:
-        return self.request("snapshot", monitor=monitor)
-
-    def vps(
-        self,
-        monitor: str,
-        plan: Optional[Mapping] = None,
-        dedup: bool = True,
-        **options: object,
-    ) -> dict:
-        """Create a monitor from a VP plan, or query its stored plan.
-
-        With ``plan`` (a ``VPPlan.to_document()`` mapping) the server
-        creates a monitor over the plan's kept VPs with the plan's
-        weight rescaling; ``dedup`` controls the new monitor's ingest
-        dedup mode (on by default). Without ``plan`` the call reports
-        the stored plan summary and live dedup stats. Extra keyword
-        options (``event_threshold``, ``mode_threshold``, ``policy``)
-        pass through to creation.
-        """
-        if plan is None:
-            return self.request("vps", monitor=monitor)
-        return self.request(
-            "vps", monitor=monitor, plan=dict(plan), dedup=dedup, **options
-        )
-
-    def dedup(self, monitor: str, mode: Optional[str] = None) -> dict:
-        """Report a monitor's dedup stats; ``mode='on'|'off'`` toggles."""
-        if mode is None:
-            return self.request("dedup", monitor=monitor)
-        return self.request("dedup", monitor=monitor, mode=mode)
-
-    def classify(
-        self,
-        monitor: str,
-        *,
-        model: Optional[Mapping] = None,
-        stream: Optional[str] = None,
-        features: Optional[Sequence[float]] = None,
-        before: Optional[Mapping[str, str]] = None,
-        after: Optional[Mapping[str, str]] = None,
-        revert: Optional[Mapping[str, str]] = None,
-    ) -> dict:
-        """Classify a transition, manage the model, or report state.
-
-        One optional argument group per request shape
-        (docs/classification.md): ``model`` installs a
-        ``ClassifierModel.to_document()`` mapping; ``stream`` toggles
-        labeling at ingest time (``'on'``/``'off'``); ``features`` or
-        ``before``/``after`` (plus optional ``revert``) classify one
-        transition; no arguments reports the installed model summary,
-        streaming flag, and recent streamed labels.
-        """
-        fields: dict = {}
-        if model is not None:
-            fields["model"] = dict(model)
-        if stream is not None:
-            fields["stream"] = stream
-        if features is not None:
-            fields["features"] = [float(value) for value in features]
-        if before is not None:
-            fields["before"] = dict(before)
-        if after is not None:
-            fields["after"] = dict(after)
-        if revert is not None:
-            fields["revert"] = dict(revert)
-        return self.request("classify", monitor=monitor, **fields)
-
-    def list_monitors(self) -> list[str]:
-        return list(self.request("list")["monitors"])
-
-    # -- cluster commands (state shipping and failover) ----------------------
-
-    def handoff(self, monitor: str, after_rounds: Optional[int] = None) -> dict:
-        """Export a monitor's state document for shipping elsewhere.
-
-        Without ``after_rounds`` the response carries the full state
-        (``kind: "full"``); with it, a delta covering only newer rounds
-        (``kind: "delta"``, or ``"unchanged"`` when already current).
-        """
-        if after_rounds is None:
-            return self.request("handoff", monitor=monitor)
-        return self.request("handoff", monitor=monitor, after_rounds=after_rounds)
-
-    def install(self, monitor: str, seq: int, state: Mapping) -> dict:
-        """Install a state document shipped from a ``handoff``."""
-        return self.request("install", monitor=monitor, seq=seq, state=dict(state))
-
-    def retire(self, monitor: str) -> dict:
-        """Drop a monitor after its state moved to another shard."""
-        return self.request("retire", monitor=monitor)
-
-    def promote(self) -> dict:
-        """Tell a replication follower to stop following and serve."""
-        return self.request("promote")
-
-    def topology(self) -> dict:
-        """The serving tier's shape: ring members, digest, addresses.
-
-        Against a cluster router the response carries every shard's
-        id and dialable address plus the ring parameters (``vnodes``,
-        ``ring_digest``) a ring-aware client needs to compute ownership
-        locally; against a single server it reports the one-shard
-        degenerate topology. ``generation`` bumps on every failover or
-        restart, so clients can detect drift cheaply.
-        """
-        return self.request("topology")

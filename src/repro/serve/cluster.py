@@ -42,8 +42,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from . import protocol
+from .commands import AsyncCommands
 from .monitor import MonitorError
-from .protocol import ERR_BAD_REQUEST, FrameError
+from .protocol import ERR_BAD_REQUEST, FrameError, ServeClientError
 from .ring import DEFAULT_VNODES, HashRing, misplaced
 from .router import ClusterState, ShardRouter
 from .server import FenrirServer
@@ -51,9 +52,9 @@ from .server import FenrirServer
 __all__ = [
     "AsyncShardClient",
     "ClusterConfig",
-    "ClusterRequestError",
     "ClusterSupervisor",
     "ReplicationFollower",
+    "ShardCall",
     "shard_request",
 ]
 
@@ -62,25 +63,10 @@ _SPAWN_TIMEOUT = 60.0
 _REQUEST_TIMEOUT = 30.0
 
 
-class ClusterRequestError(RuntimeError):
-    """An error response while talking to a shard server."""
-
-    def __init__(self, code: str, message: str, response: dict) -> None:
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.response = response
-
-
 def _checked(response: Optional[dict]) -> dict:
     if response is None:
         raise ConnectionError("shard closed the connection mid request")
-    if not response.get("ok"):
-        raise ClusterRequestError(
-            str(response.get("error", "unknown")),
-            str(response.get("message", "")),
-            response,
-        )
-    return response
+    return protocol.check_response(response)
 
 
 async def shard_request(
@@ -105,14 +91,31 @@ async def shard_request(
     return _checked(response)
 
 
-class AsyncShardClient:
+class ShardCall(AsyncCommands):
+    """The client command methods, one :func:`shard_request` each."""
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        timeout: float = _REQUEST_TIMEOUT,
+        max_frame: int = protocol.MAX_FRAME,
+    ) -> None:
+        self.address = address
+        self.timeout = timeout
+        self.max_frame = max_frame
+
+    async def request(self, command: str, **fields: object) -> dict:
+        message = {"cmd": command, "id": 0, **fields}
+        return await shard_request(self.address, message, self.timeout, self.max_frame)
+
+
+class AsyncShardClient(AsyncCommands):
     """A persistent asyncio connection to one shard server.
 
-    The async sibling of the blocking :class:`~repro.serve.client
-    .ServeClient`, used by the replication follower (many small
-    requests per sync — a connect per request would dominate). Lazily
-    connects; :meth:`reset` drops the connection after a failure so the
-    next request re-dials.
+    The client command methods over one lazily dialed connection, used
+    by the replication follower (many small requests per sync — a
+    connect per request would dominate). :meth:`reset` drops the
+    connection after a failure so the next request re-dials.
     """
 
     def __init__(
@@ -200,7 +203,7 @@ class ReplicationFollower:
                 ConnectionError,
                 OSError,
                 FrameError,
-                ClusterRequestError,
+                ServeClientError,
                 MonitorError,
                 asyncio.TimeoutError,
             ):
@@ -236,7 +239,7 @@ class ReplicationFollower:
         await self._client.close()
 
     async def _sync_once(self) -> None:
-        names = set((await self._client.request("list"))["monitors"])
+        names = set(await self._client.list_monitors())
         # Monitors we hold that the primary does not (stale after a
         # rebalance or role swap) would resurface old data if this
         # follower were promoted; retire them.
@@ -248,19 +251,17 @@ class ReplicationFollower:
     async def _sync_monitor(self, name: str) -> None:
         runtime = self.server._monitors.get(name)
         if runtime is None:
-            export = await self._client.request("handoff", monitor=name)
+            export = await self._client.handoff(name)
         else:
             local_rounds = len(runtime.monitor.tracker.updates)
             try:
-                export = await self._client.request(
-                    "handoff", monitor=name, after_rounds=local_rounds
-                )
-            except ClusterRequestError as exc:
+                export = await self._client.handoff(name, local_rounds)
+            except ServeClientError as exc:
                 if exc.code != ERR_BAD_REQUEST:
                     raise
                 # We are ahead of the primary (stale journal replayed
                 # after a role swap): resynchronize from scratch.
-                export = await self._client.request("handoff", monitor=name)
+                export = await self._client.handoff(name)
         if export.get("kind") == "unchanged":
             return
         try:
@@ -270,7 +271,7 @@ class ReplicationFollower:
                 raise
             # The delta did not chain (e.g. our state predates a
             # compaction); a full install always converges.
-            export = await self._client.request("handoff", monitor=name)
+            export = await self._client.handoff(name)
             self.server.install_state(name, export["seq"], export["state"])
 
 
@@ -563,14 +564,14 @@ class ClusterSupervisor:
         follower = pair.follower
         assert follower is not None
         try:
-            await shard_request(
-                follower.address,
-                {"cmd": "promote", "id": 0},
-                timeout=10.0,
-                max_frame=self.config.max_frame,
-            )
-        except (ConnectionError, OSError, FrameError, ClusterRequestError,
-                asyncio.TimeoutError):
+            await self._shard(follower.address, timeout=10.0).promote()
+        except (
+            ConnectionError,
+            OSError,
+            FrameError,
+            ServeClientError,
+            asyncio.TimeoutError,
+        ):
             return False
         dead_primary_dir = pair.primary.directory
         follower.role = "primary"
@@ -606,6 +607,11 @@ class ClusterSupervisor:
 
     # -- rebalance -----------------------------------------------------------
 
+    def _shard(
+        self, address: Tuple[str, int], timeout: float = _REQUEST_TIMEOUT
+    ) -> ShardCall:
+        return ShardCall(address, timeout, self.config.max_frame)
+
     async def _rebalance_on_start(self) -> None:
         """Move monitors whose ring owner changed since the last run.
 
@@ -616,45 +622,17 @@ class ClusterSupervisor:
         """
         holdings: Dict[int, List[str]] = {}
         for shard_id, pair in self._shards.items():
-            response = await shard_request(
-                pair.primary.address,
-                {"cmd": "list", "id": 0},
-                max_frame=self.config.max_frame,
-            )
-            holdings[shard_id] = list(response["monitors"])
+            holdings[shard_id] = await self._shard(pair.primary.address).list_monitors()
         for name, source, target in misplaced(self.state.ring, holdings):
             source_address = self._shards[source].primary.address
             target_address = self._shards[target].primary.address
-            export = await shard_request(
-                source_address,
-                {"cmd": "handoff", "id": 0, "monitor": name},
-                timeout=_SPAWN_TIMEOUT,
-                max_frame=self.config.max_frame,
-            )
+            export = await self._shard(source_address, _SPAWN_TIMEOUT).handoff(name)
             target_seq = -1
             if name in holdings[target]:
-                query = await shard_request(
-                    target_address,
-                    {"cmd": "query", "id": 0, "monitor": name},
-                    max_frame=self.config.max_frame,
-                )
+                query = await self._shard(target_address).query(name)
                 target_seq = int(query["seq"])
             if export["seq"] > target_seq:
-                await shard_request(
-                    target_address,
-                    {
-                        "cmd": "install",
-                        "id": 0,
-                        "monitor": name,
-                        "seq": export["seq"],
-                        "state": export["state"],
-                    },
-                    timeout=_SPAWN_TIMEOUT,
-                    max_frame=self.config.max_frame,
-                )
-            await shard_request(
-                source_address,
-                {"cmd": "retire", "id": 0, "monitor": name},
-                max_frame=self.config.max_frame,
-            )
+                target_shard = self._shard(target_address, _SPAWN_TIMEOUT)
+                await target_shard.install(name, export["seq"], export["state"])
+            await self._shard(source_address).retire(name)
             self._rebalances.inc()

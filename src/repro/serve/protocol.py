@@ -17,13 +17,20 @@ off and retry rather than buffering server-side without limit).
 from __future__ import annotations
 
 import asyncio
+import enum
 import json
 import socket
 import struct
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Optional
 
 __all__ = [
     "MAX_FRAME",
+    "FieldType",
+    "Field",
+    "Route",
+    "CommandSpec",
+    "COMMAND_SPECS",
     "COMMANDS",
     "MONITOR_COMMANDS",
     "FrameError",
@@ -61,48 +68,243 @@ _LENGTH = struct.Struct(">I")
 #: that a garbage length prefix cannot make the server buffer gigabytes.
 MAX_FRAME = 4 * 1024 * 1024
 
-COMMANDS = (
-    "create",
-    "ingest",
-    "ingest_batch",
-    "query",
-    "timeline",
-    "stats",
-    "metrics",
-    "snapshot",
-    "list",
-    # VP-plan monitors and ingest dedup (docs/vps.md).
-    "vps",
-    "dedup",
-    # Route-change cause classification (docs/classification.md).
-    "classify",
-    # Cluster support: state shipping and failover (docs/cluster.md).
-    "handoff",
-    "install",
-    "retire",
-    "promote",
-    # Cluster shape for ring-aware clients (docs/async-client.md).
-    "topology",
+
+# -- the command table --------------------------------------------------------
+#
+# Every wire command is declared once, in COMMAND_SPECS. The server
+# checks a request's declared fields against its entry and calls the
+# handler of the same name; the router picks its path from ``route``;
+# both clients' command methods (repro.serve.commands) send these
+# names; the command table in docs/serving.md is rendered from it.
+
+
+class FieldType(NamedTuple):
+    """One of the closed set of wire field types."""
+
+    label: str
+    accepts: Callable[[object], bool]
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_state_map(value: object) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and isinstance(label, str) for key, label in value.items()
+    )
+
+
+STRING = FieldType("string", lambda value: isinstance(value, str))
+MONITOR = FieldType("monitor name", lambda value: isinstance(value, str))
+NUMBER = FieldType("number", _is_number)
+COUNT = FieldType("non-negative int", _is_count)
+BOOL = FieldType("bool", lambda value: isinstance(value, bool))
+SWITCH = FieldType("on/off", lambda value: value == "on" or value == "off")
+STATES = FieldType("{network: state}", _is_state_map)
+LIST = FieldType("list", lambda value: isinstance(value, list))
+OBJECT = FieldType("object", lambda value: isinstance(value, dict))
+
+
+#: The answer to a monitor-scoped request without a usable monitor name
+#: (the router gives it too, before picking an owner shard).
+MONITOR_NEEDED = "request needs a 'monitor' name"
+
+
+class Field(NamedTuple):
+    """A declared request field; ``note`` overrides the type in the docs."""
+
+    name: str
+    type: FieldType
+    required: bool = False
+    note: str = ""
+
+
+class Route(enum.Enum):
+    """How the cluster router handles a command."""
+
+    FORWARD = "owner shard"  # relayed verbatim to the monitor's ring owner
+    FAN_OUT = "every shard"  # sent to every shard, answers merged
+    LOCAL = "router"  # answered by the router itself
+    SHARD_ONLY = "refused"  # addresses one server; the router refuses it
+
+
+@dataclass(frozen=True)
+class CommandSpec:
+    """One wire command: its fields, its router policy, what it returns."""
+
+    name: str
+    route: Route
+    fields: tuple[Field, ...]
+    returns: str
+
+    @property
+    def scope(self) -> str:
+        """``monitor`` for commands addressed to one monitor, else ``tier``."""
+        return "monitor" if self.route is Route.FORWARD else "tier"
+
+    def problem(self, request: Mapping[str, object]) -> Optional[str]:
+        """Why ``request`` does not fit this command, or None if it does.
+
+        A declared field, when present, must have its declared type;
+        ``null`` is not a value of any type. Undeclared fields are
+        ignored.
+        """
+        for field in self.fields:
+            if field.name not in request:
+                if not field.required:
+                    continue
+            elif field.type.accepts(request[field.name]):
+                continue
+            if field.type is MONITOR:
+                return MONITOR_NEEDED
+            if field.name not in request:
+                return f"{self.name} needs '{field.name}' ({field.type.label})"
+            return (
+                f"'{field.name}' must be {field.type.label}, "
+                f"got {_preview(request[field.name])}"
+            )
+        return None
+
+
+def _preview(value: object, limit: int = 60) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+_MONITOR = Field("monitor", MONITOR, required=True)
+_THRESHOLDS = (
+    Field("event_threshold", NUMBER),
+    Field("mode_threshold", NUMBER),
+    Field("policy", STRING, note="`pessimistic`/`exclude`"),
 )
+_FORWARD, _FAN_OUT, _LOCAL = Route.FORWARD, Route.FAN_OUT, Route.LOCAL
+
+COMMAND_SPECS: dict[str, CommandSpec] = {
+    spec.name: spec
+    for spec in (
+        CommandSpec(
+            "create",
+            _FORWARD,
+            (
+                _MONITOR,
+                Field("networks", LIST, required=True),
+                *_THRESHOLDS,
+                Field("weights", LIST, note="list of numbers"),
+                Field("dedup", BOOL),
+            ),
+            "`{ok, monitor}`",
+        ),
+        CommandSpec(
+            "ingest",
+            _FORWARD,
+            (
+                _MONITOR,
+                Field("time", STRING, required=True, note="ISO-8601"),
+                Field("states", STATES, required=True),
+            ),
+            "`{ok, seq, update}`: the full `OnlineUpdate`",
+        ),
+        CommandSpec(
+            "ingest_batch",
+            _FORWARD,
+            (_MONITOR, Field("rounds", LIST, required=True, note="`[{time, states}]`")),
+            "`{ok, seq, accepted, results, failed}`: see below",
+        ),
+        CommandSpec(
+            "query",
+            _FORWARD,
+            (_MONITOR, Field("states", STATES)),
+            "summary; with `states`, a non-mutating mode `match`",
+        ),
+        CommandSpec(
+            "timeline",
+            _FORWARD,
+            (_MONITOR,),
+            "`{ok, monitor, segments}`: `{mode_id, start, end}` runs",
+        ),
+        CommandSpec(
+            "stats",
+            _FAN_OUT,
+            (),
+            "counters, latency percentiles, per-monitor queues and replay",
+        ),
+        CommandSpec(
+            "metrics",
+            _LOCAL,
+            (Field("shard", COUNT, note="router only: that shard's exposition"),),
+            "`{ok, content_type, text}`: Prometheus text",
+        ),
+        CommandSpec("snapshot", _FORWARD, (_MONITOR,), "`{ok, monitor, seq}`"),
+        CommandSpec("list", _FAN_OUT, (), "`{ok, monitors}`"),
+        # VP-plan monitors and ingest dedup (docs/vps.md).
+        CommandSpec(
+            "vps",
+            _FORWARD,
+            (_MONITOR, Field("plan", OBJECT), Field("dedup", BOOL), *_THRESHOLDS),
+            "creates a plan-backed monitor, or reports its plan",
+        ),
+        CommandSpec(
+            "dedup",
+            _FORWARD,
+            (_MONITOR, Field("mode", SWITCH)),
+            "`{ok, monitor, mode, deduped_records, bytes_saved}`",
+        ),
+        # Route-change cause classification (docs/classification.md).
+        CommandSpec(
+            "classify",
+            _FORWARD,
+            (
+                _MONITOR,
+                Field("model", OBJECT),
+                Field("stream", SWITCH),
+                Field("features", LIST, note="list of numbers"),
+                Field("before", STATES),
+                Field("after", STATES),
+                Field("revert", STATES),
+            ),
+            "installs a model, toggles streaming, classifies, or reports",
+        ),
+        # Cluster support: state shipping and failover (docs/cluster.md).
+        CommandSpec(
+            "handoff",
+            _FORWARD,
+            (_MONITOR, Field("after_rounds", COUNT)),
+            "`{ok, monitor, kind, seq, rounds, state}`",
+        ),
+        CommandSpec(
+            "install",
+            _FORWARD,
+            (
+                _MONITOR,
+                Field("seq", COUNT, required=True),
+                Field("state", OBJECT, required=True),
+            ),
+            "`{ok, monitor, seq, rounds}`",
+        ),
+        CommandSpec("retire", _FORWARD, (_MONITOR,), "`{ok, monitor, seq}`"),
+        CommandSpec("promote", Route.SHARD_ONLY, (), "`{ok, was_following}`"),
+        # Cluster shape for ring-aware clients (docs/async-client.md).
+        CommandSpec(
+            "topology",
+            _LOCAL,
+            (),
+            "`{ok, shards, vnodes, ring_digest, generation, router}`",
+        ),
+    )
+}
+
+COMMANDS = tuple(COMMAND_SPECS)
 
 #: Commands addressed to one monitor — the router routes these to the
 #: ring owner's shard; everything else is answered by the router itself
 #: or fanned out to every shard.
 MONITOR_COMMANDS = frozenset(
-    {
-        "create",
-        "ingest",
-        "ingest_batch",
-        "query",
-        "timeline",
-        "snapshot",
-        "vps",
-        "dedup",
-        "classify",
-        "handoff",
-        "install",
-        "retire",
-    }
+    name for name, spec in COMMAND_SPECS.items() if spec.scope == "monitor"
 )
 
 ERR_BAD_FRAME = "bad_frame"

@@ -28,7 +28,7 @@ import asyncio
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from ..obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 from . import protocol
@@ -38,8 +38,10 @@ from .protocol import (
     ERR_FRAME_TOO_LARGE,
     ERR_OVERLOADED,
     ERR_SHARD_DOWN,
+    MONITOR_NEEDED,
     FrameError,
     FrameTooLarge,
+    Route,
     error_response,
 )
 from .ring import HashRing
@@ -143,6 +145,15 @@ class ShardRouter:
         self._requests_total = self.registry.counter(
             "cluster_requests_total", help="Requests handled by the router"
         )
+        # The router answers the FAN_OUT and LOCAL commands itself:
+        # command ``x`` with ``self._x``.
+        self._answers: Dict[
+            str, Callable[[_Upstreams, dict, object], Awaitable[dict]]
+        ] = {
+            name: getattr(self, f"_{name}")
+            for name, spec in protocol.COMMAND_SPECS.items()
+            if spec.route in (Route.FAN_OUT, Route.LOCAL)
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -334,12 +345,11 @@ class ShardRouter:
             raw_monitor = request.get("monitor")
             monitor = raw_monitor if isinstance(raw_monitor, str) else None
         self._requests_total.inc()
-        if command in protocol.MONITOR_COMMANDS:
+        spec = protocol.COMMAND_SPECS.get(command)
+        if spec is not None and spec.route is Route.FORWARD:
             if monitor is None:
                 return self._encode(
-                    error_response(
-                        ERR_BAD_REQUEST, "request needs a 'monitor' name", request_id
-                    )
+                    error_response(ERR_BAD_REQUEST, MONITOR_NEEDED, request_id)
                 )
             return await self._route_to_owner(upstreams, monitor, payload, request_id)
         # The remaining commands need parsed fields (id, shard).
@@ -349,31 +359,27 @@ class ShardRouter:
             except FrameError as exc:
                 return self._encode(error_response(ERR_BAD_FRAME, str(exc)))
             request_id = request.get("id")
-        if command == "list":
-            return self._encode(await self._fan_out_list(upstreams, request_id))
-        if command == "stats":
-            return self._encode(await self._fan_out_stats(upstreams, request_id))
-        if command == "metrics":
-            return await self._metrics(upstreams, request, request_id)
-        if command == "topology":
-            return self._encode(self._topology(request_id))
-        if command == "promote":
-            # Promotion addresses one concrete server, never the tier.
-            return self._encode(
-                error_response(
-                    ERR_BAD_REQUEST,
-                    "promote must be sent to a shard directly, not the router",
-                    request_id,
-                )
+        if spec is None:
+            response = error_response(
+                ERR_BAD_REQUEST, f"unknown command: {command!r}", request_id
             )
-        return self._encode(
-            error_response(ERR_BAD_REQUEST, f"unknown command: {command!r}", request_id)
-        )
+        elif spec.route is Route.SHARD_ONLY:
+            # Such a command addresses one concrete server, never the tier.
+            response = error_response(
+                ERR_BAD_REQUEST,
+                f"{command} must be sent to a shard directly, not the router",
+                request_id,
+            )
+        else:
+            response = await self._answers[command](upstreams, request, request_id)
+        return self._encode(response)
 
     def _encode(self, message: dict) -> bytes:
         return protocol.encode_frame(message, self.max_frame)[4:]
 
-    def _topology(self, request_id: object) -> dict:
+    async def _topology(
+        self, upstreams: _Upstreams, request: dict, request_id: object
+    ) -> dict:
         """The cluster's live shape, for ring-aware clients.
 
         Carries everything needed to route monitor commands locally:
@@ -418,8 +424,8 @@ class ShardRouter:
                 )
             )
 
-    async def _fan_out_list(
-        self, upstreams: _Upstreams, request_id: object
+    async def _list(
+        self, upstreams: _Upstreams, request: dict, request_id: object
     ) -> dict:
         """Union of every live shard's monitors, sorted."""
         monitors: set[str] = set()
@@ -439,8 +445,8 @@ class ShardRouter:
             document["shards_down"] = down
         return document
 
-    async def _fan_out_stats(
-        self, upstreams: _Upstreams, request_id: object
+    async def _stats(
+        self, upstreams: _Upstreams, request: dict, request_id: object
     ) -> dict:
         """Every shard's stats, merged: summed counters, tagged monitors."""
         counters: Dict[str, float] = {}
@@ -483,21 +489,19 @@ class ShardRouter:
 
     async def _metrics(
         self, upstreams: _Upstreams, request: dict, request_id: object
-    ) -> bytes:
+    ) -> dict:
         """Router registry by default; one shard's exposition on demand."""
         shard = request.get("shard")
         if shard is None:
-            return self._encode(
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "content_type": CONTENT_TYPE,
-                    "text": render_prometheus(self.registry),
-                }
-            )
+            return {
+                "id": request_id,
+                "ok": True,
+                "content_type": CONTENT_TYPE,
+                "text": render_prometheus(self.registry),
+            }
         if not isinstance(shard, int) or shard not in self.state.ring.shards:
-            return self._encode(
-                error_response(ERR_BAD_REQUEST, f"unknown shard: {shard!r}", request_id)
+            return error_response(
+                ERR_BAD_REQUEST, f"unknown shard: {shard!r}", request_id
             )
         try:
             response = await self._request_shard(
@@ -506,9 +510,7 @@ class ShardRouter:
         except (ConnectionError, OSError, FrameError):
             self._drop_upstream(upstreams, shard)
             self._count_shard_error(shard)
-            return self._encode(
-                error_response(
-                    ERR_SHARD_DOWN, f"shard {shard} is unavailable", request_id
-                )
+            return error_response(
+                ERR_SHARD_DOWN, f"shard {shard} is unavailable", request_id
             )
-        return self._encode(response)
+        return response

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from .cluster import ReplicationFollower
@@ -158,6 +158,11 @@ class FenrirServer:
             "classify_latency_seconds",
             help="Featurize + predict time per classification",
         )
+        # The handler for command ``x`` is ``self._x``; _dispatch has
+        # already checked the request against protocol.COMMAND_SPECS.
+        self._handlers: dict[str, Callable[[dict], Awaitable[dict]]] = {
+            name: getattr(self, f"_{name}") for name in protocol.COMMANDS
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -344,61 +349,42 @@ class FenrirServer:
             }
         )
 
-    async def _ingest(self, request: dict, request_id: object) -> dict:
+    async def _ingest(self, request: dict) -> dict:
         runtime = self._runtime_for(request)
-        when = _parse_time(request.get("time"))
-        states = request.get("states")
-        if not isinstance(states, dict):
-            raise _RequestError(ERR_BAD_REQUEST, "ingest needs a 'states' object")
-        for key, value in states.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise _RequestError(
-                    ERR_BAD_REQUEST,
-                    "'states' must map network names to state label strings; "
-                    f"got {key!r}: {value!r}",
-                )
+        when = _parse_time(request["time"])
+        states = request["states"]
         future = self._enqueue(runtime, "one", (states, when))
-        if future is None:
-            return self._overloaded_response(runtime, request_id)
         try:
             seq, update = await future
         except MonitorError as exc:
-            return error_response(ERR_OUT_OF_ORDER, str(exc), request_id)
+            raise _RequestError(ERR_OUT_OF_ORDER, str(exc)) from exc
         except Exception as exc:
             # The writer task forwards whatever the apply raised; answer
             # rather than letting it kill the connection handler.
             self.metrics.increment("ingest_failures")
             self.metrics.internal_error("ingest")
-            return error_response(
-                ERR_INTERNAL, f"{type(exc).__name__}: {exc}", request_id
-            )
+            raise _RequestError(ERR_INTERNAL, f"{type(exc).__name__}: {exc}") from exc
         return {
-            "id": request_id,
-            "ok": True,
             "seq": seq,
             "update": _update_document(update),
         }
 
     def _enqueue(
         self, runtime: _MonitorRuntime, kind: str, payload: Any
-    ) -> Optional[asyncio.Future]:
+    ) -> asyncio.Future:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             runtime.queue.put_nowait((kind, payload, future))
         except asyncio.QueueFull:
             self.metrics.increment("overload_rejections")
-            return None
+            raise _RequestError(
+                ERR_OVERLOADED,
+                f"monitor {runtime.monitor.name!r} ingest queue is full",
+                queue_depth=runtime.queue.qsize(),
+            ) from None
         return future
 
-    def _overloaded_response(self, runtime: _MonitorRuntime, request_id: object) -> dict:
-        return error_response(
-            ERR_OVERLOADED,
-            f"monitor {runtime.monitor.name!r} ingest queue is full",
-            request_id,
-            queue_depth=runtime.queue.qsize(),
-        )
-
-    async def _ingest_batch(self, request: dict, request_id: object) -> dict:
+    async def _ingest_batch(self, request: dict) -> dict:
         """Batched ingest: valid prefix applied + acked under one commit.
 
         The response is ``ok: true`` whenever the *request shape* was
@@ -410,21 +396,14 @@ class FenrirServer:
         applied.
         """
         runtime = self._runtime_for(request)
-        rounds = request.get("rounds")
-        if not isinstance(rounds, list):
-            raise _RequestError(ERR_BAD_REQUEST, "ingest_batch needs a 'rounds' list")
-        parsed, shape_failure = _parse_rounds(rounds)
+        parsed, shape_failure = _parse_rounds(request["rounds"])
         future = self._enqueue(runtime, "batch", parsed)
-        if future is None:
-            return self._overloaded_response(runtime, request_id)
         try:
             seq, batch = await future
         except Exception as exc:
             self.metrics.increment("ingest_failures")
             self.metrics.internal_error("ingest_batch")
-            return error_response(
-                ERR_INTERNAL, f"{type(exc).__name__}: {exc}", request_id
-            )
+            raise _RequestError(ERR_INTERNAL, f"{type(exc).__name__}: {exc}") from exc
         # A monitor-level rejection happened inside the parsed prefix,
         # so it precedes (and supersedes) any shape failure.
         if batch.error_index is not None:
@@ -444,8 +423,6 @@ class FenrirServer:
         else:
             failed = None
         return {
-            "id": request_id,
-            "ok": True,
             "seq": seq,
             "accepted": batch.accepted,
             "results": [_update_document(update) for update in batch.updates],
@@ -455,43 +432,38 @@ class FenrirServer:
     # -- other commands ------------------------------------------------------
 
     def _runtime_for(self, request: dict) -> _MonitorRuntime:
-        name = request.get("monitor")
-        if not isinstance(name, str):
-            raise _RequestError(ERR_BAD_REQUEST, "request needs a 'monitor' name")
+        name = request["monitor"]
         runtime = self._monitors.get(name)
         if runtime is None:
             raise _RequestError(ERR_NO_SUCH_MONITOR, f"no such monitor: {name!r}")
         return runtime
 
-    def _create(self, request: dict, request_id: object) -> dict:
-        name = request.get("monitor")
-        networks = request.get("networks")
-        if not isinstance(name, str) or not valid_monitor_name(name):
+    def _new_monitor_name(self, request: dict) -> str:
+        name: str = request["monitor"]
+        if not valid_monitor_name(name):
             raise _RequestError(ERR_BAD_REQUEST, f"invalid monitor name: {name!r}")
         if name in self._monitors:
             raise _RequestError(ERR_MONITOR_EXISTS, f"monitor exists: {name!r}")
-        if not isinstance(networks, list) or not networks:
-            raise _RequestError(
-                ERR_BAD_REQUEST, "create needs a non-empty 'networks' list"
-            )
+        return name
+
+    def _open_new_monitor(
+        self,
+        name: str,
+        request: dict,
+        networks: list[str],
+        weights: Optional[list],
+        dedup: bool,
+    ) -> DurableMonitor:
+        """Create, register and count a monitor from a create-shaped request."""
         try:
             policy = UnknownPolicy(request.get("policy", "pessimistic"))
         except ValueError as exc:
             raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
-        weights = request.get("weights")
-        if weights is not None:
-            if not isinstance(weights, list) or not all(
-                isinstance(w, (int, float)) and not isinstance(w, bool)
-                for w in weights
-            ):
-                raise _RequestError(
-                    ERR_BAD_REQUEST, "'weights' must be a list of numbers"
-                )
         try:
             monitor = DurableMonitor.create(
                 self.config.data_dir,
                 name,
-                networks=[str(network) for network in networks],
+                networks=networks,
                 event_threshold=float(request.get("event_threshold", 0.1)),
                 mode_threshold=float(request.get("mode_threshold", 0.7)),
                 policy=policy,
@@ -499,15 +471,34 @@ class FenrirServer:
                 snapshot_every=self.config.snapshot_every,
                 fsync=self.config.fsync,
                 registry=self.registry,
-                dedup=bool(request.get("dedup", False)),
+                dedup=dedup,
             )
         except (MonitorError, ValueError) as exc:
             raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
         self._register(monitor)
         self.metrics.increment("monitors_created")
-        return {"id": request_id, "ok": True, "monitor": name}
+        return monitor
 
-    def _vps(self, request: dict, request_id: object) -> dict:
+    async def _create(self, request: dict) -> dict:
+        name = self._new_monitor_name(request)
+        networks = request["networks"]
+        if not networks:
+            raise _RequestError(
+                ERR_BAD_REQUEST, "create needs a non-empty 'networks' list"
+            )
+        weights = request.get("weights")
+        if weights is not None and not all(map(protocol.NUMBER.accepts, weights)):
+            raise _RequestError(ERR_BAD_REQUEST, "'weights' must be a list of numbers")
+        self._open_new_monitor(
+            name,
+            request,
+            networks=[str(network) for network in networks],
+            weights=weights,
+            dedup=request.get("dedup", False),
+        )
+        return {"monitor": name}
+
+    async def _vps(self, request: dict) -> dict:
         """Create a monitor from a VP plan, or report the stored plan.
 
         With a ``plan`` object the request creates a new monitor whose
@@ -531,49 +522,26 @@ class FenrirServer:
                     "provenance": dict(plan.provenance),
                 }
             return {
-                "id": request_id,
-                "ok": True,
                 "monitor": runtime.monitor.name,
                 "plan": summary,
                 "dedup": runtime.monitor.dedup_stats(),
             }
-        name = request.get("monitor")
-        if not isinstance(name, str) or not valid_monitor_name(name):
-            raise _RequestError(ERR_BAD_REQUEST, f"invalid monitor name: {name!r}")
-        if name in self._monitors:
-            raise _RequestError(ERR_MONITOR_EXISTS, f"monitor exists: {name!r}")
+        name = self._new_monitor_name(request)
         try:
             plan = VPPlan.from_document(plan_document)
         except PlanError as exc:
             raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
-        try:
-            policy = UnknownPolicy(request.get("policy", "pessimistic"))
-        except ValueError as exc:
-            raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
-        dedup = bool(request.get("dedup", True))
-        try:
-            monitor = DurableMonitor.create(
-                self.config.data_dir,
-                name,
-                networks=list(plan.kept),
-                event_threshold=float(request.get("event_threshold", 0.1)),
-                mode_threshold=float(request.get("mode_threshold", 0.7)),
-                policy=policy,
-                weights=[plan.weights[vp] for vp in plan.kept],
-                snapshot_every=self.config.snapshot_every,
-                fsync=self.config.fsync,
-                registry=self.registry,
-                dedup=dedup,
-            )
-        except (MonitorError, ValueError) as exc:
-            raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
+        dedup = request.get("dedup", True)
+        monitor = self._open_new_monitor(
+            name,
+            request,
+            networks=list(plan.kept),
+            weights=[plan.weights[vp] for vp in plan.kept],
+            dedup=dedup,
+        )
         plan.save(monitor.directory / VPPLAN_FILE)
-        self._register(monitor)
-        self.metrics.increment("monitors_created")
         self.metrics.increment("vps_monitors_created")
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": name,
             "kept": plan.budget,
             "total_networks": plan.total_networks,
@@ -581,25 +549,19 @@ class FenrirServer:
             "dedup": dedup,
         }
 
-    def _dedup(self, request: dict, request_id: object) -> dict:
+    async def _dedup(self, request: dict) -> dict:
         """Report (and optionally toggle) a monitor's dedup mode."""
         runtime = self._runtime_for(request)
         mode = request.get("mode")
         if mode is not None:
-            if mode not in ("on", "off"):
-                raise _RequestError(
-                    ERR_BAD_REQUEST, f"'mode' must be 'on' or 'off', got {mode!r}"
-                )
             runtime.monitor.set_dedup(mode == "on")
             self.metrics.increment("dedup_mode_changes")
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": runtime.monitor.name,
             **runtime.monitor.dedup_stats(),
         }
 
-    def _classify(self, request: dict, request_id: object) -> dict:
+    async def _classify(self, request: dict) -> dict:
         """Classify a transition, manage the model, or report state.
 
         Four request shapes, dispatched on which argument is present:
@@ -630,8 +592,6 @@ class FenrirServer:
             runtime.classifier = model
             self.metrics.increment("classify_models_installed")
             return {
-                "id": request_id,
-                "ok": True,
                 "monitor": monitor_name,
                 "installed": True,
                 "model": model.summary(),
@@ -639,11 +599,6 @@ class FenrirServer:
 
         stream = request.get("stream")
         if stream is not None:
-            if stream not in ("on", "off"):
-                raise _RequestError(
-                    ERR_BAD_REQUEST,
-                    f"'stream' must be 'on' or 'off', got {stream!r}",
-                )
             if stream == "on" and runtime.classifier is None:
                 raise _RequestError(
                     ERR_BAD_REQUEST,
@@ -654,8 +609,6 @@ class FenrirServer:
             # anything remembered from earlier is stale.
             runtime.last_states = None
             return {
-                "id": request_id,
-                "ok": True,
                 "monitor": monitor_name,
                 "stream": runtime.classify_stream,
             }
@@ -671,14 +624,8 @@ class FenrirServer:
                 )
             started = time.perf_counter()
             if features is not None:
-                if (
-                    not isinstance(features, list)
-                    or len(features) != FEATURE_WIDTH
-                    or not all(
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        for value in features
-                    )
+                if len(features) != FEATURE_WIDTH or not all(
+                    map(protocol.NUMBER.accepts, features)
                 ):
                     raise _RequestError(
                         ERR_BAD_REQUEST,
@@ -686,33 +633,16 @@ class FenrirServer:
                     )
                 vector = [float(value) for value in features]
             else:
-                for key, mapping in (("before", before), ("after", after)):
-                    if not isinstance(mapping, dict) or not all(
-                        isinstance(k, str) and isinstance(v, str)
-                        for k, v in mapping.items()
-                    ):
-                        raise _RequestError(
-                            ERR_BAD_REQUEST,
-                            f"'{key}' must map network names to state labels",
-                        )
-                revert = request.get("revert")
-                if revert is not None and (
-                    not isinstance(revert, dict)
-                    or not all(
-                        isinstance(k, str) and isinstance(v, str)
-                        for k, v in revert.items()
-                    )
-                ):
+                if before is None or after is None:
                     raise _RequestError(
-                        ERR_BAD_REQUEST,
-                        "'revert' must map network names to state labels",
+                        ERR_BAD_REQUEST, "classify needs both 'before' and 'after'"
                     )
-                vector = featurize_mappings(before, after, revert=revert).tolist()
+                vector = featurize_mappings(
+                    before, after, revert=request.get("revert")
+                ).tolist()
             label, scores = runtime.classifier.predict(vector)
             self._classify_latency.observe(time.perf_counter() - started)
             return {
-                "id": request_id,
-                "ok": True,
                 "monitor": monitor_name,
                 "label": label,
                 "scores": scores,
@@ -720,8 +650,6 @@ class FenrirServer:
             }
 
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": monitor_name,
             "model": (
                 runtime.classifier.summary()
@@ -732,13 +660,11 @@ class FenrirServer:
             "recent": list(runtime.classified),
         }
 
-    def _query(self, request: dict, request_id: object) -> dict:
+    async def _query(self, request: dict) -> dict:
         runtime = self._runtime_for(request)
-        response = {"id": request_id, "ok": True, **runtime.monitor.describe()}
+        response = runtime.monitor.describe()
         states = request.get("states")
         if states is not None:
-            if not isinstance(states, dict):
-                raise _RequestError(ERR_BAD_REQUEST, "'states' must be an object")
             mode_id, similarity = runtime.monitor.tracker.match(states)
             response["match"] = {
                 "mode_id": mode_id,
@@ -747,11 +673,9 @@ class FenrirServer:
             }
         return response
 
-    def _timeline(self, request: dict, request_id: object) -> dict:
+    async def _timeline(self, request: dict) -> dict:
         runtime = self._runtime_for(request)
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": runtime.monitor.name,
             "segments": [
                 {
@@ -763,7 +687,7 @@ class FenrirServer:
             ],
         }
 
-    def _stats(self, request_id: object) -> dict:
+    async def _stats(self, request: dict) -> dict:
         document = self.metrics.snapshot()
         document["uptime_seconds"] = round(time.time() - self._started, 3)
         document["monitors"] = {
@@ -788,7 +712,16 @@ class FenrirServer:
             for name, runtime in sorted(self._monitors.items())
         }
         document["failed_monitors"] = dict(sorted(self._failed.items()))
-        return {"id": request_id, "ok": True, **document}
+        return document
+
+    async def _metrics(self, request: dict) -> dict:
+        return {
+            "content_type": CONTENT_TYPE,
+            "text": render_prometheus(self.registry),
+        }
+
+    async def _list(self, request: dict) -> dict:
+        return {"monitors": sorted(self._monitors)}
 
     # -- handoff / install / retire / promote (cluster support) --------------
 
@@ -840,7 +773,7 @@ class FenrirServer:
         self._failed.pop(name, None)
         return self._register(monitor)
 
-    async def _handoff(self, request: dict, request_id: object) -> dict:
+    async def _handoff(self, request: dict) -> dict:
         """Export a monitor's state for shipping to another shard.
 
         With ``after_rounds`` the export is a delta segment covering
@@ -855,10 +788,6 @@ class FenrirServer:
         rounds = len(monitor.tracker.updates)
         after = request.get("after_rounds")
         if after is not None:
-            if not isinstance(after, int) or isinstance(after, bool) or after < 0:
-                raise _RequestError(
-                    ERR_BAD_REQUEST, "'after_rounds' must be a non-negative int"
-                )
             if after > rounds:
                 raise _RequestError(
                     ERR_BAD_REQUEST,
@@ -867,8 +796,6 @@ class FenrirServer:
             if after == rounds:
                 self.metrics.increment("handoffs_served")
                 return {
-                    "id": request_id,
-                    "ok": True,
                     "monitor": monitor.name,
                     "kind": "unchanged",
                     "seq": monitor.seq,
@@ -881,8 +808,6 @@ class FenrirServer:
             kind = "full"
         self.metrics.increment("handoffs_served")
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": monitor.name,
             "kind": kind,
             "seq": monitor.seq,
@@ -890,24 +815,16 @@ class FenrirServer:
             "state": state,
         }
 
-    def _install(self, request: dict, request_id: object) -> dict:
-        name = request.get("monitor")
-        if not isinstance(name, str) or not valid_monitor_name(name):
+    async def _install(self, request: dict) -> dict:
+        name = request["monitor"]
+        if not valid_monitor_name(name):
             raise _RequestError(ERR_BAD_REQUEST, f"invalid monitor name: {name!r}")
-        seq = request.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-            raise _RequestError(ERR_BAD_REQUEST, "install needs an int 'seq' >= 0")
-        state = request.get("state")
-        if not isinstance(state, dict):
-            raise _RequestError(ERR_BAD_REQUEST, "install needs a 'state' object")
         try:
-            runtime = self.install_state(name, seq, state)
+            runtime = self.install_state(name, request["seq"], request["state"])
         except MonitorError as exc:
             raise _RequestError(ERR_BAD_REQUEST, str(exc)) from exc
         self.metrics.increment("installs_applied")
         return {
-            "id": request_id,
-            "ok": True,
             "monitor": name,
             "seq": runtime.monitor.seq,
             "rounds": len(runtime.monitor.tracker.updates),
@@ -940,13 +857,13 @@ class FenrirServer:
         self.metrics.increment("monitors_retired")
         return seq
 
-    async def _retire(self, request: dict, request_id: object) -> dict:
+    async def _retire(self, request: dict) -> dict:
         runtime = self._runtime_for(request)  # maps the usual error codes
         name = runtime.monitor.name
         seq = await self.retire_monitor(name)
-        return {"id": request_id, "ok": True, "monitor": name, "seq": seq}
+        return {"monitor": name, "seq": seq}
 
-    async def _promote(self, request_id: object) -> dict:
+    async def _promote(self, request: dict) -> dict:
         """Stop following a primary (if we were) and accept writes.
 
         Idempotent: promoting a server that was never a follower is an
@@ -958,9 +875,9 @@ class FenrirServer:
             await self.follower.stop()
             self.follower = None
             self.metrics.increment("promotions")
-        return {"id": request_id, "ok": True, "was_following": was_following}
+        return {"was_following": was_following}
 
-    def _topology(self, request_id: object) -> dict:
+    async def _topology(self, request: dict) -> dict:
         """The degenerate single-server topology.
 
         A ring-aware client asks ``topology`` to learn where to send
@@ -973,8 +890,6 @@ class FenrirServer:
         host, port = self.address
         ring = HashRing.for_cluster(1)
         return {
-            "id": request_id,
-            "ok": True,
             "shards": {"0": [host, port]},
             "vnodes": ring.vnodes,
             "ring_digest": ring.digest(),
@@ -982,70 +897,39 @@ class FenrirServer:
             "router": False,
         }
 
-    async def _snapshot(self, request: dict, request_id: object) -> dict:
+    async def _snapshot(self, request: dict) -> dict:
         runtime = self._runtime_for(request)
         # Quiesce: let queued ingests land so the checkpoint covers them.
         await runtime.queue.join()
         seq = runtime.monitor.snapshot()
         self.metrics.increment("snapshots_taken")
-        return {"id": request_id, "ok": True, "monitor": runtime.monitor.name, "seq": seq}
+        return {"monitor": runtime.monitor.name, "seq": seq}
 
     # -- connection handling -------------------------------------------------
 
     async def _dispatch(self, request: dict) -> dict:
+        """Answer one request: spec lookup, field check, handler call.
+
+        Every failure becomes an error response here. Latency is
+        observed only for commands in the spec, so arbitrary ``cmd``
+        strings cannot grow the per-command series.
+        """
         request_id = request.get("id")
         command = request.get("cmd")
+        spec = protocol.COMMAND_SPECS.get(command) if isinstance(command, str) else None
+        if spec is None:
+            return error_response(
+                ERR_BAD_REQUEST, f"unknown command: {command!r}", request_id
+            )
         started = time.perf_counter()
         try:
-            if command == "ingest":
-                response = await self._ingest(request, request_id)
-            elif command == "ingest_batch":
-                response = await self._ingest_batch(request, request_id)
-            elif command == "create":
-                response = self._create(request, request_id)
-            elif command == "query":
-                response = self._query(request, request_id)
-            elif command == "timeline":
-                response = self._timeline(request, request_id)
-            elif command == "stats":
-                response = self._stats(request_id)
-            elif command == "metrics":
-                response = {
-                    "id": request_id,
-                    "ok": True,
-                    "content_type": CONTENT_TYPE,
-                    "text": render_prometheus(self.registry),
-                }
-            elif command == "vps":
-                response = self._vps(request, request_id)
-            elif command == "dedup":
-                response = self._dedup(request, request_id)
-            elif command == "classify":
-                response = self._classify(request, request_id)
-            elif command == "snapshot":
-                response = await self._snapshot(request, request_id)
-            elif command == "handoff":
-                response = await self._handoff(request, request_id)
-            elif command == "install":
-                response = self._install(request, request_id)
-            elif command == "retire":
-                response = await self._retire(request, request_id)
-            elif command == "promote":
-                response = await self._promote(request_id)
-            elif command == "topology":
-                response = self._topology(request_id)
-            elif command == "list":
-                response = {
-                    "id": request_id,
-                    "ok": True,
-                    "monitors": sorted(self._monitors),
-                }
-            else:
-                response = error_response(
-                    ERR_BAD_REQUEST, f"unknown command: {command!r}", request_id
-                )
+            problem = spec.problem(request)
+            if problem is not None:
+                raise _RequestError(ERR_BAD_REQUEST, problem)
+            response = {"id": request_id, "ok": True}
+            response.update(await self._handlers[spec.name](request))
         except _RequestError as exc:
-            response = error_response(exc.code, exc.message, request_id)
+            response = error_response(exc.code, exc.message, request_id, **exc.extra)
         except JournalError as exc:
             response = error_response(ERR_INTERNAL, str(exc), request_id)
         except Exception as exc:
@@ -1056,8 +940,7 @@ class FenrirServer:
             response = error_response(
                 ERR_INTERNAL, f"{type(exc).__name__}: {exc}", request_id
             )
-        if isinstance(command, str):
-            self.metrics.latency.observe(command, time.perf_counter() - started)
+        self.metrics.latency.observe(spec.name, time.perf_counter() - started)
         return response
 
     async def _handle_connection(
@@ -1168,12 +1051,13 @@ class FenrirServer:
 
 
 class _RequestError(Exception):
-    """Internal: maps straight to an error response."""
+    """Internal: maps straight to an error response (``extra`` included)."""
 
-    def __init__(self, code: str, message: str) -> None:
+    def __init__(self, code: str, message: str, **extra: object) -> None:
         super().__init__(message)
         self.code = code
         self.message = message
+        self.extra = extra
 
 
 def _parse_time(value: object) -> datetime:

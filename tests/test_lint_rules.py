@@ -96,7 +96,7 @@ def test_good_fixture_is_clean(rule, bad, good):
 
 
 def test_every_rule_has_a_fixture_pair():
-    covered = {rule for rule, _, _ in RULE_FIXTURES} | {"wire-protocol-consistency"}
+    covered = {rule for rule, _, _ in RULE_FIXTURES}
     assert {r.name for r in all_rules()} == covered
 
 
@@ -110,33 +110,6 @@ def test_metric_kind_clash_across_files():
     }
     (finding,) = result.findings
     assert "histogram" in finding.message and "gauge" in finding.message
-
-
-def test_wire_protocol_consistent_surface_is_clean():
-    root = FIXTURES / "wire_good"
-    result = lint_paths(["."], root=root, select=["wire-protocol-consistency"])
-    assert result.findings == []
-
-
-def test_wire_protocol_inconsistencies():
-    root = FIXTURES / "wire_bad"
-    result = lint_paths(["."], root=root, select=["wire-protocol-consistency"])
-    messages = sorted(f.message for f in result.findings)
-    assert len(messages) == 5
-    assert any("'snapshot' has no ServeClient" in m for m in messages)
-    assert any("'mystery' has no ServeClient" in m for m in messages)
-    assert any("'mystery' is not documented" in m for m in messages)
-    # Documented and handled, but clientless, is still a finding.
-    assert any("'dedup' has no ServeClient" in m for m in messages)
-    assert any("'orphan' that no server _dispatch handler" in m for m in messages)
-    by_file = {f.path for f in result.findings}
-    assert by_file == {"server.py", "client.py"}
-
-
-def test_wire_protocol_silent_without_server_shape():
-    # Trees with no _dispatch chain (all other fixtures) produce nothing.
-    result = run_rule("wire-protocol-consistency", "swallow_bad.py", "floats_bad.py")
-    assert result.findings == []
 
 
 # -- suppressions -------------------------------------------------------------
