@@ -120,53 +120,38 @@ def interpolate_series(
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    codes = series.matrix.copy()
-    num_times, num_networks = codes.shape
+    codes = series.matrix
+    num_times = codes.shape[0]
     if num_times == 0 or limit == 0:
         return series.copy()
 
     known = codes != UNKNOWN_CODE
     if repair_errors:
         known &= codes != ERROR_CODE
-    time_index = np.arange(num_times)[:, None]
+    # Distances never exceed T-1, so capping the reach at T changes
+    # nothing and keeps the sentinels below within int32.
+    limit = min(limit, num_times)
+    time_index = np.arange(num_times, dtype=np.int32)[:, None]
 
-    # Forward pass: index of the most recent known observation at or
-    # before each cell (-1 when none).
-    forward_source = np.where(known, time_index, -1)
-    forward_source = np.maximum.accumulate(forward_source, axis=0)
-    # Backward pass, mirrored.
-    backward_source = np.where(known, time_index, num_times)
-    backward_source = np.flip(
-        np.minimum.accumulate(np.flip(backward_source, axis=0), axis=0), axis=0
-    )
+    # Row of the most recent known observation at or before each cell,
+    # and of the next one at or after it. A missing neighbour gets a
+    # sentinel row more than ``limit`` steps away from every cell.
+    forward_source = np.where(known, time_index, np.int32(-limit - 1))
+    np.maximum.accumulate(forward_source, axis=0, out=forward_source)
+    backward_source = np.where(known, time_index, np.int32(num_times + limit))
+    backward_flipped = backward_source[::-1]
+    np.minimum.accumulate(backward_flipped, axis=0, out=backward_flipped)
 
-    forward_distance = np.where(
-        forward_source >= 0, time_index - forward_source, np.iinfo(np.int64).max
+    # Known cells are their own nearest neighbour at distance 0; the
+    # earlier neighbour wins ties; beyond reach a cell keeps its own row.
+    forward_distance = time_index - forward_source
+    backward_distance = backward_source - time_index
+    source = np.where(
+        forward_distance <= backward_distance, forward_source, backward_source
     )
-    backward_distance = np.where(
-        backward_source < num_times, backward_source - time_index, np.iinfo(np.int64).max
-    )
-
-    use_forward = (
-        ~known
-        & (forward_distance <= limit)
-        & (forward_distance <= backward_distance)
-    )
-    use_backward = (
-        ~known
-        & ~use_forward
-        & (backward_distance <= limit)
-    )
-
-    columns = np.broadcast_to(np.arange(num_networks), codes.shape)
-    filled = codes.copy()
-    filled[use_forward] = codes[
-        forward_source[use_forward], columns[use_forward]
-    ]
-    filled[use_backward] = codes[
-        np.clip(backward_source[use_backward], 0, num_times - 1),
-        columns[use_backward],
-    ]
+    out_of_reach = np.minimum(forward_distance, backward_distance) > limit
+    source = np.where(out_of_reach, time_index, source)
+    filled = np.take_along_axis(codes, source, axis=0)
 
     cleaned = VectorSeries(series.networks, series.catalog)
     for index, time in enumerate(series.times):

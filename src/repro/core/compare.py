@@ -44,6 +44,8 @@ def _check_weights(weights: Optional[np.ndarray], length: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (length,):
         raise ValueError(f"weights shape {weights.shape} != ({length},)")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if (weights < 0).any():
         raise ValueError("weights must be non-negative")
     if length and not weights.any():
@@ -125,11 +127,36 @@ def phi_one_to_many(
         return np.where(denominator > 0, (match @ w) / denominator, np.nan)
 
 
-def _matches_by_state(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _merge_identical_columns(
+    codes: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse networks with equal histories into one weighted column.
+
+    Φ is a weighted sum over networks, so columns equal at every step
+    add the same term to every pair; merging them and summing their
+    weights leaves every Φ unchanged (exactly under integer weights).
+    Returns the inputs themselves when every column is already distinct.
+    """
+    num_times, num_networks = codes.shape
+    if num_times == 0:
+        return codes, w
+    columns = np.ascontiguousarray(codes.T)
+    histories = columns.view(np.dtype((np.void, columns.itemsize * num_times)))
+    _, first, inverse = np.unique(
+        histories.ravel(), return_index=True, return_inverse=True
+    )
+    if len(first) == num_networks:
+        return codes, w
+    return codes[:, first], np.bincount(inverse, weights=w)
+
+
+def _matches_by_state(
+    codes: np.ndarray, w: np.ndarray, states: np.ndarray
+) -> np.ndarray:
     """Weighted known-match counts via one matmul per state (few states)."""
     num_times = codes.shape[0]
     matches = np.zeros((num_times, num_times), dtype=np.float64)
-    for code in np.unique(codes):
+    for code in states:
         if code == UNKNOWN_CODE:
             continue
         indicator = (codes == code).astype(np.float64)
@@ -161,6 +188,8 @@ def similarity_matrix(
 ) -> np.ndarray:
     """All-pairs Φ over a series: the T×T matrix behind the heatmaps.
 
+    Networks with identical histories are merged first (one column,
+    summed weight), so the kernels run over distinct histories only.
     With few states, one weighted co-occurrence matmul per state keeps a
     300-step × 20k-network study in BLAS; studies with huge state spaces
     (Google's thousands of front ends) fall back to direct pairwise row
@@ -169,13 +198,14 @@ def similarity_matrix(
     codes = series.matrix
     num_times, num_networks = codes.shape
     w = _check_weights(weights, num_networks)
-    distinct_states = len(np.unique(codes))
-    if distinct_states <= max(32, 2 * num_times):
-        matches = _matches_by_state(codes, w)
+    total = w.sum()
+    codes, w = _merge_identical_columns(codes, w)
+    states = np.flatnonzero(np.bincount(codes.ravel()))
+    if len(states) <= max(32, 2 * num_times):
+        matches = _matches_by_state(codes, w, states)
     else:
         matches = _matches_pairwise(codes, w)
     if policy is UnknownPolicy.PESSIMISTIC:
-        total = w.sum()
         if total == 0:
             return np.full((num_times, num_times), np.nan)
         return matches / total

@@ -8,7 +8,8 @@
    immediately on a hit;
 2. with ``n_jobs == 1`` runs the serial reference implementation —
    the oracle every parallel result is tested against;
-3. with ``n_jobs > 1`` factors the series once, publishes the
+3. with ``n_jobs > 1`` merges networks with identical histories as
+   the serial path does, factors the merged series once, publishes the
    factorization to shared memory, fans the upper-triangular tile plan
    out over a ``ProcessPoolExecutor`` (workers re-map the shared pages
    in their initializer and never unpickle the series), then merges
@@ -29,7 +30,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.compare import UnknownPolicy, _check_weights, similarity_matrix
+from ..core.compare import (
+    UnknownPolicy,
+    _check_weights,
+    _merge_identical_columns,
+    similarity_matrix,
+)
 from ..core.series import VectorSeries
 from ..obs import get_registry, span
 from .cache import MatrixCache, matrix_cache_key
@@ -197,6 +203,8 @@ class SimilarityEngine:
     ) -> np.ndarray:
         num_times = codes.shape[0]
         exclude = policy is UnknownPolicy.EXCLUDE
+        total = weights.sum()
+        codes, weights = _merge_identical_columns(codes, weights)
         tiles = plan_tiles(num_times, self.tile_size)
         matches = np.zeros((num_times, num_times), dtype=np.float64)
         denominators = (
@@ -255,7 +263,6 @@ class SimilarityEngine:
 
         reflect_lower(matches)
         if not exclude:
-            total = weights.sum()
             if total == 0:
                 return np.full((num_times, num_times), np.nan)
             return matches / total

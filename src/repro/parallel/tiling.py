@@ -7,11 +7,15 @@ upper triangle down.
 
 Each tile is evaluated against a :class:`FactoredSeries`: the T×N code
 matrix is re-expressed as a sparse "feature" matrix ``E`` with one
-column per (network, known-state) pair and value ``sqrt(w[n])``, so the
-weighted known-match counts of §2.6.1 become a single sparse product::
+column per (network, known-state) pair and value ``w[n]``, so with
+``[E]`` its 0/1 pattern the weighted known-match counts of §2.6.1
+become a single sparse product::
 
     matches[i, j] = Σ_n w[n] · [codes[i,n] == codes[j,n] != unknown]
-                  = (E @ E.T)[i, j]
+                  = (E @ [E].T)[i, j]
+
+Each term is one weight times one, so integer weights (such as the
+summed weights of merged network columns) give exact integer counts.
 
 This factorization is state-count independent — it is equally fast for
 B-root's handful of sites and Google's thousands of front ends — and a
@@ -86,7 +90,7 @@ def plan_tiles(num_times: int, tile_size: int = DEFAULT_TILE_SIZE) -> list[Tile]
 class FactoredSeries:
     """The sparse factorization the tile kernels consume.
 
-    ``features`` is the sqrt-weighted (network, state) indicator matrix
+    ``features`` is the weighted (network, state) indicator matrix
     described in the module docstring. ``known_weighted`` / ``known``
     exist only under :attr:`UnknownPolicy.EXCLUDE`, where the
     denominator of Φ is itself pair-dependent.
@@ -113,7 +117,7 @@ def factor_series(
     num_states = int(codes.max()) + 1 if codes.size else 1
     raw_features = cols.astype(np.int64) * num_states + codes[rows, cols]
     unique_features, feature_ids = np.unique(raw_features, return_inverse=True)
-    values = np.sqrt(weights)[cols]
+    values = weights[cols]
     # np.nonzero walks the matrix row-major, so ``rows`` is already
     # sorted: assemble the CSR directly instead of paying the
     # COO-conversion sort.
@@ -167,10 +171,13 @@ def factored_from_arrays(
 
 
 def match_tile(factored: FactoredSeries, tile: Tile) -> np.ndarray:
-    """Weighted known-match counts for one tile: ``(E_r @ E_c.T)``."""
+    """Weighted known-match counts for one tile: ``(E_r @ [E_c].T)``."""
     rows = factored.features[tile.row_start : tile.row_stop]
     cols = factored.features[tile.col_start : tile.col_stop]
-    return np.asarray((rows @ cols.T).todense(), dtype=np.float64)
+    pattern = sparse.csr_matrix(
+        (np.ones_like(cols.data), cols.indices, cols.indptr), shape=cols.shape
+    )
+    return np.asarray((rows @ pattern.T).todense(), dtype=np.float64)
 
 
 def denominator_tile(factored: FactoredSeries, tile: Tile) -> np.ndarray:

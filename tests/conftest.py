@@ -8,11 +8,20 @@ from datetime import datetime, timedelta
 from typing import Callable
 
 import pytest
+from hypothesis import settings
 
 from repro.bgp.topology import ASTopology
 from repro.core.series import VectorSeries
 from repro.core.vector import RoutingVector, StateCatalog, UNKNOWN
 from repro.net.geo import city
+
+# CI loads the ``ci`` profile (HYPOTHESIS_PROFILE=ci): a fixed example
+# sequence and no example database, so a red run replays as is, and
+# every failure prints the blob that reproduces it. Local runs keep
+# the default randomized profile.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def pytest_collection_modifyitems(config, items) -> None:

@@ -13,6 +13,10 @@ property tests can hold the fast ones to them:
   sum per pair of rows.
 * :func:`scalar_step_changes` — per-step change by one scalar
   :func:`~repro.core.compare.phi` per consecutive pair.
+* :func:`scalar_similarity` — the all-pairs Φ matrix by one scalar
+  :func:`~repro.core.compare.phi` per pair, over every network.
+* :func:`scalar_interpolate` — gap filling by a per-cell scan outward
+  for the nearest known neighbour.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from repro.core.cluster import Linkage, cut_linkage
 from repro.core.compare import UnknownPolicy, phi
 from repro.core.series import VectorSeries
-from repro.core.vector import UNKNOWN_CODE
+from repro.core.vector import ERROR_CODE, UNKNOWN_CODE
 
 
 def global_argmin_linkage(distance: np.ndarray, method: str = "average") -> Linkage:
@@ -115,3 +119,45 @@ def scalar_step_changes(
             series[index], series[index + 1], weights=weights, policy=policy
         )
     return changes
+
+
+def scalar_similarity(
+    series: VectorSeries,
+    weights: np.ndarray | None = None,
+    policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC,
+) -> np.ndarray:
+    """All-pairs Φ, one scalar :func:`phi` per pair of observations."""
+    num_times = len(series)
+    similarity = np.empty((num_times, num_times), dtype=np.float64)
+    for i in range(num_times):
+        for j in range(num_times):
+            similarity[i, j] = phi(
+                series[i], series[j], weights=weights, policy=policy
+            )
+    return similarity
+
+
+def scalar_interpolate(
+    codes: np.ndarray, limit: int, repair_errors: bool = False
+) -> np.ndarray:
+    """Fill each gap cell from its nearest known neighbour within ``limit``.
+
+    Scans outward one step at a time, earlier neighbour first, so a tie
+    goes to the earlier observation.
+    """
+    gaps = {UNKNOWN_CODE, ERROR_CODE} if repair_errors else {UNKNOWN_CODE}
+    num_times, num_networks = codes.shape
+    filled = codes.copy()
+    for t in range(num_times):
+        for n in range(num_networks):
+            if codes[t, n] not in gaps:
+                continue
+            for offset in range(1, limit + 1):
+                before, after = t - offset, t + offset
+                if before >= 0 and codes[before, n] not in gaps:
+                    filled[t, n] = codes[before, n]
+                    break
+                if after < num_times and codes[after, n] not in gaps:
+                    filled[t, n] = codes[after, n]
+                    break
+    return filled

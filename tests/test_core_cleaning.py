@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import scalar_interpolate
 from repro.core.cleaning import (
     drop_networks,
     fold_micro_catchments,
@@ -16,7 +19,7 @@ from repro.core.cleaning import (
     nearest_viable_hop,
 )
 from repro.core.series import VectorSeries
-from repro.core.vector import OTHER, UNKNOWN, StateCatalog
+from repro.core.vector import OTHER, UNKNOWN, RoutingVector, StateCatalog
 
 
 def series_from(maps, networks=None, t0=datetime(2024, 1, 1)):
@@ -153,6 +156,39 @@ class TestInterpolation:
                 hi = min(len(column), index + limit + 1)
                 window = [s for s in column[lo:hi] if s != UNKNOWN]
                 assert result in window
+
+
+class TestInterpolationOracle:
+    """The one-gather gap fill equals a per-cell scan, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=20).flatmap(
+            lambda num_times: arrays(
+                np.int32,
+                st.tuples(st.just(num_times), st.integers(min_value=1, max_value=6)),
+                # 0 unknown, 1 err, 2 other, 3..5 sites: gap-heavy on purpose.
+                elements=st.sampled_from([0, 0, 0, 1, 1, 2, 3, 4, 5]),
+            )
+        ),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+    )
+    def test_equals_per_cell_scan(self, codes, limit, repair_errors):
+        catalog = StateCatalog(["A", "B", "C"])
+        networks = tuple(f"n{index}" for index in range(codes.shape[1]))
+        start = datetime(2024, 1, 1)
+        series = VectorSeries.from_vectors(
+            [
+                RoutingVector(networks, row, catalog, start + timedelta(days=index))
+                for index, row in enumerate(codes)
+            ]
+        )
+        cleaned = interpolate_series(series, limit=limit, repair_errors=repair_errors)
+        expected = scalar_interpolate(codes, limit, repair_errors)
+        assert cleaned.matrix.dtype == expected.dtype
+        assert cleaned.matrix.tobytes() == expected.tobytes()
+        assert cleaned.times == series.times
 
 
 class TestNearestViableHop:

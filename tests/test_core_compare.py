@@ -14,8 +14,11 @@ from repro.core.compare import (
     UnknownPolicy,
     distance_matrix,
     phi,
+    phi_one_to_many,
     similarity_matrix,
 )
+from repro.core.online import OnlineFenrir
+from repro.core.pipeline import Fenrir
 from repro.core.series import VectorSeries
 from repro.core.vector import UNKNOWN, RoutingVector, StateCatalog
 
@@ -102,6 +105,55 @@ class TestPhi:
         b = vec({"x": "A"})
         with pytest.raises(ValueError):
             phi(a, b)
+
+
+class TestNonFiniteWeights:
+    """Regression: NaN and ±inf weights used to pass validation and turn
+    every Φ into NaN (or one spurious mode) with only a RuntimeWarning."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @staticmethod
+    def weights(bad: float) -> np.ndarray:
+        return np.array([1.0, bad, 1.0])
+
+    @staticmethod
+    def series() -> VectorSeries:
+        series = VectorSeries(["x", "y", "z"], StateCatalog())
+        for day, states in enumerate(["AAB", "AAB", "BAB", "BBA"]):
+            series.append_mapping(
+                dict(zip("xyz", states)), datetime(2024, 1, 1) + timedelta(days=day)
+            )
+        return series
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_phi(self, bad):
+        series = self.series()
+        with pytest.raises(ValueError, match="finite"):
+            phi(series[0], series[1], weights=self.weights(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_phi_one_to_many(self, bad):
+        codes = self.series().matrix
+        with pytest.raises(ValueError, match="finite"):
+            phi_one_to_many(codes[0], codes, weights=self.weights(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("policy", list(UnknownPolicy), ids=lambda p: p.value)
+    def test_similarity_matrix(self, bad, policy):
+        with pytest.raises(ValueError, match="finite"):
+            similarity_matrix(self.series(), weights=self.weights(bad), policy=policy)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_online_fenrir(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OnlineFenrir(networks=["x", "y", "z"], weights=self.weights(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_fenrir_run(self, bad):
+        fenrir = Fenrir(weight_fn=lambda networks: self.weights(bad))
+        with pytest.raises(ValueError, match="finite"):
+            fenrir.run(self.series())
 
 
 states = st.sampled_from(["A", "B", "C", UNKNOWN])

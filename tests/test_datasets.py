@@ -7,6 +7,7 @@ qualitative property asserted — the full-scale versions live in
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from datetime import datetime, timedelta
 
@@ -113,6 +114,30 @@ class TestBRoot:
         prior = modes.closest_prior_mode(v_mode)
         assert prior is not None
         assert prior[0] == 0
+
+    def test_run_golden(self, broot_study):
+        # Pinned before identical network columns were merged ahead of
+        # the Φ kernels. Under unit weights every Φ is an integer count
+        # over N, so these bytes do not depend on the BLAS build.
+        report = Fenrir().run(broot_study.series)
+
+        def digest(array: np.ndarray) -> str:
+            return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+        assert digest(report.modes.labels.astype(np.int64)) == (
+            "284d23cb10c3fa652c52ddcd40fc0d5d27c3c65868258e11cc70f464700c1234"
+        )
+        assert digest(report.similarity) == (
+            "5f3a73f4577c82286632ec1cb46afbdb12ce03cacb31d5eabda2177e2e3b2d0d"
+        )
+        assert report.modes.threshold == 0.39
+        assert [(event.start_index, event.end_index) for event in report.events] == [
+            (10, 11),
+            (15, 16),
+            (91, 92),
+            (99, 100),
+            (116, 117),
+        ]
 
     def test_ari_vanishes_after_shutdown(self, broot_study):
         before = broot_study.true_assignment(datetime(2022, 1, 1))

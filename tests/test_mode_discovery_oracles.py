@@ -1,11 +1,12 @@
 """Mode discovery against its reference oracles (``tests/oracles.py``).
 
 The production kernels — nearest-neighbour-chain HAC, the one-pass
-adaptive threshold sweep, the row-block many-state Φ path and the
-vectorized step changes — must reproduce the straightforward forms they
-replaced. Inputs are tie-heavy on purpose: distances are ``1 - k/N``
-fractions from small integer code matrices, which is the shape real Φ
-has and where merge order is most ambiguous. Agreement with scipy on
+adaptive threshold sweep, the by-state and row-block Φ paths behind the
+merge of identical network columns, and the vectorized step changes —
+must reproduce the straightforward forms they replaced. Inputs are
+tie-heavy on purpose: distances are ``1 - k/N`` fractions from small
+integer code matrices, which is the shape real Φ has and where merge
+order is most ambiguous. Agreement with scipy on
 tie-free inputs is checked in ``tests/test_core_cluster.py``.
 """
 
@@ -15,7 +16,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,16 +24,25 @@ from oracles import (
     global_argmin_linkage,
     grid_sweep,
     pairwise_matches,
+    scalar_similarity,
     scalar_step_changes,
 )
 from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
-from repro.core.compare import UnknownPolicy, _matches_by_state, _matches_pairwise
+from repro.core.compare import (
+    UnknownPolicy,
+    _matches_by_state,
+    _matches_pairwise,
+    _merge_identical_columns,
+    similarity_matrix,
+)
 from repro.core.detect import step_changes
 from repro.core.series import VectorSeries
 from repro.core.vector import RoutingVector, StateCatalog
+from repro.parallel.tiling import Tile, factor_series, match_tile
 
 GRID = [float(threshold) for threshold in np.arange(0.0, 1.005, 0.01)]
 METHODS = ["single", "complete", "average"]
+POLICIES = [UnknownPolicy.PESSIMISTIC, UnknownPolicy.EXCLUDE]
 
 
 @st.composite
@@ -130,8 +140,9 @@ class TestManyStatePhi:
             )
         )
         expected = pairwise_matches(codes, weights)
+        states = np.unique(codes)
         assert _matches_pairwise(codes, weights).tobytes() == expected.tobytes()
-        assert _matches_by_state(codes, weights).tobytes() == expected.tobytes()
+        assert _matches_by_state(codes, weights, states).tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(code_matrices(max_states=6), st.data())
@@ -145,6 +156,8 @@ class TestManyStatePhi:
         )
         expected = pairwise_matches(codes, weights)
         assert _matches_pairwise(codes, weights) == pytest.approx(expected)
+        states = np.unique(codes)
+        assert _matches_by_state(codes, weights, states) == pytest.approx(expected)
 
 
 def series_of(codes: np.ndarray) -> VectorSeries:
@@ -158,6 +171,125 @@ def series_of(codes: np.ndarray) -> VectorSeries:
             for index, row in enumerate(codes)
         ]
     )
+
+
+@st.composite
+def duplicate_heavy_matrices(draw, max_base=4, max_networks=12):
+    """N columns sampled with replacement from a few base columns."""
+    base = draw(code_matrices(max_times=12, max_networks=max_base))
+    picks = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=base.shape[1] - 1),
+            min_size=1,
+            max_size=max_networks,
+        )
+    )
+    return base[:, picks]
+
+
+def assert_same_phi(ours: np.ndarray, expected: np.ndarray) -> None:
+    """Equal NaN placement, and equal values elsewhere up to rounding."""
+    assert np.array_equal(np.isnan(ours), np.isnan(expected))
+    assert ours[~np.isnan(ours)] == pytest.approx(expected[~np.isnan(expected)])
+
+
+class TestMergedSimilarity:
+    """``similarity_matrix`` merges identical columns; Φ must not notice."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(duplicate_heavy_matrices(), st.sampled_from(POLICIES), st.data())
+    def test_bit_equal_to_scalar_phi_under_integer_weights(self, codes, policy, data):
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=0, max_value=1000).map(float),
+            )
+        )
+        assume(weights.any())
+        series = series_of(codes)
+        expected = scalar_similarity(series, weights, policy)
+        ours = similarity_matrix(series, weights, policy)
+        assert ours.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(duplicate_heavy_matrices(), st.sampled_from(POLICIES), st.data())
+    def test_close_to_scalar_phi_under_float_weights(self, codes, policy, data):
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.floats(min_value=0.01, max_value=1e3),
+            )
+        )
+        series = series_of(codes)
+        assert_same_phi(
+            similarity_matrix(series, weights, policy),
+            scalar_similarity(series, weights, policy),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(duplicate_heavy_matrices(), st.data())
+    def test_factored_tile_bit_equal_on_merged_columns(self, codes, data):
+        # The parallel engine factors the merged columns; their summed
+        # integer weights must still give exact integer counts.
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=0, max_value=1000).map(float),
+            )
+        )
+        merged, merged_weights = _merge_identical_columns(codes, weights)
+        whole = Tile(0, len(codes), 0, len(codes))
+        ours = match_tile(factor_series(merged, merged_weights), whole)
+        assert ours.tobytes() == pairwise_matches(codes, weights).tobytes()
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            np.array([[0, 3, 3, 4]], dtype=np.int32),  # T=1
+            np.array([[3], [0], [4], [3]], dtype=np.int32),  # N=1
+            np.array([[3] * 5, [0] * 5, [4] * 5], dtype=np.int32),  # all identical
+            np.array([[3, 3, 0], [3, 4, 3], [0, 4, 3]], dtype=np.int32),  # all distinct
+        ],
+        ids=["one-step", "one-network", "all-identical", "all-distinct"],
+    )
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_edges_equal_scalar_phi(self, codes, policy):
+        series = series_of(codes)
+        weights = np.arange(1.0, codes.shape[1] + 1)
+        expected = scalar_similarity(series, weights, policy)
+        ours = similarity_matrix(series, weights, policy)
+        assert ours.tobytes() == expected.tobytes()
+
+    def test_all_identical_columns_merge_to_one(self):
+        codes = np.array([[3] * 5, [0] * 5, [4] * 5], dtype=np.int32)
+        merged, weights = _merge_identical_columns(codes, np.arange(1.0, 6.0))
+        assert merged.shape == (3, 1)
+        assert weights.tolist() == [15.0]
+
+    def test_all_distinct_columns_come_back_unchanged(self):
+        codes = np.array([[3, 3, 0], [3, 4, 3], [0, 4, 3]], dtype=np.int32)
+        weights = np.array([1.0, 2.0, 3.0])
+        merged, merged_weights = _merge_identical_columns(codes, weights)
+        assert merged is codes
+        assert merged_weights is weights
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_many_states_take_the_pairwise_path(self, policy):
+        # Distinct states over 3 steps exceed max(32, 2T): the row-block
+        # kernel runs on the merged columns.
+        rng = np.random.default_rng(5)
+        base = np.arange(3, 63, dtype=np.int32).reshape(3, 20)
+        base[rng.random(base.shape) < 0.2] = 0
+        codes = base[:, rng.integers(0, 20, size=60)]
+        assert len(np.unique(codes)) > 32
+        series = series_of(codes)
+        weights = rng.integers(1, 9, size=60).astype(np.float64)
+        expected = scalar_similarity(series, weights, policy)
+        ours = similarity_matrix(series, weights, policy)
+        assert ours.tobytes() == expected.tobytes()
 
 
 class TestStepChanges:
