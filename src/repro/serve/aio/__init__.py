@@ -20,12 +20,13 @@ and the ring-aware tradeoffs.
 """
 
 from .client import AsyncServeClient
-from .connection import AsyncConnection, RequestNotSent
+from .connection import AsyncConnection, FrameRejected, RequestNotSent
 from .pool import ConnectionPool
 
 __all__ = [
     "AsyncConnection",
     "AsyncServeClient",
     "ConnectionPool",
+    "FrameRejected",
     "RequestNotSent",
 ]

@@ -15,18 +15,24 @@ matched to the (by then cancelled) future, and is dropped — every
 other request keeps its pairing. Only a transport failure kills the
 connection, and then every pending future fails promptly with
 :class:`ConnectionError` so callers can retry against a fresh one.
+
+The reader never parses a response just to route it: the server writes
+``id`` first, so an anchored match on the raw bytes finds the waiting
+future (a full JSON parse is the fallback). Dict requests are decoded
+for their caller; :meth:`AsyncConnection.submit_bytes` hands the raw
+response back, which is how the router relays bodies it never parses.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from .. import protocol
-from ..protocol import FrameError, RequestIds, ServeTimeout, check_response
+from ..protocol import RESPONSE_ID, FrameError, RequestIds, ServeTimeout, check_response
 
-__all__ = ["AsyncConnection", "RequestNotSent"]
+__all__ = ["AsyncConnection", "Dialer", "FrameRejected", "RequestNotSent"]
 
 
 class RequestNotSent(ConnectionError):
@@ -39,6 +45,20 @@ class RequestNotSent(ConnectionError):
     request's fate is unknown and an automatic retry could
     double-apply.
     """
+
+
+class FrameRejected(ConnectionError):
+    """The far end could not read a frame, answered, and hung up.
+
+    ``response`` is that answer: a ``bad_frame`` or ``frame_too_large``
+    error whose ``id`` is ``null``, since the frame's own id was never
+    read. Which request it belongs to is unknowable, so it fails every
+    request in flight and the connection.
+    """
+
+    def __init__(self, response: dict) -> None:
+        super().__init__(f"frame rejected: {response.get('message')}")
+        self.response = response
 
 
 class AsyncConnection:
@@ -58,7 +78,8 @@ class AsyncConnection:
         self._reader = reader
         self._writer = writer
         self._ids = RequestIds()
-        self._pending: Dict[int, "asyncio.Future[dict]"] = {}
+        # id -> (future, whether the caller wants the raw response bytes)
+        self._pending: Dict[int, Tuple[asyncio.Future, bool]] = {}
         self._closed: Optional[ConnectionError] = None
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
@@ -118,6 +139,24 @@ class AsyncConnection:
         :class:`RequestNotSent` if the connection is already dead — the
         frame provably never left, so resending elsewhere is safe.
         """
+        request_id = self._ids.next()
+        message = {"cmd": command, "id": request_id, **fields}
+        return self._send(request_id, protocol.encode_frame(message, self.max_frame))
+
+    def submit_bytes(self, head: bytes, tail: bytes) -> "asyncio.Future[bytes]":
+        """Write the payload ``head + <id> + tail`` now; future of the raw reply.
+
+        The bytes twin of :meth:`submit`, for relaying a frame without
+        parsing it: ``head`` ends where the request's id value starts
+        and ``tail`` starts where it ends, and this connection's own id
+        goes in between. The future resolves to the response payload,
+        undecoded and unchecked.
+        """
+        request_id = self._ids.next()
+        payload = b"%b%d%b" % (head, request_id, tail)
+        return self._send(request_id, protocol.frame_bytes(payload), raw=True)
+
+    def _send(self, request_id: int, frame: bytes, raw: bool = False) -> asyncio.Future:
         if self._closed is not None:
             raise RequestNotSent(f"connection is closed: {self._closed}")
         if len(self._pending) >= self.max_inflight:
@@ -127,11 +166,8 @@ class AsyncConnection:
                 f"connection already has {len(self._pending)} requests in "
                 f"flight (cap {self.max_inflight})"
             )
-        request_id = self._ids.next()
-        message = {"cmd": command, "id": request_id, **fields}
-        frame = protocol.encode_frame(message, self.max_frame)
-        future: "asyncio.Future[dict]" = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = (future, raw)
         try:
             self._writer.write(frame)
         except (ConnectionError, OSError) as exc:
@@ -182,35 +218,46 @@ class AsyncConnection:
         """Resolve pending futures from response frames until EOF/error."""
         try:
             while True:
-                response = await protocol.read_frame(self._reader, self.max_frame)
-                if response is None:
+                payload = await protocol.read_frame_bytes(self._reader, self.max_frame)
+                if payload is None:
                     self._fail(ConnectionError("server closed the connection"))
                     return
-                self._resolve(response)
+                self._resolve(payload)
         except asyncio.CancelledError:
             self._fail(ConnectionError("connection closed"))
             raise
+        except FrameRejected as exc:
+            self._fail(exc)
         except (FrameError, OSError) as exc:
             self._fail(ConnectionError(f"connection lost: {exc}"))
 
-    def _resolve(self, response: dict) -> None:
-        request_id = response.get("id")
-        future = (
-            self._pending.pop(request_id, None)
-            if isinstance(request_id, int)
-            else None
-        )
-        if future is not None and not future.done():
-            future.set_result(response)
-        # Unknown or already-done ids are dropped on the floor: the
-        # late answer to a request that timed out, or (unknown) a
-        # server bug we must not crash the reader over.
+    def _resolve(self, payload: bytes) -> None:
+        response: Optional[dict] = None
+        match = RESPONSE_ID.match(payload)
+        if match is not None:
+            request_id: object = int(match.group(1))
+        else:
+            response = protocol.decode_payload(payload)
+            request_id = response.get("id")
+            if not isinstance(request_id, int):
+                raise FrameRejected(response)
+        future, raw = self._pending.get(request_id, (None, False))
+        # Unknown ids are dropped on the floor: the late answer to a
+        # request that timed out, or (unknown) a server bug we must not
+        # crash the reader over.
+        if future is None:
+            return
+        if not raw and response is None:
+            response = protocol.decode_payload(payload)  # may fail them all
+        del self._pending[request_id]
+        if not future.done():
+            future.set_result(payload if raw else response)
 
     def _fail(self, error: ConnectionError) -> None:
         """Mark the connection dead and fail everything in flight."""
         if self._closed is None:
             self._closed = error
-        for future in self._pending.values():
+        for future, _raw in self._pending.values():
             if not future.done():
                 future.set_exception(error)
         self._pending.clear()
@@ -227,8 +274,8 @@ class AsyncConnection:
         never be closed (``wait_closed`` would hang forever).
         """
         self._reader_task.cancel()
-        await asyncio.gather(self._reader_task, return_exceptions=True)
         self._fail(ConnectionError("connection closed"))
+        await asyncio.gather(self._reader_task, return_exceptions=True)
         try:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
@@ -247,3 +294,41 @@ class AsyncConnection:
         if peername is None:
             return None
         return str(peername[0]), int(peername[1])
+
+
+class Dialer:
+    """One lazily dialed :class:`AsyncConnection`, re-dialed on demand.
+
+    :meth:`connect` returns the live connection to ``address``, calling
+    ``dial(host, port)`` first when there is none yet, when the last one
+    died, or when the address moved (the old one is closed). Dialing
+    happens under a FIFO lock, so callers that write as soon as
+    ``connect`` returns, with no ``await`` in between, write in the
+    order they called it, across the first dial and every re-dial. (A
+    dial task shared by the callers would not: a caller arriving just
+    after it finished could overtake earlier ones still waking up.)
+    """
+
+    def __init__(self, dial: Callable[[str, int], Awaitable[AsyncConnection]]) -> None:
+        self._dial = dial
+        self._address: Optional[Tuple[str, int]] = None
+        self._connection: Optional[AsyncConnection] = None
+        self._lock = asyncio.Lock()
+
+    async def connect(self, address: Tuple[str, int]) -> AsyncConnection:
+        async with self._lock:
+            connection = self._connection
+            if connection is not None:
+                if connection.healthy and address == self._address:
+                    return connection
+                self._connection = None
+                await connection.close()
+            self._connection = await self._dial(*address)
+            self._address = address
+            return self._connection
+
+    async def close(self) -> None:
+        """Close the connection, if any; the next :meth:`connect` re-dials."""
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            await connection.close()

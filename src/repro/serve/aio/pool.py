@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import List, Optional
+from typing import Optional
 
 from .. import protocol
 from ..protocol import ServeClientError, ServeTimeout
-from .connection import AsyncConnection, RequestNotSent
+from .connection import AsyncConnection, Dialer, RequestNotSent
 
 __all__ = ["ConnectionPool"]
 
@@ -34,12 +34,11 @@ __all__ = ["ConnectionPool"]
 class _Member:
     """One pool slot's connection and its checked-out request count."""
 
-    __slots__ = ("connection", "checked_out", "dial_lock")
+    __slots__ = ("dialer", "checked_out")
 
-    def __init__(self) -> None:
-        self.connection: Optional[AsyncConnection] = None
+    def __init__(self, dialer: Dialer) -> None:
+        self.dialer = dialer
         self.checked_out = 0
-        self.dial_lock = asyncio.Lock()
 
 
 class ConnectionPool:
@@ -72,7 +71,7 @@ class ConnectionPool:
         self.reconnect_backoff = reconnect_backoff
         self.reconnect_attempts = reconnect_attempts
         self.health_check = health_check
-        self._members: List[_Member] = [_Member() for _ in range(max_connections)]
+        self._members = [_Member(Dialer(self._dial)) for _ in range(max_connections)]
         self._slots = asyncio.Semaphore(max_connections * max_inflight)
         self._closed = False
 
@@ -116,14 +115,15 @@ class ConnectionPool:
         try:
             member = min(self._members, key=lambda m: m.checked_out)
             member.checked_out += 1
+            address = (self.host, self.port)
             try:
-                connection = await self._ensure(member)
+                connection = await member.dialer.connect(address)
                 try:
                     return await connection.request(command, timeout, **fields)
                 except RequestNotSent:
                     # Stale socket (server restarted between requests):
                     # the frame never left, so one resend is safe.
-                    connection = await self._ensure(member)
+                    connection = await member.dialer.connect(address)
                     return await connection.request(command, timeout, **fields)
             finally:
                 member.checked_out -= 1
@@ -132,27 +132,13 @@ class ConnectionPool:
 
     # -- connection management -----------------------------------------------
 
-    async def _ensure(self, member: _Member) -> AsyncConnection:
-        """The member's live connection, (re)dialed if dead.
+    async def _dial(self, host: str, port: int) -> AsyncConnection:
+        """Dial with health check, exponential backoff, and jitter.
 
-        The dial lock makes concurrent requests on a dead member wait
-        for one re-dial rather than racing their own.
+        Each member's :class:`Dialer` calls this under its lock, so
+        concurrent requests on a dead member wait for one re-dial
+        rather than racing their own.
         """
-        connection = member.connection
-        if connection is not None and connection.healthy:
-            return connection
-        async with member.dial_lock:
-            connection = member.connection
-            if connection is not None and connection.healthy:
-                return connection  # re-dialed while we waited on the lock
-            if connection is not None:
-                await connection.close()
-                member.connection = None
-            member.connection = await self._dial()
-            return member.connection
-
-    async def _dial(self) -> AsyncConnection:
-        """Dial with health check, exponential backoff, and jitter."""
         delay = self.reconnect_backoff
         last_error: Exception | None = None
         for attempt in range(self.reconnect_attempts):
@@ -163,8 +149,8 @@ class ConnectionPool:
                 delay *= 2
             try:
                 connection = await AsyncConnection.open(
-                    self.host,
-                    self.port,
+                    host,
+                    port,
                     connect_timeout=self.connect_timeout,
                     max_inflight=self.max_inflight,
                     max_frame=self.max_frame,
@@ -189,7 +175,7 @@ class ConnectionPool:
                 # bad_request, which is healthy enough.
                 return connection
         raise ConnectionError(
-            f"could not reach {self.host}:{self.port} after "
+            f"could not reach {host}:{port} after "
             f"{self.reconnect_attempts} attempts: {last_error}"
         ) from last_error
 
@@ -199,9 +185,7 @@ class ConnectionPool:
         """Close every member connection; pending requests fail fast."""
         self._closed = True
         for member in self._members:
-            if member.connection is not None:
-                await member.connection.close()
-                member.connection = None
+            await member.dialer.close()
 
     async def __aenter__(self) -> "ConnectionPool":
         return self

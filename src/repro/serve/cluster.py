@@ -34,6 +34,7 @@ orphan shards holding journal locks — the pipe's EOF retires them.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from . import protocol
+from .aio.connection import AsyncConnection, Dialer
 from .commands import AsyncCommands
 from .monitor import MonitorError
 from .protocol import ERR_BAD_REQUEST, FrameError, ServeClientError
@@ -50,12 +52,10 @@ from .router import ClusterState, ShardRouter
 from .server import FenrirServer
 
 __all__ = [
-    "AsyncShardClient",
     "ClusterConfig",
     "ClusterSupervisor",
     "ReplicationFollower",
-    "ShardCall",
-    "shard_request",
+    "ShardClient",
 ]
 
 _READY_PREFIX = "listening on "
@@ -63,102 +63,41 @@ _SPAWN_TIMEOUT = 60.0
 _REQUEST_TIMEOUT = 30.0
 
 
-def _checked(response: Optional[dict]) -> dict:
-    if response is None:
-        raise ConnectionError("shard closed the connection mid request")
-    return protocol.check_response(response)
+class ShardClient(AsyncCommands):
+    """The client command methods over one lazily dialed shard connection.
 
-
-async def shard_request(
-    address: Tuple[str, int],
-    message: dict,
-    timeout: float = _REQUEST_TIMEOUT,
-    max_frame: int = protocol.MAX_FRAME,
-) -> dict:
-    """One connect/request/response round trip to a shard server."""
-    reader, writer = await asyncio.open_connection(address[0], address[1])
-    try:
-        await protocol.write_frame(writer, message, max_frame)
-        response = await asyncio.wait_for(
-            protocol.read_frame(reader, max_frame), timeout
-        )
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    return _checked(response)
-
-
-class ShardCall(AsyncCommands):
-    """The client command methods, one :func:`shard_request` each."""
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        timeout: float = _REQUEST_TIMEOUT,
-        max_frame: int = protocol.MAX_FRAME,
-    ) -> None:
-        self.address = address
-        self.timeout = timeout
-        self.max_frame = max_frame
-
-    async def request(self, command: str, **fields: object) -> dict:
-        message = {"cmd": command, "id": 0, **fields}
-        return await shard_request(self.address, message, self.timeout, self.max_frame)
-
-
-class AsyncShardClient(AsyncCommands):
-    """A persistent asyncio connection to one shard server.
-
-    The client command methods over one lazily dialed connection, used
-    by the replication follower (many small requests per sync — a
-    connect per request would dominate). :meth:`reset` drops the
-    connection after a failure so the next request re-dials.
+    Used by the replication follower (many small requests per sync) and
+    by the supervisor's rebalance and promote calls. ``timeout`` bounds
+    the connect and each response; :meth:`close` drops the connection
+    after a failure so the next request re-dials.
     """
 
     def __init__(
         self,
         address: Tuple[str, int],
-        max_frame: int = protocol.MAX_FRAME,
         timeout: float = _REQUEST_TIMEOUT,
+        max_frame: int = protocol.MAX_FRAME,
     ) -> None:
         self.address = address
-        self.max_frame = max_frame
         self.timeout = timeout
-        self._next_id = 0
-        self._streams: Optional[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = None
+        self._dialer = Dialer(
+            functools.partial(
+                AsyncConnection.open, connect_timeout=timeout, max_frame=max_frame
+            )
+        )
 
     async def request(self, command: str, **fields: object) -> dict:
-        if self._streams is None:
-            self._streams = await asyncio.open_connection(
-                self.address[0], self.address[1]
-            )
-        reader, writer = self._streams
-        self._next_id += 1
-        message = {"cmd": command, "id": self._next_id, **fields}
-        await protocol.write_frame(writer, message, self.max_frame)
-        response = await asyncio.wait_for(
-            protocol.read_frame(reader, self.max_frame), self.timeout
-        )
-        return _checked(response)
-
-    async def reset(self) -> None:
-        """Drop the connection (next request re-dials)."""
-        if self._streams is not None:
-            _reader, writer = self._streams
-            self._streams = None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        connection = await self._dialer.connect(self.address)
+        return await connection.request(command, self.timeout, **fields)
 
     async def close(self) -> None:
-        await self.reset()
+        await self._dialer.close()
+
+    async def __aenter__(self) -> "ShardClient":
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.close()
 
 
 class ReplicationFollower:
@@ -185,7 +124,7 @@ class ReplicationFollower:
         self.primary = primary
         self.interval = interval
         self._stopped = asyncio.Event()
-        self._client = AsyncShardClient(primary, max_frame=server.config.max_frame)
+        self._client = ShardClient(primary, max_frame=server.config.max_frame)
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -205,11 +144,10 @@ class ReplicationFollower:
                 FrameError,
                 ServeClientError,
                 MonitorError,
-                asyncio.TimeoutError,
             ):
                 # The primary is down, mid-restart, or answered with an
                 # error; drop the connection and retry next tick.
-                await self._client.reset()
+                await self._client.close()
                 self.server.registry.counter(
                     "serve_follower_sync_errors_total",
                     help="Replication sync passes that failed and will retry",
@@ -564,14 +502,11 @@ class ClusterSupervisor:
         follower = pair.follower
         assert follower is not None
         try:
-            await self._shard(follower.address, timeout=10.0).promote()
-        except (
-            ConnectionError,
-            OSError,
-            FrameError,
-            ServeClientError,
-            asyncio.TimeoutError,
-        ):
+            async with ShardClient(
+                follower.address, 10.0, self.config.max_frame
+            ) as client:
+                await client.promote()
+        except (ConnectionError, OSError, FrameError, ServeClientError):
             return False
         dead_primary_dir = pair.primary.directory
         follower.role = "primary"
@@ -607,11 +542,6 @@ class ClusterSupervisor:
 
     # -- rebalance -----------------------------------------------------------
 
-    def _shard(
-        self, address: Tuple[str, int], timeout: float = _REQUEST_TIMEOUT
-    ) -> ShardCall:
-        return ShardCall(address, timeout, self.config.max_frame)
-
     async def _rebalance_on_start(self) -> None:
         """Move monitors whose ring owner changed since the last run.
 
@@ -620,19 +550,27 @@ class ClusterSupervisor:
         install and retire on a previous rebalance) is not clobbered —
         the stale source copy is just retired.
         """
-        holdings: Dict[int, List[str]] = {}
-        for shard_id, pair in self._shards.items():
-            holdings[shard_id] = await self._shard(pair.primary.address).list_monitors()
-        for name, source, target in misplaced(self.state.ring, holdings):
-            source_address = self._shards[source].primary.address
-            target_address = self._shards[target].primary.address
-            export = await self._shard(source_address, _SPAWN_TIMEOUT).handoff(name)
-            target_seq = -1
-            if name in holdings[target]:
-                query = await self._shard(target_address).query(name)
-                target_seq = int(query["seq"])
-            if export["seq"] > target_seq:
-                target_shard = self._shard(target_address, _SPAWN_TIMEOUT)
-                await target_shard.install(name, export["seq"], export["state"])
-            await self._shard(source_address).retire(name)
-            self._rebalances.inc()
+        # A move ships a whole monitor's state: allow it the spawn timeout.
+        shards = {
+            shard_id: ShardClient(
+                pair.primary.address, _SPAWN_TIMEOUT, self.config.max_frame
+            )
+            for shard_id, pair in self._shards.items()
+        }
+        try:
+            holdings = {
+                shard_id: await shard.list_monitors()
+                for shard_id, shard in shards.items()
+            }
+            for name, source, target in misplaced(self.state.ring, holdings):
+                export = await shards[source].handoff(name)
+                target_seq = -1
+                if name in holdings[target]:
+                    target_seq = int((await shards[target].query(name))["seq"])
+                if export["seq"] > target_seq:
+                    await shards[target].install(name, export["seq"], export["state"])
+                await shards[source].retire(name)
+                self._rebalances.inc()
+        finally:
+            for shard in shards.values():
+                await shard.close()

@@ -7,7 +7,8 @@ to payloads containing arbitrary text and make oversized-frame
 rejection possible before a byte of JSON is parsed.
 
 Requests carry ``{"cmd": ..., "id": ...}`` plus command arguments;
-responses echo the ``id`` and carry ``{"ok": true, ...}`` or
+responses echo the ``id`` as their first key (:data:`RESPONSE_ID`
+relies on that) and carry ``{"ok": true, ...}`` or
 ``{"ok": false, "error": <code>, "message": ...}``. Error codes are
 the ``ERR_*`` constants below; ``ERR_OVERLOADED`` is the explicit
 backpressure signal (the monitor's bounded ingest queue is full — back
@@ -19,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import enum
 import json
+import re
 import socket
 import struct
 from dataclasses import dataclass
@@ -40,8 +42,10 @@ __all__ = [
     "OverloadedError",
     "BatchRejectedError",
     "RequestIds",
+    "RESPONSE_ID",
     "check_response",
     "encode_frame",
+    "frame_bytes",
     "decode_payload",
     "read_frame",
     "read_frame_bytes",
@@ -416,10 +420,20 @@ def check_response(response: dict) -> dict:
     return response
 
 
+#: The id of a response as the server writes it: first key, an integer.
+#: Lets a client correlate a response without parsing it.
+RESPONSE_ID = re.compile(rb'^\{"id":(\d+)[,}]')
+
+
 def encode_frame(message: dict, max_frame: int = MAX_FRAME) -> bytes:
     payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(payload) > max_frame:
         raise FrameTooLarge(f"frame of {len(payload)} bytes exceeds {max_frame}")
+    return frame_bytes(payload)
+
+
+def frame_bytes(payload: bytes) -> bytes:
+    """``payload`` behind its length prefix, unchecked."""
     return _LENGTH.pack(len(payload)) + payload
 
 
@@ -447,21 +461,9 @@ def error_response(
 async def read_frame(
     reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
 ) -> Optional[dict]:
-    """Read one frame; None on clean EOF before a length prefix."""
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid length prefix") from exc
-    (length,) = _LENGTH.unpack(prefix)
-    if length > max_frame:
-        raise FrameTooLarge(f"declared frame of {length} bytes exceeds {max_frame}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid frame") from exc
-    return decode_payload(payload)
+    """Read and decode one frame; None on clean EOF before a length prefix."""
+    payload = await read_frame_bytes(reader, max_frame)
+    return None if payload is None else decode_payload(payload)
 
 
 async def read_frame_bytes(
@@ -469,9 +471,9 @@ async def read_frame_bytes(
 ) -> Optional[bytes]:
     """Read one frame's raw payload bytes; None on clean EOF.
 
-    The router's proxy path: a frame can be relayed to a shard (or
-    back to the client) verbatim — length prefix recomputed, payload
-    untouched — without a decode/re-encode round trip.
+    The router's proxy path and the client connection's reader: a
+    frame can be relayed or correlated without a decode/re-encode
+    round trip.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -497,7 +499,7 @@ async def write_frame(
 
 async def write_frame_bytes(writer: asyncio.StreamWriter, payload: bytes) -> None:
     """Relay an already-validated payload as one frame."""
-    writer.write(_LENGTH.pack(len(payload)) + payload)
+    writer.write(frame_bytes(payload))
     await writer.drain()
 
 

@@ -3,28 +3,40 @@
 :class:`ShardRouter` speaks the exact wire protocol of a single
 ``repro serve`` process, so existing clients need no changes. Each
 request is routed by the consistent-hash ring: monitor-scoped commands
-go verbatim to the owning shard, ``list``/``stats`` fan out to every
+go to the owning shard, ``list``/``stats`` fan out to every
 shard and come back merged, and ``metrics`` answers from the router's
 own registry (pass ``"shard": <id>`` to proxy a specific shard's
 exposition instead).
 
 Proxy hot path: the router never re-serializes a routed request or its
-response. The payload bytes are read once, the command and monitor
+response. The payload bytes are read once, the command, id and monitor
 name are extracted with an anchored regex over the canonical key order
-our clients emit (full JSON parse as fallback), and the same bytes are
-relayed upstream; the response bytes come back the same way. Routing a
-round therefore costs two frame copies, not two JSON round trips.
+our clients emit (full JSON parse as fallback), and the body is relayed
+unparsed both ways. Only the id changes on each hop: the shard sees the
+upstream connection's own id, and the client's id is spliced back into
+the response's first bytes. Routing a round therefore costs two frame
+copies, not two JSON round trips.
+
+Each client connection has its own pipelined
+:class:`~repro.serve.aio.AsyncConnection` per shard, and its frames for
+a shard are written upstream in the order the router read them, so
+pipelined ingests for one monitor apply in send order. There is never
+an upstream shared with other clients: it would put every client under one
+shard-side in-flight cap, and a client's malformed frame, which the
+shard answers with ``bad_frame`` and a hang-up, must close only that
+client's connection.
 
 Liveness is the supervisor's job, not the router's: when a shard's
 connection fails the router answers ``shard_unavailable`` (a retryable
 error — the supervisor is already restarting or failing over the
-shard) and drops its cached connection so the next request dials the
-current address.
+shard), and the next request re-dials the shard's current address.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -32,6 +44,7 @@ from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from ..obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 from . import protocol
+from .aio.connection import AsyncConnection, Dialer, FrameRejected
 from .protocol import (
     ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
@@ -39,6 +52,7 @@ from .protocol import (
     ERR_OVERLOADED,
     ERR_SHARD_DOWN,
     MONITOR_NEEDED,
+    RESPONSE_ID,
     FrameError,
     FrameTooLarge,
     Route,
@@ -78,43 +92,15 @@ class ClusterState:
 #: any json.dumps of ``{"cmd", "id", "monitor", ...}``) emits. Anchored
 #: at byte 0, so a match can only be the real top-level keys.
 _FAST_REQUEST = re.compile(
-    rb'^\{"cmd":"([a-z_]+)","id":(\d+)(?:,"monitor":"([A-Za-z0-9._-]+)")?'
+    rb'^\{"cmd":"([a-z_]+)","id":(0|[1-9][0-9]*)(?:,"monitor":"([A-Za-z0-9._-]+)")?'
 )
 
-#: Per-shard upstream connection as cached by one client connection.
-_Upstream = Tuple[int, asyncio.StreamReader, asyncio.StreamWriter]
+#: One client connection's shard connections.
+_Links = Dict[int, Dialer]
 
 
-class _Upstreams:
-    """One client connection's cache of shard connections.
-
-    Pipelined requests serialize per shard (each upstream connection is
-    strictly request/response, so a round trip must finish before the
-    next begins) but run concurrently across shards — that is where the
-    pipelined router's parallelism comes from. The shard lock also
-    covers dialing, so two racing requests never double-dial one shard.
-    """
-
-    __slots__ = ("connections", "_locks")
-
-    def __init__(self) -> None:
-        self.connections: Dict[int, _Upstream] = {}
-        self._locks: Dict[int, asyncio.Lock] = {}
-
-    def lock(self, shard: int) -> asyncio.Lock:
-        lock = self._locks.get(shard)
-        if lock is None:
-            lock = self._locks[shard] = asyncio.Lock()
-        return lock
-
-    def drop(self, shard: int) -> None:
-        cached = self.connections.pop(shard, None)
-        if cached is not None:
-            cached[2].close()
-
-    def drop_all(self) -> None:
-        for shard in list(self.connections):
-            self.drop(shard)
+def _compact(value: object) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
 class ShardRouter:
@@ -138,6 +124,9 @@ class ShardRouter:
         self.max_inflight = max_inflight
         self.registry = registry if registry is not None else MetricsRegistry()
         self._server: Optional[asyncio.AbstractServer] = None
+        self._dial = functools.partial(
+            AsyncConnection.open, max_inflight=max_inflight, max_frame=max_frame
+        )
         self._started = time.time()
         self.registry.gauge(
             "cluster_uptime_seconds", help="Seconds since this router constructed"
@@ -147,9 +136,7 @@ class ShardRouter:
         )
         # The router answers the FAN_OUT and LOCAL commands itself:
         # command ``x`` with ``self._x``.
-        self._answers: Dict[
-            str, Callable[[_Upstreams, dict, object], Awaitable[dict]]
-        ] = {
+        self._answers: Dict[str, Callable[[_Links, dict, object], Awaitable[dict]]] = {
             name: getattr(self, f"_{name}")
             for name, spec in protocol.COMMAND_SPECS.items()
             if spec.route in (Route.FAN_OUT, Route.LOCAL)
@@ -181,50 +168,35 @@ class ShardRouter:
             self._server.close()
             await self._server.wait_closed()
 
-    # -- upstream connections ------------------------------------------------
+    # -- shard connections ---------------------------------------------------
 
-    async def _upstream(self, upstreams: _Upstreams, shard: int) -> _Upstream:
-        """The cached connection to ``shard``, re-dialed when stale.
+    async def _connection(self, links: _Links, shard: int) -> AsyncConnection:
+        """This client connection's connection to ``shard``'s current address.
 
-        A connection is stale when the cluster generation moved (the
-        supervisor restarted or failed over some shard — cheap to
-        re-dial, and correctness demands it when the address changed).
-        Callers hold the shard's lock, so there is never a racing dial.
+        The caller writes as soon as this returns, so one client's
+        frames for a shard leave in arrival order (see :class:`Dialer`).
         """
-        cached = upstreams.connections.pop(shard, None)
-        if cached is not None:
-            if cached[0] == self.state.generation:
-                upstreams.connections[shard] = cached
-                return cached
-            cached[2].close()
         address = self.state.addresses.get(shard)
         if address is None:
             raise ConnectionError(f"shard {shard} has no live address")
-        reader, writer = await asyncio.open_connection(address[0], address[1])
-        fresh: _Upstream = (self.state.generation, reader, writer)
-        upstreams.connections[shard] = fresh
-        return fresh
+        dialer = links.get(shard)
+        if dialer is None:
+            dialer = links[shard] = Dialer(self._dial)
+        return await dialer.connect(address)
 
     async def _forward(
-        self, upstreams: _Upstreams, shard: int, payload: bytes
+        self, links: _Links, shard: int, head: bytes, tail: bytes
     ) -> bytes:
-        """Relay ``payload`` to ``shard`` and return the response bytes."""
-        async with upstreams.lock(shard):
-            _generation, reader, writer = await self._upstream(upstreams, shard)
-            await protocol.write_frame_bytes(writer, payload)
-            response = await protocol.read_frame_bytes(reader, self.max_frame)
-        if response is None:
-            raise ConnectionError(f"shard {shard} closed mid request")
-        return response
+        """Relay ``head + <id> + tail``; the raw response."""
+        connection = await self._connection(links, shard)
+        response = connection.submit_bytes(head, tail)
+        await connection.drain()
+        return await response
 
-    async def _request_shard(
-        self, upstreams: _Upstreams, shard: int, message: dict
-    ) -> dict:
+    async def _ask(self, links: _Links, shard: int, command: str) -> dict:
         """A parsed request/response round trip (the fan-out path)."""
-        payload = protocol.encode_frame(message, self.max_frame)[4:]
-        return protocol.decode_payload(
-            await self._forward(upstreams, shard, payload)
-        )
+        head = b'{"cmd":' + _compact(command) + b',"id":'
+        return protocol.decode_payload(await self._forward(links, shard, head, b"}"))
 
     def _count_shard_error(self, shard: int) -> None:
         self.registry.counter(
@@ -232,9 +204,6 @@ class ShardRouter:
             labels={"shard": str(shard)},
             help="Upstream shard failures observed by the router",
         ).inc()
-
-    def _drop_upstream(self, upstreams: _Upstreams, shard: int) -> None:
-        upstreams.drop(shard)
 
     # -- request handling ----------------------------------------------------
 
@@ -244,17 +213,17 @@ class ShardRouter:
         """Pipelined per-connection loop, mirroring the server's contract.
 
         Each frame is routed as its own task and its response written in
-        completion order — requests for *different* shards overlap even
-        though each shard's upstream round trips stay serialized (see
-        :class:`_Upstreams`). A one-at-a-time client sees unchanged
-        behaviour; past ``max_inflight`` pending requests further frames
-        get the same explicit ``overloaded`` answer the single server
-        gives.
+        completion order, so requests overlap within a shard as well as
+        across shards. Past ``max_inflight`` pending requests further
+        frames get the same explicit ``overloaded`` answer the single
+        server gives. A frame that cannot be read, by the router or by
+        the shard it was forwarded to, is answered with ``bad_frame``
+        and the connection is closed.
         """
         self.registry.counter(
             "cluster_connections_total", help="Client connections accepted"
         ).inc()
-        upstreams = _Upstreams()
+        links: _Links = {}
         write_lock = asyncio.Lock()
         inflight: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
@@ -268,12 +237,18 @@ class ShardRouter:
 
         async def route_and_reply(payload: bytes) -> None:
             try:
-                await reply_bytes(await self._route(upstreams, payload))
+                try:
+                    response = await self._route(links, payload)
+                except FrameRejected as exc:
+                    await reply(exc.response)
+                    writer.close()  # the read loop sees EOF and ends
+                    return
+                await reply_bytes(response)
             except (ConnectionError, OSError):
                 pass  # client vanished mid-response; reader loop will notice
 
         try:
-            while True:
+            while not writer.is_closing():
                 try:
                     payload = await protocol.read_frame_bytes(
                         reader, self.max_frame
@@ -312,15 +287,20 @@ class ShardRouter:
                 task.cancel()
             if inflight:
                 await asyncio.gather(*inflight, return_exceptions=True)
-            upstreams.drop_all()
             writer.close()
             try:
+                for dialer in links.values():
+                    await dialer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+                pass  # teardown during loop shutdown; sockets are closing anyway
 
-    async def _route(self, upstreams: _Upstreams, payload: bytes) -> bytes:
-        """One request in, one response out — both as raw payload bytes."""
+    async def _route(self, links: _Links, payload: bytes) -> bytes:
+        """One request in, one response out — both as raw payload bytes.
+
+        Raises :class:`FrameRejected` for a frame that is not a JSON
+        object, whether the router or the shard found out.
+        """
         command: Optional[str] = None
         monitor: Optional[str] = None
         request_id: object = None
@@ -336,10 +316,7 @@ class ShardRouter:
         ):
             # Non-canonical key order (hand-rolled client) or a command
             # that needs fields the fast path does not extract.
-            try:
-                request = protocol.decode_payload(payload)
-            except FrameError as exc:
-                return self._encode(error_response(ERR_BAD_FRAME, str(exc)))
+            request = self._decode(payload)
             command = str(request.get("cmd"))
             request_id = request.get("id")
             raw_monitor = request.get("monitor")
@@ -351,13 +328,16 @@ class ShardRouter:
                 return self._encode(
                     error_response(ERR_BAD_REQUEST, MONITOR_NEEDED, request_id)
                 )
-            return await self._route_to_owner(upstreams, monitor, payload, request_id)
+            if request is None:
+                assert match is not None
+                head, tail = payload[: match.start(2)], payload[match.end(2) :]
+            else:  # re-encoded id first; the tail starts after the 0
+                rest = {key: value for key, value in request.items() if key != "id"}
+                head, tail = b'{"id":', _compact({"id": 0, **rest})[7:]
+            return await self._route_to_owner(links, monitor, head, tail, request_id)
         # The remaining commands need parsed fields (id, shard).
         if request is None:
-            try:
-                request = protocol.decode_payload(payload)
-            except FrameError as exc:
-                return self._encode(error_response(ERR_BAD_FRAME, str(exc)))
+            request = self._decode(payload)
             request_id = request.get("id")
         if spec is None:
             response = error_response(
@@ -371,15 +351,20 @@ class ShardRouter:
                 request_id,
             )
         else:
-            response = await self._answers[command](upstreams, request, request_id)
+            response = await self._answers[command](links, request, request_id)
         return self._encode(response)
+
+    @staticmethod
+    def _decode(payload: bytes) -> dict:
+        try:
+            return protocol.decode_payload(payload)
+        except FrameError as exc:
+            raise FrameRejected(error_response(ERR_BAD_FRAME, str(exc))) from exc
 
     def _encode(self, message: dict) -> bytes:
         return protocol.encode_frame(message, self.max_frame)[4:]
 
-    async def _topology(
-        self, upstreams: _Upstreams, request: dict, request_id: object
-    ) -> dict:
+    async def _topology(self, links: _Links, request: dict, request_id: object) -> dict:
         """The cluster's live shape, for ring-aware clients.
 
         Carries everything needed to route monitor commands locally:
@@ -403,16 +388,18 @@ class ShardRouter:
 
     async def _route_to_owner(
         self,
-        upstreams: _Upstreams,
+        links: _Links,
         monitor: str,
-        payload: bytes,
+        head: bytes,
+        tail: bytes,
         request_id: object,
     ) -> bytes:
         shard = self.state.owner(monitor)
         try:
-            return await self._forward(upstreams, shard, payload)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, FrameError):
-            self._drop_upstream(upstreams, shard)
+            response = await self._forward(links, shard, head, tail)
+        except FrameRejected:
+            raise
+        except (ConnectionError, OSError, FrameError):
             self._count_shard_error(shard)
             return self._encode(
                 error_response(
@@ -423,21 +410,21 @@ class ShardRouter:
                     shard=shard,
                 )
             )
+        match = RESPONSE_ID.match(response)
+        if match is None:  # a shard that does not write the id first
+            document = protocol.decode_payload(response)
+            return self._encode({**document, "id": request_id})
+        return b'{"id":' + _compact(request_id) + response[match.end(1) :]
 
-    async def _list(
-        self, upstreams: _Upstreams, request: dict, request_id: object
-    ) -> dict:
+    async def _list(self, links: _Links, request: dict, request_id: object) -> dict:
         """Union of every live shard's monitors, sorted."""
         monitors: set[str] = set()
         down: list[int] = []
         for shard in self.state.ring.shards:
             try:
-                response = await self._request_shard(
-                    upstreams, shard, {"cmd": "list", "id": request_id}
-                )
+                response = await self._ask(links, shard, "list")
                 monitors.update(response.get("monitors", ()))
             except (ConnectionError, OSError, FrameError):
-                self._drop_upstream(upstreams, shard)
                 self._count_shard_error(shard)
                 down.append(shard)
         document: dict = {"id": request_id, "ok": True, "monitors": sorted(monitors)}
@@ -445,9 +432,7 @@ class ShardRouter:
             document["shards_down"] = down
         return document
 
-    async def _stats(
-        self, upstreams: _Upstreams, request: dict, request_id: object
-    ) -> dict:
+    async def _stats(self, links: _Links, request: dict, request_id: object) -> dict:
         """Every shard's stats, merged: summed counters, tagged monitors."""
         counters: Dict[str, float] = {}
         monitors: dict = {}
@@ -455,11 +440,8 @@ class ShardRouter:
         per_shard: dict = {}
         for shard in self.state.ring.shards:
             try:
-                response = await self._request_shard(
-                    upstreams, shard, {"cmd": "stats", "id": request_id}
-                )
+                response = await self._ask(links, shard, "stats")
             except (ConnectionError, OSError, FrameError):
-                self._drop_upstream(upstreams, shard)
                 self._count_shard_error(shard)
                 per_shard[str(shard)] = {"up": False}
                 continue
@@ -487,9 +469,7 @@ class ShardRouter:
             "failed_monitors": dict(sorted(failed.items())),
         }
 
-    async def _metrics(
-        self, upstreams: _Upstreams, request: dict, request_id: object
-    ) -> dict:
+    async def _metrics(self, links: _Links, request: dict, request_id: object) -> dict:
         """Router registry by default; one shard's exposition on demand."""
         shard = request.get("shard")
         if shard is None:
@@ -504,13 +484,10 @@ class ShardRouter:
                 ERR_BAD_REQUEST, f"unknown shard: {shard!r}", request_id
             )
         try:
-            response = await self._request_shard(
-                upstreams, shard, {"cmd": "metrics", "id": request_id}
-            )
+            response = await self._ask(links, shard, "metrics")
         except (ConnectionError, OSError, FrameError):
-            self._drop_upstream(upstreams, shard)
             self._count_shard_error(shard)
             return error_response(
                 ERR_SHARD_DOWN, f"shard {shard} is unavailable", request_id
             )
-        return response
+        return {**response, "id": request_id}

@@ -35,6 +35,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve.aio import AsyncConnection, ConnectionPool, RequestNotSent
+from repro.serve.aio.connection import Dialer
 from repro.serve.protocol import ServeTimeout, check_response
 from cluster_chaos import (
     ClusterHarness,
@@ -275,6 +276,38 @@ class TestServerPipelining:
 
 
 # -- pool behaviour ----------------------------------------------------------
+
+
+class TestDialer:
+    def test_callers_get_the_connection_in_call_order(self):
+        # Caller 3 arrives just as the dial completes, before callers 1
+        # and 2 have resumed from it; it must still queue behind them,
+        # or its frame would overtake theirs on the wire.
+        class Live:
+            healthy = True
+
+        async def main() -> list[int]:
+            gate = asyncio.Event()
+            order: list[int] = []
+
+            async def dial(host: str, port: int) -> Live:
+                await gate.wait()
+                return Live()
+
+            dialer = Dialer(dial)
+
+            async def caller(n: int) -> None:
+                await dialer.connect(("127.0.0.1", 1))
+                order.append(n)  # stands for the write that follows
+
+            tasks = [asyncio.create_task(caller(n)) for n in (1, 2)]
+            await asyncio.sleep(0)
+            gate.set()
+            tasks.append(asyncio.create_task(caller(3)))
+            await asyncio.gather(*tasks)
+            return order
+
+        assert run(main()) == [1, 2, 3]
 
 
 class TestConnectionPool:

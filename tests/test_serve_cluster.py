@@ -12,8 +12,10 @@ uninterrupted single-process oracle.
 from __future__ import annotations
 
 import asyncio
+import json
 import shutil
 import socket
+import struct
 import threading
 import time
 from pathlib import Path
@@ -34,8 +36,10 @@ from repro.serve import (
     ServeConfig,
     ServeTimeout,
 )
+from repro.serve.aio import AsyncConnection
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
+from test_serve_aio import ShuffledResponder
 from test_serve_server import ServerThread, T0, connect
 
 NETWORKS = ["n1", "n2", "n3", "n4"]
@@ -350,6 +354,78 @@ class TestShardRouter:
             assert recovered["rounds"] == 3
             feed(client, name, rounds[3:])
             assert client.query(name)["rounds"] == 6
+
+
+def exchange(address: tuple[str, int], payloads: list[bytes]) -> list[bytes]:
+    """Send every payload pipelined on one connection; the raw answers."""
+    answers = []
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(b"".join(struct.pack(">I", len(p)) + p for p in payloads))
+        with sock.makefile("rb") as stream:
+            for _ in payloads:
+                (length,) = struct.unpack(">I", stream.read(4))
+                answers.append(stream.read(length))
+    return answers
+
+
+class TestRouterPipelining:
+    def test_same_shard_requests_are_in_flight_together(self):
+        # The fake shard answers only once all eight requests arrived, in
+        # reverse: a router holding one request per shard would deadlock.
+        async def main() -> list[dict]:
+            async with ShuffledResponder(expect=8, order=list(range(8))[::-1]) as fake:
+                state = ClusterState(ring=HashRing.for_cluster(1))
+                state.set_address(0, fake.address)
+                router = ShardRouter(state, port=0)
+                await router.start()
+                try:
+                    async with await AsyncConnection.open(*router.address) as conn:
+                        futures = [
+                            conn.submit("query", monitor="m", marker=i)
+                            for i in range(8)
+                        ]
+                        return await asyncio.wait_for(asyncio.gather(*futures), 10)
+                finally:
+                    await router.stop()
+
+        responses = asyncio.run(main())
+        assert [r["marker"] for r in responses] == list(range(8))
+        assert [r["id"] for r in responses] == list(range(1, 9))
+
+    def test_client_ids_come_back_verbatim(self, tier):
+        with tier_client(tier) as client:
+            client.create("svc", NETWORKS)
+        payloads = [
+            b'{"cmd":"query","id":7,"monitor":"svc"}',
+            b'{"cmd":"query","id":7,"monitor":"svc"}',
+            b'{"monitor":"svc","id":"seven","cmd":"query"}',
+            b'{"cmd":"query","id":null,"monitor":"svc"}',
+            b'{"cmd":"query","monitor":"svc"}',
+        ]
+        routed = exchange(tier.address, payloads)
+        owner = tier.shard_address(HashRing.for_cluster(2).owner("svc"))
+        assert sorted(routed) == sorted(exchange(owner, payloads))
+        ids = sorted(str(json.loads(answer)["id"]) for answer in routed)
+        assert ids == ["7", "7", "None", "None", "seven"]
+
+    def test_pipelined_ingests_on_a_cold_connection_apply_in_order(self, tier):
+        with tier_client(tier) as client:
+            client.create("svc", NETWORKS)
+        rounds = generate_rounds(NETWORKS, 64, seed=5)
+
+        async def main() -> list[dict]:
+            async with await AsyncConnection.open(*tier.address) as conn:
+                futures = [
+                    conn.submit(
+                        "ingest", monitor="svc", states=states, time=when.isoformat()
+                    )
+                    for states, when in rounds
+                ]
+                return await asyncio.wait_for(asyncio.gather(*futures), 30)
+
+        responses = asyncio.run(main())
+        assert all(response["ok"] for response in responses), responses
+        assert [response["seq"] for response in responses] == list(range(1, 65))
 
 
 class TestServeTimeout:

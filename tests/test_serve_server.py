@@ -33,6 +33,8 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve.protocol import recv_frame, send_frame
+from repro.serve.ring import HashRing
+from repro.serve.router import ClusterState, ShardRouter
 
 T0 = datetime(2025, 1, 1)
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -192,18 +194,57 @@ class TestCommands:
                 assert client.query("svc")["rounds"] == 3
 
 
+@pytest.fixture(params=["direct", "routed"])
+def endpoint(request, server):
+    """The server's address, or that of a one-shard router in front of it."""
+    if request.param == "direct":
+        yield server.address
+        return
+    state = ClusterState(ring=HashRing.for_cluster(1))
+    state.set_address(0, server.address)
+    router = ShardRouter(state, port=0)
+
+    def on_server_loop(coroutine) -> None:
+        asyncio.run_coroutine_threadsafe(coroutine, server._loop).result(timeout=10)
+
+    on_server_loop(router.start())
+    try:
+        yield router.address
+    finally:
+        on_server_loop(router.stop())
+
+
 class TestFailurePaths:
     def raw_socket(self, server: ServerThread) -> socket.socket:
         return socket.create_connection(server.address, timeout=10)
 
-    def test_malformed_frame_answered_then_closed(self, server):
-        with self.raw_socket(server) as sock:
+    def test_malformed_frame_answered_then_closed(self, endpoint):
+        with socket.create_connection(endpoint, timeout=10) as sock:
             payload = b"this is not json"
             sock.sendall(struct.pack(">I", len(payload)) + payload)
             response = recv_frame(sock)
             assert response["ok"] is False
             assert response["error"] == "bad_frame"
             assert sock.recv(1) == b""  # server hung up
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Routed unparsed (its prefix routes it): the shard finds
+            # the frame bad, and the client must still see bad_frame.
+            b'{"cmd":"query","id":1,"monitor":"m",]',
+            # Not JSON, but it would be once the router rewrote the id.
+            b'{"cmd":"query","id":007,"monitor":"m"}',
+        ],
+        ids=["trailing-comma", "leading-zero-id"],
+    )
+    def test_malformed_payload_behind_canonical_prefix(self, endpoint, payload):
+        with socket.create_connection(endpoint, timeout=10) as sock:
+            sock.sendall(struct.pack(">I", len(payload)) + payload)
+            response = recv_frame(sock)
+            assert response["error"] == "bad_frame"
+            assert response["id"] is None
+            assert sock.recv(1) == b""
 
     def test_oversized_frame_rejected_before_read(self, server):
         with self.raw_socket(server) as sock:
@@ -214,13 +255,14 @@ class TestFailurePaths:
             assert response["error"] == "frame_too_large"
             assert sock.recv(1) == b""
 
-    def test_non_object_payload_rejected(self, server):
-        with self.raw_socket(server) as sock:
+    def test_non_object_payload_rejected(self, endpoint):
+        with socket.create_connection(endpoint, timeout=10) as sock:
             send_frame(sock, {"cmd": "stats"})  # prove the socket works
             assert recv_frame(sock)["ok"]
             payload = json.dumps([1, 2, 3]).encode()
             sock.sendall(struct.pack(">I", len(payload)) + payload)
             assert recv_frame(sock)["error"] == "bad_frame"
+            assert sock.recv(1) == b""
 
     def test_abrupt_disconnect_leaves_server_healthy(self, server):
         sock = self.raw_socket(server)

@@ -28,9 +28,10 @@ from typing import Any, Callable, Generator
 from repro.classify.features import FEATURE_WIDTH
 from repro.classify.model import train_forest
 from repro.serve import AsyncServeClient, ServeClient, ServeClientError, ServeConfig
-from repro.serve.protocol import COMMANDS
+from repro.serve.protocol import COMMAND_SPECS, COMMANDS, Route
 from repro.vps import VPPlan
 from test_classify import synthetic_dataset
+from test_serve_cluster import RouterTier
 from test_serve_server import ServerThread
 
 GOLDEN = Path(__file__).parent / "golden" / "wire_frames.jsonl"
@@ -266,6 +267,25 @@ def test_blocking_client_frames_match_golden(tmp_path):
 
 def test_async_client_frames_match_golden(tmp_path):
     assert record(tmp_path, run_async) == golden_records()
+
+
+def test_routed_responses_match_golden(tmp_path):
+    # The router rewrites every forwarded request's id and splices the
+    # client's back into the answer; neither may show in the bytes.
+    def is_forwarded(golden: dict) -> bool:
+        spec = COMMAND_SPECS.get(json.loads(golden["request"])["cmd"])
+        return spec is not None and spec.route is Route.FORWARD
+
+    forwarded = [g for g in map(json.loads, golden_records()) if is_forwarded(g)]
+    assert len(forwarded) > 20
+    with RouterTier(tmp_path, shards=1) as tier:
+        sock = socket.create_connection(tier.address, timeout=10)
+        with sock, sock.makefile("rb") as stream:
+            for golden in forwarded:
+                payload = golden["request"].encode("utf-8")
+                sock.sendall(struct.pack(">I", len(payload)) + payload)
+                (length,) = struct.unpack(">I", stream.read(4))
+                assert masked_response(stream.read(length)) == golden["response"]
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
