@@ -20,9 +20,9 @@ from repro.bgp.policy import Announcement
 from repro.bgp.routing import compute_routes
 from repro.bgp.topology import generate_internet_like
 from repro.core.cluster import hac_linkage
+from repro.core.compare import similarity_matrix
 from repro.core.series import VectorSeries
 from repro.core.vector import StateCatalog
-from repro.parallel import SimilarityEngine
 
 T0 = datetime(2024, 1, 1)
 
@@ -41,22 +41,16 @@ def synthetic_series(num_networks: int, num_rounds: int, num_states: int = 8) ->
 
 
 @pytest.mark.parametrize("num_networks", [1000, 5000, 20000])
-@pytest.mark.parametrize("n_jobs", [1, 4])
-def test_scaling_similarity_in_networks(benchmark, num_networks, n_jobs):
-    # Routed through the similarity engine: n_jobs=1 is the serial
-    # reference path, n_jobs=4 the tiled process pool.
+def test_scaling_similarity_in_networks(benchmark, num_networks):
     series = synthetic_series(num_networks, 50)
-    engine = SimilarityEngine(n_jobs=n_jobs)
-    result = benchmark(engine.similarity_matrix, series)
+    result = benchmark(similarity_matrix, series)
     assert result.shape == (50, 50)
 
 
 @pytest.mark.parametrize("num_rounds", [50, 150, 300])
-@pytest.mark.parametrize("n_jobs", [1, 4])
-def test_scaling_similarity_in_rounds(benchmark, num_rounds, n_jobs):
+def test_scaling_similarity_in_rounds(benchmark, num_rounds):
     series = synthetic_series(2000, num_rounds)
-    engine = SimilarityEngine(n_jobs=n_jobs)
-    result = benchmark(engine.similarity_matrix, series)
+    result = benchmark(similarity_matrix, series)
     assert result.shape == (num_rounds, num_rounds)
 
 

@@ -92,8 +92,6 @@ def _config_from(args: argparse.Namespace) -> FenrirConfig:
         ),
         linkage=args.linkage,
         max_clusters=args.max_clusters,
-        n_jobs=args.jobs,
-        tile_size=args.tile_size,
         cache_dir=str(args.cache_dir) if args.cache_dir else None,
     )
 
@@ -147,6 +145,13 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {number}")
+    return number
+
+
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy", choices=["pessimistic", "exclude"], default="pessimistic",
@@ -158,20 +163,11 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-clusters", type=int, default=15)
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="similarity worker processes: 1 = serial reference, "
-        "0 = all cores (default: 1)",
-    )
-    parser.add_argument(
-        "--tile-size", type=_positive_int, default=64, metavar="ROWS",
-        help="row-block size of the tiled similarity kernel (default: 64)",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=None, metavar="DIR",
         help="cache similarity matrices under DIR keyed on series content; "
         "reruns on unchanged input skip the O(T²·N) comparison",
     )
-    parser.add_argument("--interpolation-limit", type=int, default=3)
+    parser.add_argument("--interpolation-limit", type=_non_negative_int, default=3)
     parser.add_argument("--no-interpolate", action="store_true")
     parser.add_argument(
         "--vp-plan", type=Path, default=None, metavar="PLAN",
@@ -188,7 +184,7 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
         help="after the run, dump process metrics to PATH as Prometheus text",
     )
     parser.add_argument("--heatmap", action="store_true", help="print the Φ heatmap")
-    parser.add_argument("--heatmap-size", type=int, default=50)
+    parser.add_argument("--heatmap-size", type=_positive_int, default=50)
     parser.add_argument("--stackplot", action="store_true")
     parser.add_argument("--events", action="store_true", help="list detected events")
 

@@ -44,10 +44,7 @@ class FenrirConfig:
     micro_catchment_min_fraction: float = 0.0
     # Comparison (§2.6.1)
     unknown_policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC
-    # Similarity engine (docs/performance.md)
-    n_jobs: int = 1  # 1 = serial reference; >1 = tiled process pool; <=0 = all cores
-    tile_size: int = 64
-    cache_dir: Optional[str] = None  # None = no on-disk similarity cache
+    cache_dir: Optional[str] = None  # None = no on-disk Φ cache (docs/performance.md)
     # Clustering (§2.6.2)
     linkage: LinkageMethod = "single"  # the paper cites SLINK (Sibson 1973)
     max_clusters: int = 15
@@ -171,24 +168,21 @@ class Fenrir:
     def _similarity(
         self, cleaned: VectorSeries, weights: Optional[np.ndarray]
     ) -> np.ndarray:
-        """All-pairs Φ via the configured engine.
+        """All-pairs Φ, through the on-disk cache when ``cache_dir`` is set."""
+        policy = self.config.unknown_policy
+        if self.config.cache_dir is None:
+            return similarity_matrix(cleaned, weights, policy)
+        # Imported here: its hashlib loads OpenSSL, ~4 MB of resident
+        # memory that a run without a cache never needs.
+        from .phicache import MatrixCache, matrix_cache_key
 
-        ``n_jobs == 1`` with no cache stays on the serial reference
-        path; anything else routes through the tiled engine in
-        :mod:`repro.parallel` (imported lazily — the pools and shared
-        memory are only worth setting up when asked for).
-        """
-        config = self.config
-        if config.n_jobs == 1 and config.cache_dir is None:
-            return similarity_matrix(cleaned, weights, config.unknown_policy)
-        from ..parallel.engine import SimilarityEngine
-
-        engine = SimilarityEngine(
-            n_jobs=config.n_jobs,
-            tile_size=config.tile_size,
-            cache_dir=config.cache_dir,
-        )
-        return engine.similarity_matrix(cleaned, weights, config.unknown_policy)
+        cache = MatrixCache(self.config.cache_dir)
+        key = matrix_cache_key(cleaned.matrix, weights, policy)
+        similarity = cache.load(key, len(cleaned))
+        if similarity is None:
+            similarity = similarity_matrix(cleaned, weights, policy)
+            cache.store(key, similarity)
+        return similarity
 
     def run(self, series: VectorSeries) -> FenrirReport:
         """Run the full pipeline and return the report.

@@ -49,6 +49,8 @@ def render_heatmap(
     matrix = np.asarray(similarity, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("similarity must be a square matrix")
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     size = matrix.shape[0]
     stride = max(1, -(-size // max_size))  # ceil division
     if stride > 1:

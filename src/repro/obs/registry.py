@@ -1,7 +1,7 @@
 """The process-wide metrics registry: counters, gauges, histograms.
 
 One :class:`MetricsRegistry` is the single sink every subsystem reports
-through — the pipeline's stage timings, the parallel engine's cache
+through — the pipeline's stage timings, the Φ cache's hit and miss
 counters, and the serve ingest path all land here and come back out
 through one exposition surface (:mod:`repro.obs.export`). Metrics are
 named Prometheus-style (``snake_case``, unit-suffixed) and may carry a

@@ -48,9 +48,8 @@ def random_routing_series(
 ) -> VectorSeries:
     """A seeded random series: persistent assignments with churn.
 
-    Shared by the phi property tests, the parallel-engine equivalence
-    grid, and the cache tests so every randomized input is reproducible
-    from its seed alone.
+    Shared by the phi property tests and the Φ cache tests so every
+    randomized input is reproducible from its seed alone.
     """
     rng = random.Random(seed)
     networks = [f"n{i}" for i in range(num_networks)]

@@ -60,6 +60,25 @@ class TestAnalyze:
         assert "scale:" in out  # heatmap legend
         assert "events:" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--heatmap", "--heatmap-size", "0"], "--heatmap-size: must be positive"),
+            (["--interpolation-limit", "-2"], "--interpolation-limit: must be non-negative"),
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, series_file, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(series_file), *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro analyze")
+        assert message in err
+
+    def test_interpolation_limit_zero_is_accepted(self, series_file, capsys):
+        assert main(["analyze", str(series_file), "--interpolation-limit", "0"]) == 0
+        assert "modes: 2" in capsys.readouterr().out
+
     def test_analyze_unknown_extension(self, tmp_path):
         bogus = tmp_path / "series.xml"
         bogus.write_text("<nope/>")

@@ -219,6 +219,14 @@ class TestSimilarityMatrix:
         matrix = similarity_matrix(series, policy=UnknownPolicy.EXCLUDE)
         assert matrix[0, 1] == pytest.approx(1.0)
 
+    def test_exclude_policy_nan_without_jointly_known_network(self):
+        series = self.make_series(
+            [{"a": "X", "b": UNKNOWN}, {"a": UNKNOWN, "b": "Y"}, {"a": "X", "b": "Y"}]
+        )
+        matrix = similarity_matrix(series, policy=UnknownPolicy.EXCLUDE)
+        assert np.isnan(matrix[0, 1]) and np.isnan(matrix[1, 0])
+        assert matrix[0, 2] == 1.0 and matrix[1, 2] == 1.0
+
     def test_state_and_pairwise_paths_agree(self):
         # Force both code paths on the same data: with many distinct
         # states the pairwise path is used; compare against per-pair phi.

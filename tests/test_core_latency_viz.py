@@ -116,6 +116,10 @@ class TestViz:
         with pytest.raises(ValueError):
             render_heatmap(np.ones((2, 3)))
 
+    def test_heatmap_rejects_empty_size(self):
+        with pytest.raises(ValueError, match="max_size"):
+            render_heatmap(np.ones((2, 2)), max_size=0)
+
     def test_heatmap_nan_marker(self):
         similarity = np.array([[1.0, np.nan], [np.nan, 1.0]])
         assert "?" in render_heatmap(similarity)

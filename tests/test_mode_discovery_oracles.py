@@ -38,7 +38,6 @@ from repro.core.compare import (
 from repro.core.detect import step_changes
 from repro.core.series import VectorSeries
 from repro.core.vector import RoutingVector, StateCatalog
-from repro.parallel.tiling import Tile, factor_series, match_tile
 
 GRID = [float(threshold) for threshold in np.arange(0.0, 1.005, 0.01)]
 METHODS = ["single", "complete", "average"]
@@ -227,23 +226,6 @@ class TestMergedSimilarity:
             similarity_matrix(series, weights, policy),
             scalar_similarity(series, weights, policy),
         )
-
-    @settings(max_examples=80, deadline=None)
-    @given(duplicate_heavy_matrices(), st.data())
-    def test_factored_tile_bit_equal_on_merged_columns(self, codes, data):
-        # The parallel engine factors the merged columns; their summed
-        # integer weights must still give exact integer counts.
-        weights = data.draw(
-            arrays(
-                np.float64,
-                codes.shape[1],
-                elements=st.integers(min_value=0, max_value=1000).map(float),
-            )
-        )
-        merged, merged_weights = _merge_identical_columns(codes, weights)
-        whole = Tile(0, len(codes), 0, len(codes))
-        ours = match_tile(factor_series(merged, merged_weights), whole)
-        assert ours.tobytes() == pairwise_matches(codes, weights).tobytes()
 
     @pytest.mark.parametrize(
         "codes",
