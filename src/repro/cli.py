@@ -18,10 +18,11 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from datetime import timedelta
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core.compare import UnknownPolicy
 from .core.pipeline import Fenrir, FenrirConfig
@@ -33,6 +34,9 @@ from .io.formats import (
     write_series_csv,
     write_series_jsonl,
 )
+
+if TYPE_CHECKING:
+    from .serve import ServeClient
 
 __all__ = ["main", "build_parser"]
 
@@ -149,6 +153,13 @@ def _non_negative_int(value: str) -> int:
     number = int(value)
     if number < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {number}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not number > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be positive, got {number}")
     return number
 
 
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded per-monitor ingest queue; full = overload response",
     )
     serve.add_argument(
-        "--snapshot-every", type=int, default=1000, metavar="N",
+        "--snapshot-every", type=_non_negative_int, default=1000, metavar="N",
         help="auto-checkpoint each monitor every N ingests (0 = never)",
     )
     serve.add_argument(
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(atomic replace; see --metrics-interval)",
     )
     serve.add_argument(
-        "--metrics-interval", type=float, default=10.0, metavar="SECONDS",
+        "--metrics-interval", type=_positive_float, default=10.0, metavar="SECONDS",
         help="seconds between --metrics-file dumps (default: 10)",
     )
     serve.add_argument(
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "promoted automatically when its primary dies",
     )
     serve.add_argument(
-        "--sync-interval", type=float, default=0.5, metavar="SECONDS",
+        "--sync-interval", type=_positive_float, default=0.5, metavar="SECONDS",
         help="replication pull cadence for followers (default: 0.5)",
     )
     serve.add_argument(
@@ -426,21 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_ingest.add_argument(
         "--create", action="store_true",
         help="create the monitor from the series' networks first",
-    )
-    c_ingest.add_argument(
-        "--batch", type=_positive_int, default=None, metavar="N",
-        help="send rounds in ingest_batch requests of N (one group commit "
-        "per batch server-side) instead of one request per round",
-    )
-    c_ingest.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="use the pipelined asyncio client (keeps up to --concurrency "
-        "rounds in flight on one connection; round order is preserved)",
-    )
-    c_ingest.add_argument(
-        "--concurrency", type=_positive_int, default=32, metavar="N",
-        help="in-flight request window for --async ingest (default 32; "
-        "keep below the server's --queue-size)",
     )
 
     c_query = client_commands.add_parser("query", help="summarize a monitor")
@@ -586,15 +582,31 @@ def _stdin_eof_event() -> "asyncio.Event":  # noqa: F821 (import in function)
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    if args.shards is not None:
-        return _run_cluster(args)
-    if args.replicate:
+    if args.shards is not None and args.follow is not None:
+        print("--follow cannot be combined with --shards", file=sys.stderr)
+        return 2
+    if args.shards is None and args.replicate:
         print("--replicate requires --shards", file=sys.stderr)
         return 2
+    try:
+        asyncio.run(_serve(args))
+    except KeyboardInterrupt:
+        print("shutting down", file=sys.stderr)
+    return 0
 
-    from .serve import FenrirServer, ServeConfig
 
-    config = ServeConfig(
+async def _serve(args: argparse.Namespace) -> None:
+    """Start one server (or, with ``--shards``, the cluster) and run it.
+
+    Serves until the listener ends, stdin closes (with
+    ``--exit-on-stdin-close``) or the task is cancelled, then writes a
+    final ``--metrics-file`` dump and stops the tier.
+    """
+    import asyncio
+
+    from .obs import write_metrics_file
+
+    shared = dict(
         data_dir=args.data_dir,
         host=args.host,
         port=args.port,
@@ -602,128 +614,68 @@ def _run_serve(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         fsync=args.fsync,
     )
+    children: list[str] = []
+    if args.shards is None:
+        from .serve import FenrirServer, ServeConfig
 
-    async def dump_metrics_forever(server: FenrirServer) -> None:
-        from .obs import write_metrics_file
-
-        while True:
-            await asyncio.sleep(args.metrics_interval)
-            try:
-                write_metrics_file(args.metrics_file, server.registry)
-            except OSError as exc:
-                print(f"metrics dump failed: {exc}", file=sys.stderr)
-
-    async def run() -> None:
-        server = FenrirServer(config)
-        await server.start()
+        tier = FenrirServer(ServeConfig(**shared))
+        await tier.start()
         if args.follow is not None:
             from .serve.cluster import ReplicationFollower
 
             follow_host, _, follow_port = args.follow.rpartition(":")
-            server.follower = ReplicationFollower(
-                server,
-                (follow_host, int(follow_port)),
-                interval=args.sync_interval,
+            tier.follower = ReplicationFollower(
+                tier, (follow_host, int(follow_port)), interval=args.sync_interval
             )
-            server.follower.start()
-        host, port = server.address
-        # Machine-readable readiness line: tests, the bench harness, and
-        # the cluster supervisor parse it to learn an OS-assigned port.
-        print(f"listening on {host}:{port}", flush=True)
-        loop = asyncio.get_running_loop()
-        dumper = None
-        if args.metrics_file is not None:
-            dumper = loop.create_task(dump_metrics_forever(server))
-        serving = loop.create_task(server.serve_forever())
-        waiters = {serving}
-        if args.exit_on_stdin_close:
-            waiters.add(loop.create_task(_stdin_eof_event().wait()))
-        try:
-            await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            for task in waiters:
-                task.cancel()
-            if dumper is not None:
-                dumper.cancel()
-                # Final dump so short-lived runs still leave a snapshot.
-                from .obs import write_metrics_file
+            tier.follower.start()
+    else:
+        from .serve.cluster import ClusterConfig, ClusterSupervisor
 
-                write_metrics_file(args.metrics_file, server.registry)
-            await server.stop()
+        tier = ClusterSupervisor(
+            ClusterConfig(
+                **shared,
+                shards=args.shards,
+                replicate=args.replicate,
+                sync_interval=args.sync_interval,
+            )
+        )
+        await tier.start()
+        children = tier.describe_processes()
+    # Machine-readable readiness: one line per cluster child (harnesses
+    # learn pids and shard addresses), then the listening line, which
+    # tests, the bench harness and the cluster supervisor parse to learn
+    # an OS-assigned port.
+    host, port = tier.address
+    for line in [*children, f"listening on {host}:{port}"]:
+        print(line, flush=True)
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    return 0
-
-
-def _run_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve.cluster import ClusterConfig, ClusterSupervisor
-
-    if args.follow is not None:
-        print("--follow cannot be combined with --shards", file=sys.stderr)
-        return 2
-
-    config = ClusterConfig(
-        data_dir=args.data_dir,
-        shards=args.shards,
-        host=args.host,
-        port=args.port,
-        replicate=args.replicate,
-        sync_interval=args.sync_interval,
-        queue_size=args.queue_size,
-        snapshot_every=args.snapshot_every,
-        fsync=args.fsync,
-    )
-
-    async def dump_metrics_forever(supervisor: ClusterSupervisor) -> None:
-        from .obs import write_metrics_file
-
+    async def dump_metrics_forever() -> None:
         while True:
             await asyncio.sleep(args.metrics_interval)
             try:
-                write_metrics_file(args.metrics_file, supervisor.registry)
+                write_metrics_file(args.metrics_file, tier.registry)
             except OSError as exc:
                 print(f"metrics dump failed: {exc}", file=sys.stderr)
 
-    async def run() -> None:
-        supervisor = ClusterSupervisor(config)
-        await supervisor.start()
-        # One line per child first (harnesses learn pids and shard
-        # addresses), the router's own readiness line last.
-        for line in supervisor.describe_processes():
-            print(line, flush=True)
-        host, port = supervisor.address
-        print(f"listening on {host}:{port}", flush=True)
-        loop = asyncio.get_running_loop()
-        dumper = None
-        if args.metrics_file is not None:
-            dumper = loop.create_task(dump_metrics_forever(supervisor))
-        serving = loop.create_task(supervisor.serve_forever())
-        waiters = {serving}
-        if args.exit_on_stdin_close:
-            waiters.add(loop.create_task(_stdin_eof_event().wait()))
-        try:
-            await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            for task in waiters:
-                task.cancel()
-            if dumper is not None:
-                dumper.cancel()
-            await supervisor.stop()
-
+    loop = asyncio.get_running_loop()
+    dumper = None
+    if args.metrics_file is not None:
+        dumper = loop.create_task(dump_metrics_forever())
+    waiters = {loop.create_task(tier.serve_forever())}
+    if args.exit_on_stdin_close:
+        waiters.add(loop.create_task(_stdin_eof_event().wait()))
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    return 0
+        await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
+    except asyncio.CancelledError:
+        pass
+    finally:
+        for task in waiters:
+            task.cancel()
+        if dumper is not None:
+            dumper.cancel()
+            # Final dump so short-lived runs still leave a snapshot.
+            write_metrics_file(args.metrics_file, tier.registry)
+        await tier.stop()
 
 
 def _run_vps(args: argparse.Namespace) -> int:
@@ -852,7 +804,7 @@ def _run_classify(args: argparse.Namespace) -> int:
 
 
 def _show_update(update: dict) -> None:
-    """Print one ingest update's notable flags (shared by both paths)."""
+    """Print one ingest update's notable flags."""
     if update["is_event"] or update["is_new_mode"] or update["recurred"]:
         notes = [
             note
@@ -869,206 +821,153 @@ def _show_update(update: dict) -> None:
         )
 
 
-def _run_client_async_ingest(args: argparse.Namespace) -> int:
-    """Pipelined ingest: a sliding window of rounds on one connection.
+def _ingest_batch_size(series: VectorSeries, monitor: str) -> int:
+    """Rounds per ``ingest_batch`` request: at most 128, and no more than
+    fit one request under ``protocol.MAX_FRAME``.
 
-    One connection, because the server applies a *connection's* ingests
-    in frame order — that is what keeps a monitor's strictly-increasing
-    timestamps valid while ``--concurrency`` rounds are in flight. The
-    window should stay under the server's ``--queue-size``: an
-    ``overloaded`` response cannot be transparently retried here (later
-    rounds are already on the wire), so it aborts with advice instead.
+    Every round maps each network to a catalog label, so the network
+    names plus that many of the longest label bound a round's JSON; the
+    round's time and the request envelope get fixed allowances.
     """
-    import asyncio
-    from collections import deque
+    from .serve import protocol
 
-    from .serve import OverloadedError
-    from .serve.aio import AsyncConnection
-    from .serve.protocol import check_response
-
-    series = _load_series(args.series)
-
-    async def run() -> int:
-        connection = await AsyncConnection.open(
-            args.host, args.port, max_inflight=args.concurrency
-        )
-        sent = 0
-        try:
-            if args.create:
-                await connection.request("create", monitor=args.monitor,
-                                         networks=list(series.networks))
-            window: deque = deque()
-            for vector in series:
-                if len(window) >= args.concurrency:
-                    _show_update(check_response(await window.popleft())["update"])
-                    sent += 1
-                window.append(
-                    connection.submit(
-                        "ingest",
-                        monitor=args.monitor,
-                        states=vector.to_mapping(),
-                        time=vector.time.isoformat(),
-                    )
-                )
-                await connection.drain()
-            while window:
-                _show_update(check_response(await window.popleft())["update"])
-                sent += 1
-        except OverloadedError as exc:
-            raise SystemExit(
-                f"server overloaded with {args.concurrency} rounds in "
-                f"flight ({exc}); rerun with a smaller --concurrency or a "
-                "larger server --queue-size"
-            ) from exc
-        finally:
-            await connection.close()
-        return sent
-
-    sent = asyncio.run(run())
-    print(f"ingested {sent} rounds into {args.monitor!r}")
-    return 0
+    longest_label = max(len(json.dumps(label)) for label in series.catalog.labels)
+    per_round = 64 + sum(
+        len(json.dumps(network)) + longest_label + 2 for network in series.networks
+    )
+    room = protocol.MAX_FRAME - 256 - len(json.dumps(monitor))
+    return max(1, min(128, room // per_round))
 
 
 def _run_client(args: argparse.Namespace) -> int:
-    from .serve import OverloadedError, ServeClient
+    """Run one ``repro client`` command; a failure is one stderr line."""
+    from .serve import ServeClient
+    from .serve.protocol import FrameError, ServeClientError
 
-    if args.client_command == "ingest" and args.use_async:
-        return _run_client_async_ingest(args)
-    with ServeClient(host=args.host, port=args.port) as client:
-        if args.client_command == "create":
-            response = client.create(
+    try:
+        with ServeClient(host=args.host, port=args.port) as client:
+            _client_command(client, args)
+    except (ServeClientError, OSError, FrameError) as exc:
+        # A server's error reads "<code>: <message>"; name any other kind.
+        kind = "" if isinstance(exc, ServeClientError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _client_command(client: ServeClient, args: argparse.Namespace) -> None:
+    if args.client_command == "create":
+        response = client.create(
+            args.monitor,
+            networks=[n for n in args.networks.split(",") if n],
+            event_threshold=args.event_threshold,
+            mode_threshold=args.mode_threshold,
+            policy=args.policy,
+        )
+        print(f"created monitor {response['monitor']!r}")
+    elif args.client_command == "ingest":
+        from .serve import BatchRejectedError
+
+        series = _load_series(args.series)
+        if args.create:
+            client.create(args.monitor, networks=series.networks)
+        try:
+            updates = client.ingest_many(
                 args.monitor,
-                networks=[n for n in args.networks.split(",") if n],
+                [(vector.to_mapping(), vector.time) for vector in series],
+                batch_size=_ingest_batch_size(series, args.monitor),
+            )
+        except BatchRejectedError as exc:
+            for update in exc.applied:
+                _show_update(update)
+            raise
+        for update in updates:
+            _show_update(update)
+        print(f"ingested {len(updates)} rounds into {args.monitor!r}")
+    elif args.client_command == "query":
+        print(json.dumps(client.query(args.monitor), indent=2, sort_keys=True))
+    elif args.client_command == "timeline":
+        response = client.timeline(args.monitor)
+        for segment in response["segments"]:
+            print(
+                f"mode {segment['mode_id']:>3}  "
+                f"{segment['start']} .. {segment['end']}"
+            )
+    elif args.client_command == "stats":
+        print(json.dumps(client.stats(), indent=2, sort_keys=True))
+    elif args.client_command == "metrics":
+        print(client.metrics(), end="")
+    elif args.client_command == "snapshot":
+        response = client.snapshot(args.monitor)
+        print(f"snapshot of {args.monitor!r} at seq {response['seq']}")
+    elif args.client_command == "vps":
+        if args.plan is None:
+            print(
+                json.dumps(client.vps(args.monitor), indent=2, sort_keys=True)
+            )
+        else:
+            from .vps import VPPlan
+
+            plan = VPPlan.load(args.plan)
+            response = client.vps(
+                args.monitor,
+                plan=plan.to_document(),
+                dedup=not args.no_dedup,
                 event_threshold=args.event_threshold,
                 mode_threshold=args.mode_threshold,
                 policy=args.policy,
             )
-            print(f"created monitor {response['monitor']!r}")
-        elif args.client_command == "ingest":
-            series = _load_series(args.series)
-            if args.create:
-                client.create(args.monitor, networks=series.networks)
+            print(
+                f"created monitor {response['monitor']!r} from plan: "
+                f"{response['kept']}/{response['total_networks']} VPs "
+                f"({response['volume_fraction']:.0%}), "
+                f"dedup {'on' if response['dedup'] else 'off'}"
+            )
+    elif args.client_command == "classify":
+        if args.model is not None:
+            from .classify import ClassifierModel, ModelError
 
-            show = _show_update
-            if args.batch:
-                updates = client.ingest_many(
-                    args.monitor,
-                    [(vector.to_mapping(), vector.time) for vector in series],
-                    batch_size=args.batch,
-                )
-                for update in updates:
-                    show(update)
-                sent = len(updates)
+            try:
+                model = ClassifierModel.load(args.model)
+            except (ModelError, OSError, json.JSONDecodeError) as exc:
+                raise SystemExit(str(exc)) from exc
+            response = client.classify(args.monitor, model=model.to_document())
+            print(
+                f"installed model {response['model']['digest'][:12]} "
+                f"on {args.monitor!r}"
+            )
+        if args.stream is not None:
+            response = client.classify(args.monitor, stream=args.stream)
+            print(
+                f"{args.monitor!r}: streaming "
+                f"{'on' if response['stream'] else 'off'}"
+            )
+        if args.model is None and args.stream is None:
+            response = client.classify(args.monitor)
+            model_summary = response["model"]
+            if model_summary is None:
+                print(f"{args.monitor!r}: no classifier installed")
             else:
-                sent = 0
-                for vector in series:
-                    while True:
-                        try:
-                            response = client.ingest(
-                                args.monitor, vector.to_mapping(), vector.time
-                            )
-                            break
-                        except OverloadedError:
-                            import time as _time
-
-                            _time.sleep(0.05)
-                    sent += 1
-                    show(response["update"])
-            print(f"ingested {sent} rounds into {args.monitor!r}")
-        elif args.client_command == "query":
-            import json as _json
-
-            print(_json.dumps(client.query(args.monitor), indent=2, sort_keys=True))
-        elif args.client_command == "timeline":
-            response = client.timeline(args.monitor)
-            for segment in response["segments"]:
                 print(
-                    f"mode {segment['mode_id']:>3}  "
-                    f"{segment['start']} .. {segment['end']}"
-                )
-        elif args.client_command == "stats":
-            import json as _json
-
-            print(_json.dumps(client.stats(), indent=2, sort_keys=True))
-        elif args.client_command == "metrics":
-            print(client.metrics(), end="")
-        elif args.client_command == "snapshot":
-            response = client.snapshot(args.monitor)
-            print(f"snapshot of {args.monitor!r} at seq {response['seq']}")
-        elif args.client_command == "vps":
-            import json as _json
-
-            if args.plan is None:
-                print(
-                    _json.dumps(client.vps(args.monitor), indent=2, sort_keys=True)
-                )
-            else:
-                from .vps import VPPlan
-
-                plan = VPPlan.load(args.plan)
-                response = client.vps(
-                    args.monitor,
-                    plan=plan.to_document(),
-                    dedup=not args.no_dedup,
-                    event_threshold=args.event_threshold,
-                    mode_threshold=args.mode_threshold,
-                    policy=args.policy,
-                )
-                print(
-                    f"created monitor {response['monitor']!r} from plan: "
-                    f"{response['kept']}/{response['total_networks']} VPs "
-                    f"({response['volume_fraction']:.0%}), "
-                    f"dedup {'on' if response['dedup'] else 'off'}"
-                )
-        elif args.client_command == "classify":
-            if args.model is not None:
-                import json as _json
-
-                from .classify import ModelError as _ModelError
-                from .classify import ClassifierModel as _ClassifierModel
-
-                try:
-                    model = _ClassifierModel.load(args.model)
-                except (_ModelError, OSError, _json.JSONDecodeError) as exc:
-                    raise SystemExit(str(exc)) from exc
-                response = client.classify(args.monitor, model=model.to_document())
-                print(
-                    f"installed model {response['model']['digest'][:12]} "
-                    f"on {args.monitor!r}"
-                )
-            if args.stream is not None:
-                response = client.classify(args.monitor, stream=args.stream)
-                print(
-                    f"{args.monitor!r}: streaming "
+                    f"{args.monitor!r}: model {model_summary['digest'][:12]} "
+                    f"({model_summary['trees']} trees), streaming "
                     f"{'on' if response['stream'] else 'off'}"
                 )
-            if args.model is None and args.stream is None:
-                response = client.classify(args.monitor)
-                model_summary = response["model"]
-                if model_summary is None:
-                    print(f"{args.monitor!r}: no classifier installed")
-                else:
-                    print(
-                        f"{args.monitor!r}: model {model_summary['digest'][:12]} "
-                        f"({model_summary['trees']} trees), streaming "
-                        f"{'on' if response['stream'] else 'off'}"
-                    )
-                for event in response["recent"]:
-                    print(
-                        f"  {event['time']} {event['label']} "
-                        f"(mode {event['mode_id']})"
-                    )
-        elif args.client_command == "dedup":
-            response = client.dedup(args.monitor, mode=args.mode)
-            print(
-                f"{args.monitor!r}: dedup {response['mode']}, "
-                f"{response['deduped_records']} records deduped, "
-                f"{response['bytes_saved']} journal bytes saved"
-            )
-        elif args.client_command == "list":
-            for name in client.list_monitors():
-                print(name)
-    return 0
+            for event in response["recent"]:
+                print(
+                    f"  {event['time']} {event['label']} "
+                    f"(mode {event['mode_id']})"
+                )
+    elif args.client_command == "dedup":
+        response = client.dedup(args.monitor, mode=args.mode)
+        print(
+            f"{args.monitor!r}: dedup {response['mode']}, "
+            f"{response['deduped_records']} records deduped, "
+            f"{response['bytes_saved']} journal bytes saved"
+        )
+    elif args.client_command == "list":
+        for name in client.list_monitors():
+            print(name)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -30,7 +30,14 @@ import socket
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from .. import protocol
-from ..protocol import RESPONSE_ID, FrameError, RequestIds, ServeTimeout, check_response
+from ..protocol import (
+    RESPONSE_ID,
+    FrameError,
+    FrameRejected,
+    RequestIds,
+    ServeTimeout,
+    check_response,
+)
 
 __all__ = ["AsyncConnection", "Dialer", "FrameRejected", "RequestNotSent"]
 
@@ -45,20 +52,6 @@ class RequestNotSent(ConnectionError):
     request's fate is unknown and an automatic retry could
     double-apply.
     """
-
-
-class FrameRejected(ConnectionError):
-    """The far end could not read a frame, answered, and hung up.
-
-    ``response`` is that answer: a ``bad_frame`` or ``frame_too_large``
-    error whose ``id`` is ``null``, since the frame's own id was never
-    read. Which request it belongs to is unknowable, so it fails every
-    request in flight and the connection.
-    """
-
-    def __init__(self, response: dict) -> None:
-        super().__init__(f"frame rejected: {response.get('message')}")
-        self.response = response
 
 
 class AsyncConnection:
@@ -129,7 +122,7 @@ class AsyncConnection:
         before this returns, so a sequence of ``submit`` calls is sent
         in exactly call order — the property pipelined same-monitor
         ingest depends on (the server applies one connection's ingests
-        in frame order, see :meth:`FenrirServer._handle_connection`).
+        in frame order, see :func:`~repro.serve.protocol.serve_pipelined`).
         Callers doing sustained submission should ``await drain()``
         between submits to respect transport backpressure.
 

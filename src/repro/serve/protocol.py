@@ -24,7 +24,7 @@ import re
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Awaitable, Callable, Mapping, NamedTuple, Optional, TypeVar
 
 __all__ = [
     "MAX_FRAME",
@@ -37,6 +37,7 @@ __all__ = [
     "MONITOR_COMMANDS",
     "FrameError",
     "FrameTooLarge",
+    "FrameRejected",
     "ServeClientError",
     "ServeTimeout",
     "OverloadedError",
@@ -45,12 +46,14 @@ __all__ = [
     "RESPONSE_ID",
     "check_response",
     "encode_frame",
+    "encode_payload",
     "frame_bytes",
     "decode_payload",
+    "decode_request",
     "read_frame",
     "read_frame_bytes",
+    "serve_pipelined",
     "write_frame",
-    "write_frame_bytes",
     "send_frame",
     "recv_frame",
     "error_response",
@@ -333,6 +336,22 @@ class FrameTooLarge(FrameError):
     """Frame payload exceeds the configured maximum."""
 
 
+class FrameRejected(ConnectionError):
+    """The far end could not read a frame, answered, and hung up.
+
+    ``response`` is that answer: a ``bad_frame`` or ``frame_too_large``
+    error whose ``id`` is ``null``, since the frame's own id was never
+    read. Which request it belongs to is unknowable, so it fails every
+    request in flight and the connection. A handler of
+    :func:`serve_pipelined` raises it to relay that answer and hang up
+    in turn.
+    """
+
+    def __init__(self, response: dict) -> None:
+        super().__init__(f"frame rejected: {response.get('message')}")
+        self.response = response
+
+
 # -- client-side error surface ------------------------------------------------
 #
 # Both clients — the blocking ServeClient and the asyncio
@@ -425,8 +444,13 @@ def check_response(response: dict) -> dict:
 RESPONSE_ID = re.compile(rb'^\{"id":(\d+)[,}]')
 
 
+def encode_payload(message: object) -> bytes:
+    """``message`` as compact JSON, unchecked against any frame cap."""
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(message: dict, max_frame: int = MAX_FRAME) -> bytes:
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = encode_payload(message)
     if len(payload) > max_frame:
         raise FrameTooLarge(f"frame of {len(payload)} bytes exceeds {max_frame}")
     return frame_bytes(payload)
@@ -447,6 +471,13 @@ def decode_payload(payload: bytes) -> dict:
     return message
 
 
+def decode_request(payload: bytes) -> tuple[object, dict]:
+    """A request payload's id and decoded document (a ``parse`` for
+    :func:`serve_pipelined`)."""
+    request = decode_payload(payload)
+    return request.get("id"), request
+
+
 def error_response(
     code: str, message: str, request_id: object = None, **extra: object
 ) -> dict:
@@ -456,6 +487,12 @@ def error_response(
 
 
 # -- asyncio (server side) ----------------------------------------------------
+
+_Item = TypeVar("_Item")
+
+
+def _ignore(_value: object) -> None:
+    """The default ``count``/``observe_fill`` hook: record nothing."""
 
 
 async def read_frame(
@@ -471,9 +508,8 @@ async def read_frame_bytes(
 ) -> Optional[bytes]:
     """Read one frame's raw payload bytes; None on clean EOF.
 
-    The router's proxy path and the client connection's reader: a
-    frame can be relayed or correlated without a decode/re-encode
-    round trip.
+    The serving loop and the client connection's reader: a frame can be
+    relayed or correlated without a decode/re-encode round trip.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -490,16 +526,125 @@ async def read_frame_bytes(
         raise FrameError("connection closed mid frame") from exc
 
 
+async def serve_pipelined(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    parse: Callable[[bytes], tuple[object, _Item]],
+    handle: Callable[[object, _Item], Awaitable[bytes]],
+    *,
+    max_frame: int = MAX_FRAME,
+    max_inflight: int = 512,
+    count: Callable[[str], object] = _ignore,
+    observe_fill: Callable[[float], object] = _ignore,
+) -> None:
+    """Serve one connection's pipelined frames until EOF or a bad frame.
+
+    The connection loop of the server and of the router. ``parse`` runs
+    inline, in arrival order, and turns a payload into the request id
+    plus whatever ``handle`` needs; ``handle(request_id, item)`` runs as
+    the request's own task and returns the response payload. Responses
+    are written as tasks finish, under a per-connection lock, and echo
+    their request's id; a client that sends one request and waits sees
+    plain request/response order.
+
+    Tasks start in frame order and asyncio runs each up to its first
+    suspension in that order, so what a handler does before its first
+    ``await`` (the server's enqueue onto a monitor queue, the router's
+    write to a shard) happens in send order: pipelined ingests on one
+    connection apply in the order sent.
+
+    Failures, the same on every tier. A frame over ``max_frame`` is
+    answered ``frame_too_large`` and one that cannot be read or parsed
+    ``bad_frame``, with a null id; the connection then closes and no
+    later frame is handled. Past ``max_inflight`` pending requests a
+    frame is answered ``overloaded`` with its id. A handler raising
+    :class:`FrameRejected` has that answer written, then the connection
+    closes. A response over ``max_frame`` becomes an ``internal`` error
+    with the request's id, and the connection stays open.
+
+    ``count`` receives ``frames_oversized``, ``frames_malformed`` and
+    ``pipeline_overloads``; ``observe_fill`` the in-flight depth over
+    ``max_inflight`` at each arrival. When the loop ends, pending tasks
+    are cancelled (an enqueued ingest's future is abandoned) and awaited
+    before the socket closes.
+    """
+    write_lock = asyncio.Lock()
+    inflight: set[asyncio.Task] = set()
+    loop = asyncio.get_running_loop()
+
+    async def reply(payload: bytes) -> None:
+        async with write_lock:
+            writer.write(frame_bytes(payload))
+            await writer.drain()
+
+    async def answer(request_id: object, item: _Item) -> None:
+        try:
+            try:
+                payload = await handle(request_id, item)
+            except FrameRejected as exc:
+                await reply(encode_payload(exc.response))
+                writer.close()  # the read loop sees EOF and ends
+                return
+            if len(payload) > max_frame:
+                payload = encode_payload(
+                    error_response(
+                        ERR_INTERNAL,
+                        f"response of {len(payload)} bytes exceeds the "
+                        f"{max_frame}-byte frame cap",
+                        request_id,
+                    )
+                )
+            await reply(payload)
+        except (ConnectionError, OSError):
+            pass  # peer vanished mid-response; the read loop notices
+
+    try:
+        while not writer.is_closing():
+            try:
+                payload = await read_frame_bytes(reader, max_frame)
+                if payload is None:
+                    break
+                request_id, item = parse(payload)
+            except FrameError as exc:
+                # Resync is impossible mid-stream: answer, then hang up.
+                too_large = isinstance(exc, FrameTooLarge)
+                count("frames_oversized" if too_large else "frames_malformed")
+                code = ERR_FRAME_TOO_LARGE if too_large else ERR_BAD_FRAME
+                await reply(encode_payload(error_response(code, str(exc))))
+                break
+            observe_fill(len(inflight) / max_inflight)
+            if len(inflight) >= max_inflight:
+                count("pipeline_overloads")
+                overloaded = error_response(
+                    ERR_OVERLOADED,
+                    f"connection has {len(inflight)} requests in "
+                    f"flight (cap {max_inflight})",
+                    request_id,
+                    in_flight=len(inflight),
+                )
+                await reply(encode_payload(overloaded))
+                continue
+            task = loop.create_task(answer(request_id, item))
+            inflight.add(task)
+            task.add_done_callback(inflight.discard)
+    except (ConnectionError, OSError):
+        pass  # peer vanished; nothing to answer
+    finally:
+        for task in list(inflight):
+            task.cancel()
+        if inflight:
+            await asyncio.gather(*inflight, return_exceptions=True)
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass  # teardown during loop shutdown; the socket is closed anyway
+
+
 async def write_frame(
     writer: asyncio.StreamWriter, message: dict, max_frame: int = MAX_FRAME
 ) -> None:
     writer.write(encode_frame(message, max_frame))
-    await writer.drain()
-
-
-async def write_frame_bytes(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    """Relay an already-validated payload as one frame."""
-    writer.write(frame_bytes(payload))
     await writer.drain()
 
 

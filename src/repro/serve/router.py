@@ -36,26 +36,23 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 from . import protocol
-from .aio.connection import AsyncConnection, Dialer, FrameRejected
+from .aio.connection import AsyncConnection, Dialer
 from .protocol import (
-    ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
-    ERR_FRAME_TOO_LARGE,
-    ERR_OVERLOADED,
     ERR_SHARD_DOWN,
     MONITOR_NEEDED,
     RESPONSE_ID,
     FrameError,
-    FrameTooLarge,
+    FrameRejected,
     Route,
+    encode_payload,
     error_response,
 )
 from .ring import HashRing
@@ -99,8 +96,12 @@ _FAST_REQUEST = re.compile(
 _Links = Dict[int, Dialer]
 
 
-def _compact(value: object) -> bytes:
-    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+class _Relay(NamedTuple):
+    """A monitor command read off the canonical prefix, never decoded."""
+
+    monitor: str
+    head: bytes  # the payload up to the id's value
+    tail: bytes  # the payload after it
 
 
 class ShardRouter:
@@ -146,7 +147,7 @@ class ShardRouter:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._serve_client, self.host, self.port
         )
 
     @property
@@ -195,7 +196,7 @@ class ShardRouter:
 
     async def _ask(self, links: _Links, shard: int, command: str) -> dict:
         """A parsed request/response round trip (the fan-out path)."""
-        head = b'{"cmd":' + _compact(command) + b',"id":'
+        head = b'{"cmd":' + encode_payload(command) + b',"id":'
         return protocol.decode_payload(await self._forward(links, shard, head, b"}"))
 
     def _count_shard_error(self, shard: int) -> None:
@@ -207,142 +208,79 @@ class ShardRouter:
 
     # -- request handling ----------------------------------------------------
 
-    async def _handle_connection(
+    async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Pipelined per-connection loop, mirroring the server's contract.
-
-        Each frame is routed as its own task and its response written in
-        completion order, so requests overlap within a shard as well as
-        across shards. Past ``max_inflight`` pending requests further
-        frames get the same explicit ``overloaded`` answer the single
-        server gives. A frame that cannot be read, by the router or by
-        the shard it was forwarded to, is answered with ``bad_frame``
-        and the connection is closed.
-        """
+        """One client connection, on the shared pipelined loop: requests
+        overlap within a shard as well as across shards."""
         self.registry.counter(
             "cluster_connections_total", help="Client connections accepted"
         ).inc()
         links: _Links = {}
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-
-        async def reply_bytes(response: bytes) -> None:
-            async with write_lock:
-                await protocol.write_frame_bytes(writer, response)
-
-        async def reply(response: dict) -> None:
-            await reply_bytes(self._encode(response))
-
-        async def route_and_reply(payload: bytes) -> None:
-            try:
-                try:
-                    response = await self._route(links, payload)
-                except FrameRejected as exc:
-                    await reply(exc.response)
-                    writer.close()  # the read loop sees EOF and ends
-                    return
-                await reply_bytes(response)
-            except (ConnectionError, OSError):
-                pass  # client vanished mid-response; reader loop will notice
-
         try:
-            while not writer.is_closing():
-                try:
-                    payload = await protocol.read_frame_bytes(
-                        reader, self.max_frame
-                    )
-                except FrameTooLarge as exc:
-                    await reply(error_response(ERR_FRAME_TOO_LARGE, str(exc)))
-                    break
-                except FrameError as exc:
-                    try:
-                        await reply(error_response(ERR_BAD_FRAME, str(exc)))
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                if payload is None:
-                    break
-                if len(inflight) >= self.max_inflight:
-                    match = _FAST_REQUEST.match(payload)
-                    request_id = int(match.group(2)) if match else None
-                    await reply(
-                        error_response(
-                            ERR_OVERLOADED,
-                            f"connection has {len(inflight)} requests in "
-                            f"flight (cap {self.max_inflight})",
-                            request_id,
-                            in_flight=len(inflight),
-                        )
-                    )
-                    continue
-                task = loop.create_task(route_and_reply(payload))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (ConnectionError, OSError):
-            pass  # client vanished; nothing to answer
+            await protocol.serve_pipelined(
+                reader,
+                writer,
+                self._parse,
+                functools.partial(self._route, links),
+                max_frame=self.max_frame,
+                max_inflight=self.max_inflight,
+            )
         finally:
-            for task in list(inflight):
-                task.cancel()
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            writer.close()
             try:
                 for dialer in links.values():
                     await dialer.close()
-                await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass  # teardown during loop shutdown; sockets are closing anyway
 
-    async def _route(self, links: _Links, payload: bytes) -> bytes:
-        """One request in, one response out — both as raw payload bytes.
+    @staticmethod
+    def _parse(payload: bytes) -> Tuple[object, "_Relay | dict"]:
+        """The request id, and the request: a relay, or a document.
 
-        Raises :class:`FrameRejected` for a frame that is not a JSON
-        object, whether the router or the shard found out.
+        A monitor command behind the canonical prefix becomes a
+        :class:`_Relay` without a decode. Everything else (non-canonical
+        key order from a hand-rolled client, a command that needs
+        fields the prefix does not carry) is decoded here, so a
+        malformed one is answered ``bad_frame`` before later frames run.
         """
-        command: Optional[str] = None
-        monitor: Optional[str] = None
-        request_id: object = None
-        request: Optional[dict] = None
         match = _FAST_REQUEST.match(payload)
-        if match is not None:
-            command = match.group(1).decode("ascii")
-            request_id = int(match.group(2))
-            if match.group(3) is not None:
-                monitor = match.group(3).decode("ascii")
-        if command is None or (
-            monitor is None and command in protocol.MONITOR_COMMANDS
-        ):
-            # Non-canonical key order (hand-rolled client) or a command
-            # that needs fields the fast path does not extract.
-            request = self._decode(payload)
-            command = str(request.get("cmd"))
-            request_id = request.get("id")
-            raw_monitor = request.get("monitor")
-            monitor = raw_monitor if isinstance(raw_monitor, str) else None
-        self._requests_total.inc()
-        spec = protocol.COMMAND_SPECS.get(command)
-        if spec is not None and spec.route is Route.FORWARD:
-            if monitor is None:
-                return self._encode(
-                    error_response(ERR_BAD_REQUEST, MONITOR_NEEDED, request_id)
+        if match is not None and match.group(3) is not None:
+            if match.group(1).decode("ascii") in protocol.MONITOR_COMMANDS:
+                relay = _Relay(
+                    match.group(3).decode("ascii"),
+                    payload[: match.start(2)],
+                    payload[match.end(2) :],
                 )
-            if request is None:
-                assert match is not None
-                head, tail = payload[: match.start(2)], payload[match.end(2) :]
-            else:  # re-encoded id first; the tail starts after the 0
-                rest = {key: value for key, value in request.items() if key != "id"}
-                head, tail = b'{"id":', _compact({"id": 0, **rest})[7:]
-            return await self._route_to_owner(links, monitor, head, tail, request_id)
-        # The remaining commands need parsed fields (id, shard).
-        if request is None:
-            request = self._decode(payload)
-            request_id = request.get("id")
+                return int(match.group(2)), relay
+        request_id, request = protocol.decode_request(payload)
+        monitor = request.get("monitor")
+        if str(request.get("cmd")) in protocol.MONITOR_COMMANDS and isinstance(
+            monitor, str
+        ):  # re-encoded id first; the tail starts after the 0
+            rest = {key: value for key, value in request.items() if key != "id"}
+            tail = encode_payload({"id": 0, **rest})[7:]
+            return request_id, _Relay(monitor, b'{"id":', tail)
+        return request_id, request
+
+    async def _route(
+        self, links: _Links, request_id: object, request: "_Relay | dict"
+    ) -> bytes:
+        """One parsed request in, its raw response payload out.
+
+        Raises :class:`FrameRejected` when the shard could not read the
+        relayed frame.
+        """
+        self._requests_total.inc()
+        if isinstance(request, _Relay):
+            return await self._route_to_owner(links, request, request_id)
+        command = str(request.get("cmd"))
+        spec = protocol.COMMAND_SPECS.get(command)
         if spec is None:
             response = error_response(
                 ERR_BAD_REQUEST, f"unknown command: {command!r}", request_id
             )
+        elif spec.route is Route.FORWARD:  # parse relays those with a monitor
+            response = error_response(ERR_BAD_REQUEST, MONITOR_NEEDED, request_id)
         elif spec.route is Route.SHARD_ONLY:
             # Such a command addresses one concrete server, never the tier.
             response = error_response(
@@ -352,17 +290,7 @@ class ShardRouter:
             )
         else:
             response = await self._answers[command](links, request, request_id)
-        return self._encode(response)
-
-    @staticmethod
-    def _decode(payload: bytes) -> dict:
-        try:
-            return protocol.decode_payload(payload)
-        except FrameError as exc:
-            raise FrameRejected(error_response(ERR_BAD_FRAME, str(exc))) from exc
-
-    def _encode(self, message: dict) -> bytes:
-        return protocol.encode_frame(message, self.max_frame)[4:]
+        return encode_payload(response)
 
     async def _topology(self, links: _Links, request: dict, request_id: object) -> dict:
         """The cluster's live shape, for ring-aware clients.
@@ -387,21 +315,17 @@ class ShardRouter:
         }
 
     async def _route_to_owner(
-        self,
-        links: _Links,
-        monitor: str,
-        head: bytes,
-        tail: bytes,
-        request_id: object,
+        self, links: _Links, relay: _Relay, request_id: object
     ) -> bytes:
+        monitor = relay.monitor
         shard = self.state.owner(monitor)
         try:
-            response = await self._forward(links, shard, head, tail)
+            response = await self._forward(links, shard, relay.head, relay.tail)
         except FrameRejected:
             raise
         except (ConnectionError, OSError, FrameError):
             self._count_shard_error(shard)
-            return self._encode(
+            return encode_payload(
                 error_response(
                     ERR_SHARD_DOWN,
                     f"shard {shard} (owner of {monitor!r}) is unavailable; "
@@ -413,8 +337,8 @@ class ShardRouter:
         match = RESPONSE_ID.match(response)
         if match is None:  # a shard that does not write the id first
             document = protocol.decode_payload(response)
-            return self._encode({**document, "id": request_id})
-        return b'{"id":' + _compact(request_id) + response[match.end(1) :]
+            return encode_payload({**document, "id": request_id})
+        return b'{"id":' + encode_payload(request_id) + response[match.end(1) :]
 
     async def _list(self, links: _Links, request: dict, request_id: object) -> dict:
         """Union of every live shard's monitors, sorted."""

@@ -5,7 +5,8 @@ bounded ingest queue drained by a dedicated writer task, so one
 flooded monitor cannot stall the others and overload is an *explicit
 protocol answer* (``error: overloaded`` with the current queue depth)
 rather than unbounded server-side buffering. All other commands are
-answered inline on the connection handler.
+answered by the request's own task on the connection's pipelined loop
+(:func:`~repro.serve.protocol.serve_pipelined`).
 
 Durability contract: an ``ok`` ingest response is sent only after the
 record is journaled and applied, so every acknowledged round survives
@@ -37,16 +38,12 @@ from .monitor import DurableMonitor, MonitorError, valid_monitor_name
 from .ring import HashRing
 from . import protocol
 from .protocol import (
-    ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
-    ERR_FRAME_TOO_LARGE,
     ERR_INTERNAL,
     ERR_MONITOR_EXISTS,
     ERR_NO_SUCH_MONITOR,
     ERR_OUT_OF_ORDER,
     ERR_OVERLOADED,
-    FrameError,
-    FrameTooLarge,
     error_response,
 )
 
@@ -200,7 +197,7 @@ class FenrirServer:
                     "replay", monitor.replay.elapsed_seconds
                 )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._serve_client, self.config.host, self.config.port
         )
 
     @property
@@ -943,111 +940,28 @@ class FenrirServer:
         self.metrics.latency.observe(spec.name, time.perf_counter() - started)
         return response
 
-    async def _handle_connection(
+    async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Pipelined request loop: many frames in flight per connection.
-
-        Every request frame carries an ``id`` and every response echoes
-        it, so responses may be written in *completion* order, not
-        arrival order: each request is dispatched as its own task and
-        its response written (under a per-connection lock — frames must
-        never interleave mid-write) as soon as it is ready. A client
-        that sends one request and waits — the blocking
-        :class:`~repro.serve.client.ServeClient` — only ever has one
-        task in flight and observes the exact pre-pipelining behaviour,
-        byte for byte.
-
-        Two bounds keep a fast sender honest: responses go through
-        ``drain()``, so a slow reader backpressures its own connection;
-        and at most ``max_inflight`` requests may be pending — further
-        frames are answered immediately with an ``overloaded`` error
-        carrying the current depth, the same explicit-backpressure
-        contract as the bounded ingest queues.
-
-        Ordering note: tasks are created in frame order and asyncio
-        runs each new task synchronously up to its first suspension in
-        that order, and ``_ingest``/``_ingest_batch`` enqueue onto the
-        monitor's queue *before* first suspending — so pipelined
-        ingests on one connection are applied in the order sent even
-        though their responses may interleave.
-        """
+        """One client connection, on the shared pipelined loop."""
         self.metrics.increment("connections_accepted")
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
+        await protocol.serve_pipelined(
+            reader,
+            writer,
+            protocol.decode_request,
+            self._answer,
+            max_frame=self.config.max_frame,
+            max_inflight=self.config.max_inflight,
+            count=self.metrics.increment,
+            observe_fill=self._fill_histogram.observe,
+        )
 
-        async def reply(response: dict) -> None:
-            async with write_lock:
-                await protocol.write_frame(writer, response, self.config.max_frame)
-
-        async def dispatch_and_reply(request: dict) -> None:
-            self._inflight += 1
-            try:
-                response = await self._dispatch(request)
-                await reply(response)
-            except (ConnectionError, OSError):
-                pass  # peer vanished mid-response; reader loop will notice
-            finally:
-                self._inflight -= 1
-
+    async def _answer(self, request_id: object, request: dict) -> bytes:
+        self._inflight += 1
         try:
-            while True:
-                try:
-                    request = await protocol.read_frame(
-                        reader, self.config.max_frame
-                    )
-                except FrameTooLarge as exc:
-                    # The declared length is unreadable garbage or abuse;
-                    # answer, then drop the connection (resync is
-                    # impossible mid-stream).
-                    self.metrics.increment("frames_oversized")
-                    await reply(error_response(ERR_FRAME_TOO_LARGE, str(exc)))
-                    break
-                except FrameError as exc:
-                    self.metrics.increment("frames_malformed")
-                    try:
-                        await reply(error_response(ERR_BAD_FRAME, str(exc)))
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                if request is None:
-                    break
-                self._fill_histogram.observe(
-                    len(inflight) / self.config.max_inflight
-                )
-                if len(inflight) >= self.config.max_inflight:
-                    self.metrics.increment("pipeline_overloads")
-                    await reply(
-                        error_response(
-                            ERR_OVERLOADED,
-                            f"connection has {len(inflight)} requests in "
-                            f"flight (cap {self.config.max_inflight})",
-                            request.get("id"),
-                            in_flight=len(inflight),
-                        )
-                    )
-                    continue
-                task = loop.create_task(dispatch_and_reply(request))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except (ConnectionError, OSError):
-            pass  # peer vanished; nothing to answer
+            return protocol.encode_payload(await self._dispatch(request))
         finally:
-            # The peer is gone (or sent garbage): nothing started after
-            # this point could be answered, so cancel what is still
-            # pending and wait the cancellations out before closing —
-            # an enqueued ingest's future is simply abandoned (the
-            # writer task checks ``future.cancelled()``).
-            for task in list(inflight):
-                task.cancel()
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # teardown during loop shutdown; socket is closed anyway
+            self._inflight -= 1
 
 
 class _RequestError(Exception):

@@ -177,6 +177,23 @@ class TestServeCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--metrics-interval", "0"], "--metrics-interval: must be positive"),
+            (["--metrics-interval", "-1"], "--metrics-interval: must be positive"),
+            (["--sync-interval", "0"], "--sync-interval: must be positive"),
+            (["--snapshot-every", "-1"], "--snapshot-every: must be non-negative"),
+        ],
+    )
+    def test_serve_bad_number_is_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--data-dir", "/tmp/x", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro serve")
+        assert message in err
+
     def test_client_subcommands_parse(self):
         parser = build_parser()
         create = parser.parse_args(
@@ -190,12 +207,19 @@ class TestServeCommands:
         for name in ("stats", "list"):
             assert build_parser().parse_args(["client", name]).client_command == name
 
-    def test_client_end_to_end_against_live_server(self, series_file, tmp_path, capsys):
+    def test_client_end_to_end_against_live_server(
+        self, series_file, tmp_path, capsys, monkeypatch
+    ):
         """`repro client ingest/timeline/stats` against a real server."""
         import asyncio
         import threading
 
-        from repro.serve import FenrirServer, ServeConfig
+        from repro.serve import (
+            BatchRejectedError,
+            FenrirServer,
+            ServeClient,
+            ServeConfig,
+        )
 
         ready = threading.Event()
         holder = {}
@@ -222,8 +246,11 @@ class TestServeCommands:
         base = ["client", "--host", host, "--port", str(port)]
         try:
             assert main([*base, "ingest", "svc", str(series_file), "--create"]) == 0
-            out = capsys.readouterr().out
-            assert "ingested 10 rounds" in out
+            assert capsys.readouterr().out == (
+                "2025-01-01T00:00:00 change=0.00 mode=0 new mode\n"
+                "2025-01-06T00:00:00 change=0.50 mode=1 new mode event\n"
+                "ingested 10 rounds into 'svc'\n"
+            )
 
             assert main([*base, "timeline", "svc"]) == 0
             out = capsys.readouterr().out
@@ -241,6 +268,90 @@ class TestServeCommands:
 
             assert main([*base, "query", "svc"]) == 0
             assert '"modes": 2' in capsys.readouterr().out
+
+            # Failures are one stderr line and exit status 1.
+            assert main([*base, "query", "ghost"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: no_such_monitor: no such monitor: 'ghost'\n"
+
+            # Every round is older than the monitor's last one.
+            assert main([*base, "ingest", "svc", str(series_file)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: out_of_order: round 0: ")
+
+            # A rejection partway prints the applied rounds' updates first.
+            applied = [{
+                "time": "2025-01-11T00:00:00", "step_change": 0.5,
+                "is_event": True, "mode_id": 0, "is_new_mode": False,
+                "mode_similarity": 1.0, "recurred": True,
+            }]
+
+            def reject_after_one(self, monitor, rounds, batch_size):
+                rejection = {"error": "out_of_order", "message": "too old"}
+                raise BatchRejectedError(
+                    "out_of_order", "too old", rejection, index=1, applied=applied
+                )
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ServeClient, "ingest_many", reject_after_one)
+                assert main([*base, "ingest", "svc", str(series_file)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == (
+                "2025-01-11T00:00:00 change=0.50 mode=0 recurrence event\n"
+            )
+            assert captured.err == "error: out_of_order: round 1: too old\n"
         finally:
             holder["loop"].call_soon_threadsafe(holder["stop"].set)
             thread.join(timeout=10)
+
+        # The server is gone: a refused connection is one line too.
+        assert main([*base, "stats"]) == 1
+        assert capsys.readouterr().err.startswith("error: ConnectionRefusedError: ")
+
+    def test_client_ingest_sizes_batches_under_the_frame_cap(self, tmp_path, capsys):
+        """128 rounds of this series would be a ~5 MB frame; the CLI
+        sends fewer per request and the whole series lands."""
+        from test_serve_server import ServerThread
+
+        from repro.cli import _ingest_batch_size
+        from repro.serve import ServeConfig, protocol
+
+        networks = [f"n{index}-" + "x" * 5000 for index in range(8)]
+        series = VectorSeries(networks, StateCatalog())
+        t0 = datetime(2025, 1, 1)
+        for hour in range(130):
+            state = "LAX" if hour % 20 < 10 else "AMS"
+            series.append_mapping(
+                {name: state for name in networks}, t0 + timedelta(hours=hour)
+            )
+        path = tmp_path / "wide.jsonl"
+        with path.open("w") as stream:
+            write_series_jsonl(series, stream)
+
+        batch_size = _ingest_batch_size(series, "wide")
+        assert batch_size < 128
+        request = {
+            "cmd": "ingest_batch",
+            "id": 1,
+            "monitor": "wide",
+            "rounds": [
+                {"time": vector.time.isoformat(), "states": vector.to_mapping()}
+                for vector in list(series)[:batch_size]
+            ],
+        }
+        assert len(protocol.encode_payload(request)) <= protocol.MAX_FRAME
+
+        with ServerThread(ServeConfig(data_dir=tmp_path / "data", port=0)) as running:
+            host, port = running.address
+            argv = ["client", "--host", host, "--port", str(port)]
+            assert main([*argv, "ingest", "wide", str(path), "--create"]) == 0
+            assert capsys.readouterr().out.endswith("ingested 130 rounds into 'wide'\n")
+            assert main([*argv, "query", "wide"]) == 0
+            assert '"rounds": 130' in capsys.readouterr().out
+
+    def test_ingest_batch_size_is_128_for_small_rounds(self, series_file):
+        from repro.cli import _ingest_batch_size, _load_series
+
+        assert _ingest_batch_size(_load_series(series_file), "svc") == 128

@@ -50,10 +50,19 @@ class ServerThread:
         self._loop: asyncio.AbstractEventLoop | None = None
         self.address: tuple[str, int] | None = None
         self.server: FenrirServer | None = None
+        #: Exception-handler reports from the loop: an exception no task
+        #: retrieved, a failing callback. Any one fails the test at exit.
+        self.unhandled: list[dict] = []
         self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _record(self, loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        if not isinstance(context.get("exception"), asyncio.CancelledError):
+            self.unhandled.append(context)
+        loop.default_exception_handler(context)
 
     def _run(self) -> None:
         async def main() -> None:
+            asyncio.get_running_loop().set_exception_handler(self._record)
             self.server = FenrirServer(self.config)
             await self.server.start()
             self.address = self.server.address
@@ -74,11 +83,20 @@ class ServerThread:
         assert self._loop is not None and self._stop is not None
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=10)
+        if self.unhandled and exc_info[0] is None:
+            reports = [
+                f"{context.get('message')}: {context.get('exception')!r}"
+                for context in self.unhandled
+            ]
+            pytest.fail(f"unhandled asyncio errors: {reports}", pytrace=False)
 
 
 @pytest.fixture
-def server(tmp_path):
-    with ServerThread(ServeConfig(data_dir=tmp_path / "data", port=0)) as running:
+def server(request, tmp_path):
+    """A running server; parametrize indirectly to override config fields."""
+    overrides = getattr(request, "param", {})
+    config = ServeConfig(data_dir=tmp_path / "data", port=0, **overrides)
+    with ServerThread(config) as running:
         yield running
 
 
@@ -196,13 +214,21 @@ class TestCommands:
 
 @pytest.fixture(params=["direct", "routed"])
 def endpoint(request, server):
-    """The server's address, or that of a one-shard router in front of it."""
+    """The server's address, or that of a one-shard router in front of it.
+
+    The router gets the server's frame and in-flight caps.
+    """
     if request.param == "direct":
         yield server.address
         return
     state = ClusterState(ring=HashRing.for_cluster(1))
     state.set_address(0, server.address)
-    router = ShardRouter(state, port=0)
+    router = ShardRouter(
+        state,
+        port=0,
+        max_frame=server.config.max_frame,
+        max_inflight=server.config.max_inflight,
+    )
 
     def on_server_loop(coroutine) -> None:
         asyncio.run_coroutine_threadsafe(coroutine, server._loop).result(timeout=10)
@@ -246,8 +272,8 @@ class TestFailurePaths:
             assert response["id"] is None
             assert sock.recv(1) == b""
 
-    def test_oversized_frame_rejected_before_read(self, server):
-        with self.raw_socket(server) as sock:
+    def test_oversized_frame_rejected_before_read(self, endpoint):
+        with socket.create_connection(endpoint, timeout=10) as sock:
             # Declare a 1 GiB frame; never send the body.
             sock.sendall(struct.pack(">I", 1 << 30))
             response = recv_frame(sock)
@@ -264,13 +290,43 @@ class TestFailurePaths:
             assert recv_frame(sock)["error"] == "bad_frame"
             assert sock.recv(1) == b""
 
-    def test_abrupt_disconnect_leaves_server_healthy(self, server):
-        sock = self.raw_socket(server)
+    def test_abrupt_disconnect_leaves_server_healthy(self, endpoint):
+        sock = socket.create_connection(endpoint, timeout=10)
         sock.sendall(struct.pack(">I", 100))  # promise 100 bytes...
         sock.close()  # ...vanish instead
         time.sleep(0.05)
-        with connect(server) as client:
+        with ServeClient(*endpoint) as client:
             assert client.stats()["ok"]
+
+    @pytest.mark.parametrize(
+        "server", [{"max_frame": 300}], indirect=True, ids=["max_frame=300"]
+    )
+    def test_oversized_response_answered_not_hung(self, endpoint):
+        with socket.create_connection(endpoint, timeout=5) as sock:
+            # Either tier's Prometheus text outgrows a 300-byte frame.
+            send_frame(sock, {"cmd": "metrics", "id": 5})
+            response = recv_frame(sock)
+            assert response["id"] == 5
+            assert response["error"] == "internal"
+            assert "frame cap" in response["message"]
+            send_frame(sock, {"cmd": "list", "id": 6})  # still open
+            assert recv_frame(sock) == {"id": 6, "ok": True, "monitors": []}
+
+    @pytest.mark.parametrize(
+        "server", [{"max_inflight": 1}], indirect=True, ids=["max_inflight=1"]
+    )
+    def test_overload_answer_echoes_the_request_id(self, endpoint):
+        frames = [
+            json.dumps(request).encode()
+            for request in ({"cmd": "list", "id": 1}, {"id": 7, "cmd": "list"})
+        ]
+        with socket.create_connection(endpoint, timeout=10) as sock:
+            # One write: the second frame arrives with the first in flight.
+            sock.sendall(b"".join(struct.pack(">I", len(f)) + f for f in frames))
+            responses = {r["id"]: r for r in (recv_frame(sock), recv_frame(sock))}
+        assert responses[1]["ok"]
+        assert responses[7]["error"] == "overloaded"
+        assert responses[7]["in_flight"] == 1
 
     def test_overload_response_when_queue_full(self, tmp_path):
         config = ServeConfig(data_dir=tmp_path / "data", port=0, queue_size=1)
@@ -545,7 +601,9 @@ def wait_for_port_line(process: subprocess.Popen) -> tuple[str, int]:
     return host, int(port)
 
 
-def serve_subprocess(data_dir: Path, snapshot_every: int = 0) -> subprocess.Popen:
+def serve_subprocess(
+    data_dir: Path, snapshot_every: int = 0, extra: tuple[str, ...] = ()
+) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -562,11 +620,47 @@ def serve_subprocess(data_dir: Path, snapshot_every: int = 0) -> subprocess.Pope
             str(data_dir),
             "--snapshot-every",
             str(snapshot_every),
+            *extra,
         ],
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=env,
     )
+
+
+class TestServeRunner:
+    """`repro serve`'s run loop, on one server and on a cluster."""
+
+    @pytest.mark.parametrize(
+        "shards",
+        [(), pytest.param(("--shards", "1"), marks=pytest.mark.slow)],
+        ids=["server", "cluster"],
+    )
+    def test_stdin_close_exits_after_a_final_metrics_dump(self, tmp_path, shards):
+        metrics = tmp_path / "metrics.prom"
+        process = serve_subprocess(
+            tmp_path / "data",
+            extra=(
+                "--metrics-file",
+                str(metrics),
+                "--metrics-interval",
+                "3600",  # no periodic dump lands during the test
+                "--exit-on-stdin-close",
+                *shards,
+            ),
+        )
+        try:
+            for line in process.stdout:
+                if line.startswith(b"listening on "):
+                    break
+            process.stdin.close()
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+        assert "_uptime_seconds" in metrics.read_text()
 
 
 class TestKillAndReplay:
