@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .compare import UnknownPolicy, _check_weights, phi, phi_one_to_many
-from .vector import SPECIAL_STATES, UNKNOWN_CODE, RoutingVector, StateCatalog
+from .vector import UNKNOWN_CODE, RoutingVector, StateCatalog
 
 __all__ = ["OnlineUpdate", "OnlineFenrir", "fold_delta_state"]
 
@@ -53,29 +53,23 @@ class OnlineUpdate:
     mode_similarity: float  # Φ against the matched mode's exemplar
     recurred: bool  # matched a mode that was not the previous one
 
+    def to_document(self) -> dict:
+        """The JSON form: every field in order, ``time`` as ISO-8601."""
+        # Spelled out, not ``vars(self)``: reading ``__dict__`` would
+        # materialize a dict on every update the tracker keeps.
+        return {
+            "time": self.time.isoformat(),
+            "step_change": self.step_change,
+            "is_event": self.is_event,
+            "mode_id": self.mode_id,
+            "is_new_mode": self.is_new_mode,
+            "mode_similarity": self.mode_similarity,
+            "recurred": self.recurred,
+        }
 
-def _update_state(update: OnlineUpdate) -> dict:
-    return {
-        "time": update.time.isoformat(),
-        "step_change": update.step_change,
-        "is_event": update.is_event,
-        "mode_id": update.mode_id,
-        "is_new_mode": update.is_new_mode,
-        "mode_similarity": update.mode_similarity,
-        "recurred": update.recurred,
-    }
-
-
-def _update_from_state(doc: Mapping) -> OnlineUpdate:
-    return OnlineUpdate(
-        time=datetime.fromisoformat(doc["time"]),
-        step_change=doc["step_change"],
-        is_event=doc["is_event"],
-        mode_id=doc["mode_id"],
-        is_new_mode=doc["is_new_mode"],
-        mode_similarity=doc["mode_similarity"],
-        recurred=doc["recurred"],
-    )
+    @classmethod
+    def from_document(cls, document: Mapping) -> "OnlineUpdate":
+        return cls(**{**document, "time": datetime.fromisoformat(document["time"])})
 
 
 def _vector_state(vector: RoutingVector) -> dict:
@@ -360,7 +354,7 @@ class OnlineFenrir:
         update flags when not given.
         """
         if updates_after is None:
-            return {
+            head = {
                 "version": STATE_VERSION,
                 "networks": list(self.networks),
                 "event_threshold": self.event_threshold,
@@ -369,33 +363,30 @@ class OnlineFenrir:
                 "weights": None
                 if self.weights is None
                 else [float(w) for w in self.weights],
-                "catalog": list(self.catalog.labels),
-                "exemplars": [_vector_state(e) for e in self._exemplars],
-                "previous": None
-                if self._previous is None
-                else _vector_state(self._previous),
-                "previous_mode": self._previous_mode,
-                "last_time": self._last_time.isoformat() if self._last_time else None,
-                "updates": [_update_state(u) for u in self.updates],
             }
-        if not 0 <= updates_after <= len(self.updates):
-            raise ValueError(
-                f"updates_after={updates_after} outside [0, {len(self.updates)}]"
-            )
-        if exemplars_after is None:
-            exemplars_after = sum(
-                1 for update in self.updates[:updates_after] if update.is_new_mode
-            )
-        if not 0 <= exemplars_after <= len(self._exemplars):
-            raise ValueError(
-                f"exemplars_after={exemplars_after} outside "
-                f"[0, {len(self._exemplars)}]"
-            )
+            updates_after = exemplars_after = 0
+        else:
+            if not 0 <= updates_after <= len(self.updates):
+                raise ValueError(
+                    f"updates_after={updates_after} outside [0, {len(self.updates)}]"
+                )
+            if exemplars_after is None:
+                exemplars_after = sum(
+                    1 for update in self.updates[:updates_after] if update.is_new_mode
+                )
+            if not 0 <= exemplars_after <= len(self._exemplars):
+                raise ValueError(
+                    f"exemplars_after={exemplars_after} outside "
+                    f"[0, {len(self._exemplars)}]"
+                )
+            head = {
+                "version": STATE_VERSION,
+                "kind": "delta",
+                "updates_after": updates_after,
+                "exemplars_after": exemplars_after,
+            }
         return {
-            "version": STATE_VERSION,
-            "kind": "delta",
-            "updates_after": updates_after,
-            "exemplars_after": exemplars_after,
+            **head,
             "catalog": list(self.catalog.labels),
             "exemplars": [_vector_state(e) for e in self._exemplars[exemplars_after:]],
             "previous": None
@@ -403,12 +394,16 @@ class OnlineFenrir:
             else _vector_state(self._previous),
             "previous_mode": self._previous_mode,
             "last_time": self._last_time.isoformat() if self._last_time else None,
-            "updates": [_update_state(u) for u in self.updates[updates_after:]],
+            "updates": [u.to_document() for u in self.updates[updates_after:]],
         }
 
     @classmethod
     def from_state(cls, state: Mapping) -> "OnlineFenrir":
-        """Rebuild a tracker from a full :meth:`to_state` snapshot."""
+        """Rebuild a tracker from a full :meth:`to_state` snapshot.
+
+        A full state is a delta from an empty tracker: build the tracker
+        from the config fields, then :meth:`apply_delta` the rest.
+        """
         version = state.get("version")
         if version != STATE_VERSION:
             raise ValueError(f"unsupported OnlineFenrir state version: {version!r}")
@@ -417,10 +412,6 @@ class OnlineFenrir:
                 "cannot restore from a delta segment: fold it onto its "
                 "base state with fold_delta_state first"
             )
-        labels = list(state["catalog"])
-        if tuple(labels[: len(SPECIAL_STATES)]) != SPECIAL_STATES:
-            raise ValueError("state catalog does not start with the special states")
-        catalog = StateCatalog(labels[len(SPECIAL_STATES):])
         weights = state.get("weights")
         tracker = cls(
             networks=state["networks"],
@@ -428,27 +419,10 @@ class OnlineFenrir:
             mode_threshold=state["mode_threshold"],
             policy=UnknownPolicy(state["policy"]),
             weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-            catalog=catalog,
         )
-
-        def restore_vector(doc: Mapping) -> RoutingVector:
-            return RoutingVector(
-                tracker.networks,
-                np.asarray(doc["codes"], dtype=np.int32),
-                catalog,
-                datetime.fromisoformat(doc["time"]) if doc["time"] else None,
-            )
-
-        for doc in state["exemplars"]:
-            tracker._append_exemplar(restore_vector(doc))
-        previous = state.get("previous")
-        tracker._previous = restore_vector(previous) if previous else None
-        tracker._previous_mode = state.get("previous_mode")
-        last_time = state.get("last_time")
-        tracker._last_time = datetime.fromisoformat(last_time) if last_time else None
-        tracker.updates = [_update_from_state(doc) for doc in state["updates"]]
-        tracker._num_events = sum(1 for u in tracker.updates if u.is_event)
-        tracker._num_recurrences = sum(1 for u in tracker.updates if u.recurred)
+        tracker.apply_delta(
+            {**state, "kind": "delta", "updates_after": 0, "exemplars_after": 0}
+        )
         return tracker
 
     def apply_delta(self, delta: Mapping) -> None:
@@ -460,25 +434,15 @@ class OnlineFenrir:
         lengths and its catalog extends the live catalog), and applying
         it costs O(delta) — this is how a replication follower keeps up
         with a primary without re-serializing or re-ingesting history.
-        Raises :class:`ValueError` on any chain mismatch, *before*
-        mutating anything.
+        Raises :class:`ValueError` on any chain mismatch or malformed
+        vector or update, *before* changing any mode state (the catalog
+        may gain labels, which only assigns identifiers, as
+        :meth:`match` does).
         """
-        if delta.get("version") != STATE_VERSION or delta.get("kind") != "delta":
-            raise ValueError("not a delta segment")
-        if delta["updates_after"] != len(self.updates):
-            raise ValueError(
-                f"delta chains from {delta['updates_after']} updates, "
-                f"tracker has {len(self.updates)}"
-            )
-        if delta["exemplars_after"] != len(self._exemplars):
-            raise ValueError(
-                f"delta chains from {delta['exemplars_after']} exemplars, "
-                f"tracker has {len(self._exemplars)}"
-            )
         live_labels = list(self.catalog.labels)
-        new_labels = list(delta["catalog"])
-        if new_labels[: len(live_labels)] != live_labels:
-            raise ValueError("delta catalog does not extend the tracker's catalog")
+        new_labels = _check_chain(
+            delta, len(self.updates), len(self._exemplars), live_labels, "tracker"
+        )
         for label in new_labels[len(live_labels):]:
             self.catalog.code(label)
 
@@ -490,14 +454,17 @@ class OnlineFenrir:
                 datetime.fromisoformat(doc["time"]) if doc["time"] else None,
             )
 
-        for doc in delta["exemplars"]:
-            self._append_exemplar(restore_vector(doc))
+        exemplars = [restore_vector(doc) for doc in delta["exemplars"]]
         previous = delta.get("previous")
-        self._previous = restore_vector(previous) if previous else None
-        self._previous_mode = delta.get("previous_mode")
+        previous = restore_vector(previous) if previous else None
         last_time = delta.get("last_time")
-        self._last_time = datetime.fromisoformat(last_time) if last_time else None
-        new_updates = [_update_from_state(doc) for doc in delta["updates"]]
+        last_time = datetime.fromisoformat(last_time) if last_time else None
+        new_updates = [OnlineUpdate.from_document(doc) for doc in delta["updates"]]
+        for vector in exemplars:
+            self._append_exemplar(vector)
+        self._previous = previous
+        self._previous_mode = delta.get("previous_mode")
+        self._last_time = last_time
         self.updates.extend(new_updates)
         self._num_events += sum(1 for u in new_updates if u.is_event)
         self._num_recurrences += sum(1 for u in new_updates if u.recurred)
@@ -519,6 +486,35 @@ class OnlineFenrir:
         return segments
 
 
+def _check_chain(
+    delta: Mapping, updates: int, exemplars: int, catalog: list, onto: str
+) -> list:
+    """Check that ``delta`` chains from ``onto`` (``"tracker"``/``"base"``).
+
+    ``updates``/``exemplars`` are the counts it must chain from and
+    ``catalog`` the labels its catalog must extend (the catalog is
+    append-only). Returns the delta's catalog; raises
+    :class:`ValueError` on any mismatch.
+    """
+    if delta.get("version") != STATE_VERSION or delta.get("kind") != "delta":
+        raise ValueError("not a delta segment")
+    if delta["updates_after"] != updates:
+        raise ValueError(
+            f"delta chains from {delta['updates_after']} updates, "
+            f"{onto} has {updates}"
+        )
+    if delta["exemplars_after"] != exemplars:
+        raise ValueError(
+            f"delta chains from {delta['exemplars_after']} exemplars, "
+            f"{onto} has {exemplars}"
+        )
+    new_catalog = list(delta["catalog"])
+    if new_catalog[: len(catalog)] != catalog:
+        owner = "the tracker's" if onto == "tracker" else "the base"
+        raise ValueError(f"delta catalog does not extend {owner} catalog")
+    return new_catalog
+
+
 def fold_delta_state(state: Mapping, delta: Mapping) -> dict:
     """Fold one ``to_state(updates_after=...)`` delta onto its base.
 
@@ -528,26 +524,12 @@ def fold_delta_state(state: Mapping, delta: Mapping) -> dict:
     catalog is append-only). Returns a new full snapshot document.
     Raises :class:`ValueError` on any chain mismatch.
     """
-    if delta.get("version") != STATE_VERSION or delta.get("kind") != "delta":
-        raise ValueError("not a delta segment")
     base_updates = list(state["updates"])
-    if delta["updates_after"] != len(base_updates):
-        raise ValueError(
-            f"delta chains from {delta['updates_after']} updates, "
-            f"base has {len(base_updates)}"
-        )
     base_exemplars = list(state["exemplars"])
-    if delta["exemplars_after"] != len(base_exemplars):
-        raise ValueError(
-            f"delta chains from {delta['exemplars_after']} exemplars, "
-            f"base has {len(base_exemplars)}"
-        )
-    base_catalog = list(state["catalog"])
-    new_catalog = list(delta["catalog"])
-    if new_catalog[: len(base_catalog)] != base_catalog:
-        raise ValueError("delta catalog does not extend the base catalog")
     folded = dict(state)
-    folded["catalog"] = new_catalog
+    folded["catalog"] = _check_chain(
+        delta, len(base_updates), len(base_exemplars), list(state["catalog"]), "base"
+    )
     folded["exemplars"] = base_exemplars + list(delta["exemplars"])
     folded["updates"] = base_updates + list(delta["updates"])
     folded["previous"] = delta["previous"]

@@ -61,12 +61,6 @@ def _copy(mapping: Mapping[str, Any] | None) -> dict | None:
     return None if mapping is None else dict(mapping)
 
 
-def _ingest(monitor: str, states: Mapping[str, str], when: datetime | str) -> Request:
-    time_text = when.isoformat() if isinstance(when, datetime) else when
-    fields = {"monitor": monitor, "states": dict(states), "time": time_text}
-    return Request("ingest", fields)
-
-
 def _ingest_batch(monitor: str, rounds: Iterable[Round]) -> Request:
     documents = []
     for states, when in rounds:
@@ -122,22 +116,9 @@ class CommandMethods:
     def ingest(
         self, monitor: str, states: Mapping[str, str], when: datetime | str
     ) -> Plan[dict]:
-        return (yield _ingest(monitor, states, when))
-
-    @_Command
-    def ingest_series(
-        self, monitor: str, rounds: Iterable[tuple[Mapping[str, str], datetime]]
-    ) -> Plan[list[dict]]:
-        """Ingest rounds one request each; per-round responses.
-
-        Serially, even from the async client: a monitor's timestamps must
-        arrive in order, so its rounds cannot be raced. Concurrency comes
-        from many monitors, not one monitor's rounds.
-        """
-        results = []
-        for states, when in rounds:
-            results.append((yield _ingest(monitor, states, when)))
-        return results
+        time_text = when.isoformat() if isinstance(when, datetime) else when
+        fields = {"monitor": monitor, "states": dict(states), "time": time_text}
+        return (yield Request("ingest", fields))
 
     @_Command
     def ingest_batch(self, monitor: str, rounds: Sequence[Round]) -> Plan[dict]:

@@ -97,9 +97,6 @@ class JournalRecord:
     time: datetime
     states: dict[str, str]
 
-    def to_document(self) -> dict:
-        return {"seq": self.seq, "time": self.time.isoformat(), "states": self.states}
-
     @classmethod
     def from_document(cls, document: dict) -> "JournalRecord":
         return cls(
@@ -136,16 +133,16 @@ def _with_crc(document: dict) -> str:
 def record_line(record: "JournalRecord", states_json: Optional[str] = None) -> str:
     """The journal line for ``record`` (no trailing newline).
 
+    The canonical encoding of ``{"seq", "states", "time"}`` (sort order
+    ``seq`` < ``states`` < ``time``) with its CRC spliced in.
     ``states_json`` is an optional precomputed ``_canonical(states)``
     fragment. Routing results recur — the paper's core observation —
     so a monitor ingesting a stable stream re-serializes the same
     states mapping thousands of times; callers that cache the fragment
-    across repeated rounds skip the dominant JSON cost. The composed
-    line is byte-identical to the uncached encoding (canonical sort
-    order of the record keys is ``seq`` < ``states`` < ``time``).
+    across repeated rounds skip the dominant JSON cost.
     """
     if states_json is None:
-        return _with_crc(record.to_document())
+        states_json = _canonical(record.states)
     body = (
         f'{{"seq":{record.seq},"states":{states_json},'
         f'"time":"{record.time.isoformat()}"}}'
@@ -206,21 +203,17 @@ class JournalWriter:
         self._stream = self.path.open("a", encoding="utf-8")
 
     def append(self, record: JournalRecord) -> None:
-        self.append_many((record,))
-
-    def append_many(self, records: Iterable[JournalRecord]) -> None:
-        """Append many records under one flush/fsync (group commit).
-
-        Byte-identical to the equivalent sequence of :meth:`append`
-        calls — only the durability syscalls are amortized, which is
-        what makes batched ingest ~O(batch) cheaper than record-at-a-
-        time without weakening the acknowledged-iff-replayable contract
-        (the batch is acked only after this returns).
-        """
-        self.append_lines([record_line(record) for record in records])
+        self.append_lines((record_line(record),))
 
     def append_lines(self, lines: Iterable[str]) -> None:
-        """Append pre-encoded :func:`record_line` lines, one group commit."""
+        """Append pre-encoded :func:`record_line` lines, one group commit.
+
+        Byte-identical to appending the lines one by one — only the
+        durability syscalls are amortized, which is what makes batched
+        ingest ~O(batch) cheaper than record-at-a-time without weakening
+        the acknowledged-iff-replayable contract (the batch is acked
+        only after this returns).
+        """
         payload = "".join(line + "\n" for line in lines)
         if not payload:
             return
@@ -244,12 +237,21 @@ class JournalWriter:
             os.fsync(self._stream.fileno())
 
     def reset(self) -> None:
-        """Atomically replace the journal with an empty one."""
-        self._stream.close()
+        """Atomically replace the journal with an empty one.
+
+        The live stream is swapped only after the empty file has
+        replaced the journal, so a failed reset leaves the old journal
+        and its stream in use and later appends still land.
+        """
         temp = self.path.with_suffix(".tmp")
-        temp.write_text("")
-        os.replace(temp, self.path)
-        self._stream = self.path.open("a", encoding="utf-8")
+        stream = temp.open("w", encoding="utf-8")
+        try:
+            os.replace(temp, self.path)
+        except BaseException:
+            stream.close()
+            raise
+        self._stream.close()
+        self._stream = stream
 
     def close(self) -> None:
         self._stream.close()

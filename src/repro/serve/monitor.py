@@ -98,25 +98,6 @@ class BatchResult:
         return len(self.updates)
 
 
-def _validated_states(states: Mapping[str, str]) -> dict[str, str]:
-    """A plain ``{str: str}`` copy of ``states``, or :class:`MonitorError`.
-
-    The journal must never accept a record the tracker cannot apply:
-    non-string labels (JSON arrays, numbers, null) would raise only
-    inside ``StateCatalog.code``, *after* the append, poisoning the
-    journal for every later replay.
-    """
-    clean: dict[str, str] = {}
-    for key, value in states.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise MonitorError(
-                "states must map network names to state labels (strings); "
-                f"got {key!r}: {value!r}"
-            )
-        clean[key] = value
-    return clean
-
-
 def _read_options(directory: Path) -> bool:
     """The durable dedup setting, tolerant of missing/corrupt files.
 
@@ -411,9 +392,9 @@ class DurableMonitor:
         except (ValueError, KeyError, TypeError) as exc:
             raise MonitorError(f"unapplyable delta: {exc}") from exc
         write_delta(self.directory, seq, delta)
-        self._reset_journal()
         self.seq = seq
         self._mark_checkpoint()
+        self._reset_journal()
 
     def close(self) -> None:
         self._journal.close()
@@ -471,17 +452,6 @@ class DurableMonitor:
         if self._dedup_bytes_counter is not None:
             self._dedup_bytes_counter.inc(saved)
 
-    def _append_lines(self, lines: Sequence[str]) -> None:
-        try:
-            self._journal.append_lines(lines)
-        except BaseException:
-            # The append may not have landed; a later reference to a
-            # record that never hit disk would poison replay. Force the
-            # next round to journal full.
-            self._last_full_seq = None
-            self._last_full_json = None
-            raise
-
     def _reset_journal(self) -> None:
         self._journal.reset()
         # References never cross a reset: the next record must be full.
@@ -491,42 +461,34 @@ class DurableMonitor:
     # -- operations ----------------------------------------------------------
 
     def _clean_states(self, states: Mapping[str, str]) -> tuple[dict, str]:
-        """Validated copy of ``states`` plus its canonical JSON fragment.
+        """A ``{str: str}`` copy of ``states`` and its canonical JSON.
 
-        A round repeating the previous round's mapping (the common case
-        in a recurring-routing stream) reuses the already-validated
+        The journal must never accept a record the tracker cannot apply:
+        non-string labels (JSON arrays, numbers, null) would raise only
+        inside ``StateCatalog.code``, *after* the append, poisoning the
+        journal for every later replay; they raise :class:`MonitorError`
+        here. A round repeating the previous round's mapping (the common
+        case in a recurring-routing stream) reuses the already-validated
         dict and its serialization instead of redoing both.
         """
         if self._last_states is not None and states == self._last_states:
             return self._last_states, self._last_states_json
-        clean = _validated_states(states)
-        self._last_states = clean
-        self._last_states_json = _canonical(clean)
-        return clean, self._last_states_json
+        for key, value in states.items():
+            if not isinstance(key, str) or not isinstance(value, str):
+                raise MonitorError(
+                    "states must map network names to state labels (strings); "
+                    f"got {key!r}: {value!r}"
+                )
+        self._last_states = dict(states)
+        self._last_states_json = _canonical(self._last_states)
+        return self._last_states, self._last_states_json
 
     def ingest(self, states: Mapping[str, str], when: datetime) -> OnlineUpdate:
-        """Durably apply one measurement round.
-
-        Order matters: validate, journal (flushed), then apply. The
-        tracker apply cannot fail after validation, so a record is
-        journaled iff its update is returned — an acknowledged round is
-        exactly a replayable round.
-        """
-        with span("serve.ingest", monitor=self.name):
-            clean, states_json = self._clean_states(states)
-            last = self.tracker.last_time
-            if last is not None and when <= last:
-                raise MonitorError(
-                    f"observations must move forward in time: {when} after {last}"
-                )
-            record = JournalRecord(seq=self.seq + 1, time=when, states=clean)
-            self._append_lines((self._encode_line(record, states_json),))
-            update = self.tracker.ingest(record.states, record.time)
-            self.seq = record.seq
-            self._since_snapshot += 1
-            if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
-                self.checkpoint()
-            return update
+        """Durably apply one measurement round: a one-round batch."""
+        batch = self.ingest_batch([(states, when)])
+        if batch.error is not None:
+            raise MonitorError(batch.error)
+        return batch.updates[0]
 
     def ingest_batch(
         self, rounds: Sequence[tuple[Mapping[str, str], datetime]]
@@ -537,30 +499,34 @@ class DurableMonitor:
         touches the journal: the valid prefix (everything up to the
         first bad states mapping or time-ordering violation) is then
         appended with a single flush/fsync, applied, and acknowledged
-        together. The tracker apply cannot fail after validation, so —
-        exactly as for single :meth:`ingest` — a record is journaled
-        iff its update is returned. The journal bytes are identical to
-        the equivalent sequence of single ingests.
+        together. The tracker apply cannot fail after validation, so a
+        record is journaled iff its update is returned — an
+        acknowledged round is exactly a replayable round. The journal
+        bytes are identical to the equivalent sequence of one-round
+        batches.
+
+        A failed cadence checkpoint does not fail the call: the rounds
+        are already durable in the journal, so the failure is counted
+        (``serve_checkpoint_failures_total``) and the next commit
+        retries it.
         """
         with span("serve.ingest_batch", monitor=self.name, rounds=len(rounds)):
             last = self.tracker.last_time
             accepted: list[JournalRecord] = []
             lines: list[str] = []
-            error_index: Optional[int] = None
-            error: Optional[str] = None
-            error_kind: Optional[str] = None
+            rejection: tuple = ()  # (error_index, error, error_kind)
             for index, (states, when) in enumerate(rounds):
                 try:
                     clean, states_json = self._clean_states(states)
                 except MonitorError as exc:
-                    error_index, error, error_kind = index, str(exc), "invalid_states"
+                    rejection = (index, str(exc), "invalid_states")
                     break
                 if last is not None and when <= last:
-                    error_index = index
-                    error = (
-                        f"observations must move forward in time: {when} after {last}"
+                    rejection = (
+                        index,
+                        f"observations must move forward in time: {when} after {last}",
+                        "out_of_order",
                     )
-                    error_kind = "out_of_order"
                     break
                 record = JournalRecord(
                     seq=self.seq + len(accepted) + 1, time=when, states=clean
@@ -568,20 +534,32 @@ class DurableMonitor:
                 accepted.append(record)
                 lines.append(self._encode_line(record, states_json))
                 last = when
-            self._append_lines(lines)
+            try:
+                self._journal.append_lines(lines)
+            except BaseException:
+                # The append may not have landed; a later reference to a
+                # record that never hit disk would poison replay. Force the
+                # next round to journal full.
+                self._last_full_seq = None
+                self._last_full_json = None
+                raise
             updates = self.tracker.ingest_many(
                 [(record.states, record.time) for record in accepted]
             )
             self.seq += len(accepted)
             self._since_snapshot += len(accepted)
             if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
-                self.checkpoint()
-            return BatchResult(
-                updates=tuple(updates),
-                error_index=error_index,
-                error=error,
-                error_kind=error_kind,
-            )
+                try:
+                    self.checkpoint()
+                except OSError:
+                    if self.registry is not None:
+                        self.registry.counter(
+                            "serve_checkpoint_failures_total",
+                            labels={"monitor": self.name},
+                            help="Cadence checkpoints that failed (retried "
+                            "on the next commit)",
+                        ).inc()
+            return BatchResult(tuple(updates), *rejection)
 
     def checkpoint(self) -> int:
         """Incremental checkpoint: persist only rounds since the last one.
@@ -596,8 +574,8 @@ class DurableMonitor:
             exemplars_after=self._checkpoint_exemplars,
         )
         write_delta(self.directory, self.seq, delta)
-        self._reset_journal()
         self._mark_checkpoint()
+        self._reset_journal()
         return self.seq
 
     def snapshot(self) -> int:
@@ -610,12 +588,19 @@ class DurableMonitor:
         entries likewise.
         """
         write_snapshot(self.directory, self.seq, self.tracker.to_state())
+        self._mark_checkpoint()
         discard_deltas(self.directory)
         self._reset_journal()
-        self._mark_checkpoint()
         return self.seq
 
     def _mark_checkpoint(self) -> None:
+        """Record that the on-disk chain now covers the live tracker.
+
+        Called as soon as a delta or snapshot lands, before the journal
+        reset: if the reset then fails, the next checkpoint must still
+        chain from the new head, and the journal lines left behind are
+        at or below its seq, so replay skips them.
+        """
         self._checkpoint_updates = len(self.tracker.updates)
         self._checkpoint_exemplars = self.tracker.num_modes
         self._since_snapshot = 0

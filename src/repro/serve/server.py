@@ -34,7 +34,7 @@ from ..obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 from ..vps import PlanError, VPPlan
 from .journal import SNAPSHOT_FILE, JournalError
 from .metrics import ServerMetrics
-from .monitor import DurableMonitor, MonitorError, valid_monitor_name
+from .monitor import BatchResult, DurableMonitor, MonitorError, valid_monitor_name
 from .ring import HashRing
 from . import protocol
 from .protocol import (
@@ -269,37 +269,25 @@ class FenrirServer:
             self.metrics.increment("recurrences")
 
     async def _drain_ingests(self, runtime: _MonitorRuntime) -> None:
-        """Writer task: journal + apply queued ingests one at a time.
+        """Writer task: journal + apply queued ``(rounds, future)`` entries.
 
-        Queue entries are tagged ``("one", (states, when), future)`` or
-        ``("batch", rounds, future)``; batches go through the monitor's
-        group-commit path (one journal flush for the whole batch).
+        Every entry goes through the monitor's group-commit path (one
+        journal flush per entry); a single ``ingest`` is a one-round
+        entry.
         """
         while True:
-            kind, payload, future = await runtime.queue.get()
+            rounds, future = await runtime.queue.get()
             try:
-                if kind == "one":
-                    states, when = payload
-                    update = runtime.monitor.ingest(states, when)
+                batch = runtime.monitor.ingest_batch(rounds)
+                for (states, _when), update in zip(rounds, batch.updates):
                     self._count_update(update)
                     self._stream_classify(runtime, states, update)
-                    # Capture seq now, before yielding: by the time the
-                    # requesting coroutine resumes, this task may have
-                    # applied later records for other connections.
-                    result = (runtime.monitor.seq, update)
-                else:
-                    batch = runtime.monitor.ingest_batch(payload)
-                    self.metrics.increment("batches_ingested")
-                    for (states, _when), update in zip(payload, batch.updates):
-                        self._count_update(update)
-                        self._stream_classify(runtime, states, update)
-                    result = (runtime.monitor.seq, batch)
+                # Capture seq now, before yielding: by the time the
+                # requesting coroutine resumes, this task may have
+                # applied later records for other connections.
+                result = (runtime.monitor.seq, batch)
             except Exception as exc:
-                # MonitorError is a routine client rejection (out of
-                # order, bad round) answered with its own error code —
-                # only count genuinely unexpected failures here.
-                if not isinstance(exc, MonitorError):
-                    self.metrics.internal_error("writer")
+                self.metrics.internal_error("writer")
                 if not future.cancelled():
                     future.set_exception(exc)
             else:
@@ -315,17 +303,15 @@ class FenrirServer:
 
         Runs on the writer task between ingests; a classification
         failure must never fail (or slow) the acknowledged ingest, so
-        errors are counted and dropped. The previous round is always
-        captured — it is the "before" side of the next transition.
+        errors are counted and dropped. While streaming is on, each
+        round is captured as the "before" side of the next transition;
+        both stream toggles reset it, so nothing is kept while it is off.
         """
+        if not runtime.classify_stream:
+            return
         previous = runtime.last_states
         runtime.last_states = dict(states)
-        if (
-            not runtime.classify_stream
-            or runtime.classifier is None
-            or previous is None
-            or not update.is_event
-        ):
+        if runtime.classifier is None or previous is None or not update.is_event:
             return
         started = time.perf_counter()
         try:
@@ -348,30 +334,26 @@ class FenrirServer:
 
     async def _ingest(self, request: dict) -> dict:
         runtime = self._runtime_for(request)
-        when = _parse_time(request["time"])
-        states = request["states"]
-        future = self._enqueue(runtime, "one", (states, when))
-        try:
-            seq, update = await future
-        except MonitorError as exc:
-            raise _RequestError(ERR_OUT_OF_ORDER, str(exc)) from exc
-        except Exception as exc:
-            # The writer task forwards whatever the apply raised; answer
-            # rather than letting it kill the connection handler.
-            self.metrics.increment("ingest_failures")
-            self.metrics.internal_error("ingest")
-            raise _RequestError(ERR_INTERNAL, f"{type(exc).__name__}: {exc}") from exc
+        rounds = [(request["states"], _parse_time(request["time"]))]
+        seq, batch = await self._apply(runtime, rounds, "ingest")
+        if batch.error_index is not None:
+            raise _RequestError(_REJECTION_CODES[batch.error_kind], batch.error)
         return {
             "seq": seq,
-            "update": _update_document(update),
+            "update": batch.updates[0].to_document(),
         }
 
-    def _enqueue(
-        self, runtime: _MonitorRuntime, kind: str, payload: Any
-    ) -> asyncio.Future:
+    async def _apply(
+        self, runtime: _MonitorRuntime, rounds: list, site: str
+    ) -> tuple[int, BatchResult]:
+        """Queue ``rounds`` on the monitor's writer and await ``(seq, batch)``.
+
+        Overload and writer failures become error responses here;
+        ``site`` labels the ``serve_internal_errors_total`` count.
+        """
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
-            runtime.queue.put_nowait((kind, payload, future))
+            runtime.queue.put_nowait((rounds, future))
         except asyncio.QueueFull:
             self.metrics.increment("overload_rejections")
             raise _RequestError(
@@ -379,7 +361,16 @@ class FenrirServer:
                 f"monitor {runtime.monitor.name!r} ingest queue is full",
                 queue_depth=runtime.queue.qsize(),
             ) from None
-        return future
+        try:
+            return await future
+        except _RequestError:
+            raise  # the monitor was replaced before the writer got to it
+        except Exception as exc:
+            # The writer task forwards whatever the apply raised; answer
+            # rather than letting it kill the connection handler.
+            self.metrics.increment("ingest_failures")
+            self.metrics.internal_error(site)
+            raise _RequestError(ERR_INTERNAL, f"{type(exc).__name__}: {exc}") from exc
 
     async def _ingest_batch(self, request: dict) -> dict:
         """Batched ingest: valid prefix applied + acked under one commit.
@@ -394,24 +385,14 @@ class FenrirServer:
         """
         runtime = self._runtime_for(request)
         parsed, shape_failure = _parse_rounds(request["rounds"])
-        future = self._enqueue(runtime, "batch", parsed)
-        try:
-            seq, batch = await future
-        except Exception as exc:
-            self.metrics.increment("ingest_failures")
-            self.metrics.internal_error("ingest_batch")
-            raise _RequestError(ERR_INTERNAL, f"{type(exc).__name__}: {exc}") from exc
+        seq, batch = await self._apply(runtime, parsed, "ingest_batch")
+        self.metrics.increment("batches_ingested")
         # A monitor-level rejection happened inside the parsed prefix,
         # so it precedes (and supersedes) any shape failure.
         if batch.error_index is not None:
-            code = (
-                ERR_OUT_OF_ORDER
-                if batch.error_kind == "out_of_order"
-                else ERR_BAD_REQUEST
-            )
             failed = {
                 "index": batch.error_index,
-                "error": code,
+                "error": _REJECTION_CODES[batch.error_kind],
                 "message": batch.error,
             }
         elif shape_failure is not None:
@@ -422,7 +403,7 @@ class FenrirServer:
         return {
             "seq": seq,
             "accepted": batch.accepted,
-            "results": [_update_document(update) for update in batch.updates],
+            "results": [update.to_document() for update in batch.updates],
             "failed": failed,
         }
 
@@ -723,14 +704,23 @@ class FenrirServer:
     # -- handoff / install / retire / promote (cluster support) --------------
 
     def _unregister(self, runtime: _MonitorRuntime) -> None:
-        """Tear down a runtime: stop its writer, fail queued ingests."""
+        """Tear down a runtime: stop its writer, fail queued ingests.
+
+        A queued round was never journaled, so it is answered
+        ``no_such_monitor``: safe to route again.
+        """
         if runtime.worker is not None:
             runtime.worker.cancel()
+        name = runtime.monitor.name
         while not runtime.queue.empty():
-            _kind, _payload, future = runtime.queue.get_nowait()
+            _rounds, future = runtime.queue.get_nowait()
             if not future.cancelled():
                 future.set_exception(
-                    MonitorError("monitor was replaced or retired mid-ingest")
+                    _RequestError(
+                        ERR_NO_SUCH_MONITOR,
+                        f"monitor {name!r} was replaced or retired before "
+                        "this ingest was applied; nothing was journaled",
+                    )
                 )
             runtime.queue.task_done()
         runtime.monitor.close()
@@ -974,6 +964,10 @@ class _RequestError(Exception):
         self.extra = extra
 
 
+#: Wire error code for each :attr:`BatchResult.error_kind`.
+_REJECTION_CODES = {"out_of_order": ERR_OUT_OF_ORDER, "invalid_states": ERR_BAD_REQUEST}
+
+
 def _parse_time(value: object) -> datetime:
     if not isinstance(value, str):
         raise _RequestError(ERR_BAD_REQUEST, "ingest needs an ISO-8601 'time'")
@@ -981,18 +975,6 @@ def _parse_time(value: object) -> datetime:
         return datetime.fromisoformat(value)
     except ValueError as exc:
         raise _RequestError(ERR_BAD_REQUEST, f"bad time {value!r}: {exc}") from exc
-
-
-def _update_document(update: Any) -> dict:
-    return {
-        "time": update.time.isoformat(),
-        "step_change": update.step_change,
-        "is_event": update.is_event,
-        "mode_id": update.mode_id,
-        "is_new_mode": update.is_new_mode,
-        "mode_similarity": update.mode_similarity,
-        "recurred": update.recurred,
-    }
 
 
 def _parse_rounds(

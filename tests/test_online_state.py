@@ -6,6 +6,12 @@ ingest *identically* to the original — same mode ids, same floats,
 same event flags. These tests drive that property over seeded random
 streams (the repo's property-test idiom, see conftest) and over the
 hand-built corner cases.
+
+``tests/golden/online_state.jsonl`` pins the unsorted ``json.dumps`` of
+a seeded tracker's full state (line 1) and of a delta (line 2), since
+``handoff`` ships the dict as built. Regenerate after an intentional
+state-format change:
+    PYTHONPATH=src python tests/test_online_state.py
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.compare import UnknownPolicy
-from repro.core.online import OnlineFenrir
+from repro.core.online import OnlineFenrir, fold_delta_state
 from repro.core.vector import UNKNOWN
 
 T0 = datetime(2025, 1, 1)
@@ -49,6 +56,28 @@ def random_rounds(seed: int, num_networks: int = 12, num_rounds: int = 40):
 
 def drive(tracker: OnlineFenrir, rounds):
     return [tracker.ingest(states, when) for states, when in rounds]
+
+
+STATE_GOLDEN = Path(__file__).parent / "golden" / "online_state.jsonl"
+#: The delta line of the golden file covers the updates after this many.
+GOLDEN_SPLIT = 17
+
+
+def golden_tracker() -> OnlineFenrir:
+    networks, rounds = random_rounds(7, num_rounds=30)
+    tracker = OnlineFenrir(
+        networks=networks,
+        event_threshold=0.2,
+        weights=np.arange(1.0, len(networks) + 1.0),
+    )
+    drive(tracker, rounds)
+    return tracker
+
+
+def state_lines(tracker: OnlineFenrir) -> str:
+    """``json.dumps`` (no ``sort_keys``) of the full state and a delta."""
+    documents = (tracker.to_state(), tracker.to_state(updates_after=GOLDEN_SPLIT))
+    return "".join(json.dumps(document) + "\n" for document in documents)
 
 
 class TestStateRoundTrip:
@@ -119,6 +148,49 @@ class TestStateRoundTrip:
         assert json.loads(text)["version"] == 1
 
 
+class TestGoldenState:
+    def test_to_state_bytes_match_the_fixture(self):
+        assert state_lines(golden_tracker()) == STATE_GOLDEN.read_text()
+
+    def test_restored_tracker_reproduces_the_fixture(self):
+        full, delta = map(json.loads, STATE_GOLDEN.read_text().splitlines())
+        assert state_lines(OnlineFenrir.from_state(full)) == STATE_GOLDEN.read_text()
+        base = golden_tracker().to_state()
+        base["updates"] = base["updates"][:GOLDEN_SPLIT]
+        base["exemplars"] = base["exemplars"][: delta["exemplars_after"]]
+        assert fold_delta_state(base, delta) == full
+
+    def test_catalog_without_special_states_is_refused(self):
+        full = golden_tracker().to_state()
+        full["catalog"] = full["catalog"][3:]
+        with pytest.raises(ValueError, match="does not extend the tracker's catalog"):
+            OnlineFenrir.from_state(full)
+        delta = golden_tracker().to_state(updates_after=0)
+        delta["catalog"] = delta["catalog"][3:]
+        with pytest.raises(ValueError, match="does not extend the base catalog"):
+            fold_delta_state(OnlineFenrir(networks=full["networks"]).to_state(), delta)
+
+
+class TestApplyDelta:
+    def test_malformed_delta_leaves_the_mode_state_unchanged(self):
+        networks, rounds = random_rounds(5, num_rounds=12)
+        source = OnlineFenrir(networks=networks)
+        drive(source, rounds[:4])
+        follower = OnlineFenrir.from_state(source.to_state())
+        drive(source, rounds[4:])
+        delta = source.to_state(updates_after=4)
+        assert len(delta["exemplars"]) >= 2  # a good one before the bad one
+        before = follower.to_state()
+        broken = json.loads(json.dumps(delta))
+        broken["exemplars"][-1]["codes"] = [0]  # one code for 12 networks
+        with pytest.raises(ValueError, match="codes shape"):
+            follower.apply_delta(broken)
+        after = follower.to_state()
+        assert {**after, "catalog": None} == {**before, "catalog": None}
+        follower.apply_delta(delta)  # still chains: nothing was half-applied
+        assert follower.to_state() == source.to_state()
+
+
 class TestMatch:
     def test_match_does_not_mutate_mode_state(self):
         tracker = OnlineFenrir(networks=["x", "y"])
@@ -132,3 +204,8 @@ class TestMatch:
         # Mode bookkeeping untouched (catalog may grow: identifiers only).
         for key in ("exemplars", "previous", "previous_mode", "updates", "last_time"):
             assert before[key] == after[key]
+
+
+if __name__ == "__main__":
+    STATE_GOLDEN.write_text(state_lines(golden_tracker()))
+    print(f"wrote {STATE_GOLDEN}")

@@ -2,24 +2,34 @@
 
 Two contracts under test:
 
-* ``ingest_batch`` ≡ sequential ``ingest`` — same updates, *identical
-  journal bytes*, same replay state — with the valid-prefix partial
-  failure semantics on top;
+* ``ingest_batch`` ≡ a sequential tracker — same updates, same replay
+  state, and journal bytes pinned by ``tests/golden/journal.jsonl`` —
+  with the valid-prefix partial failure semantics on top;
 * periodic checkpoints write O(delta) bytes (delta segments), not a
   full re-serialization of the history, and fold back losslessly on
   recovery and compaction.
+
+Regenerate the journal fixture after an intentional format change:
+    PYTHONPATH=src python tests/test_serve_batch.py
 """
 
 from __future__ import annotations
 
+import errno
 import json
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.online import OnlineFenrir
-from repro.serve.journal import JOURNAL_FILE, SNAPSHOT_FILE, read_snapshot
+from repro.serve.journal import (
+    JOURNAL_FILE,
+    SNAPSHOT_FILE,
+    JournalWriter,
+    read_snapshot,
+)
 from repro.serve.monitor import DurableMonitor, MonitorError
 
 BASE = datetime(2025, 1, 1)
@@ -38,34 +48,76 @@ def make_rounds(count, start=0, seed=0, networks=NETWORKS):
     ]
 
 
+JOURNAL_GOLDEN = Path(__file__).parent / "golden" / "journal.jsonl"
+
+
+def scripted_monitor(data_dir):
+    """Drive one monitor through every kind of journal line.
+
+    Single ingests, a batch, a dedup stretch (reference lines, single
+    and batched), a rejected single round of each kind and a batch cut
+    short by an out-of-order round. Returns the closed monitor's
+    directory and the rounds it accepted, in order.
+    """
+    rounds = make_rounds(12, seed=5)
+    monitor = DurableMonitor.create(data_dir, "golden", networks=NETWORKS)
+    for states, when in rounds[:4]:
+        monitor.ingest(states, when)
+    monitor.ingest_batch(rounds[4:])
+    for states, when in (rounds[2], ({"n0": 7}, BASE + timedelta(hours=12))):
+        with pytest.raises(MonitorError):
+            monitor.ingest(states, when)  # journals nothing
+    monitor.set_dedup(True)
+    repeat = rounds[-1][0]
+    later = [BASE + timedelta(hours=hour) for hour in range(12, 20)]
+    dedup_rounds = [(repeat, later[0]), (repeat, later[1])]
+    for states, when in dedup_rounds:
+        monitor.ingest(states, when)
+    cut = [(repeat, later[2]), (rounds[0][0], later[3]), (repeat, later[4])]
+    result = monitor.ingest_batch([*cut, (repeat, later[0])])
+    assert (result.accepted, result.error_kind) == (3, "out_of_order")
+    monitor.set_dedup(False)
+    monitor.ingest(repeat, later[5])
+    monitor.close()
+    accepted = [*rounds, *dedup_rounds, *cut, (repeat, later[5])]
+    return monitor.directory, accepted
+
+
 class TestBatchEquivalence:
     def test_batch_equals_sequential(self, tmp_path):
         rounds = make_rounds(40)
-        seq_monitor = DurableMonitor.create(tmp_path, "seq", networks=NETWORKS)
-        for states, when in rounds:
-            seq_monitor.ingest(states, when)
+        oracle = OnlineFenrir(networks=NETWORKS)
+        expected = [oracle.ingest(states, when) for states, when in rounds]
         batch_monitor = DurableMonitor.create(tmp_path, "bat", networks=NETWORKS)
         result = batch_monitor.ingest_batch(rounds)
 
         assert result.error_index is None
         assert result.accepted == len(rounds)
-        assert list(result.updates) == seq_monitor.tracker.updates
-        assert batch_monitor.seq == seq_monitor.seq
-        assert (
-            batch_monitor.tracker.to_state() == seq_monitor.tracker.to_state()
+        assert list(result.updates) == expected
+        assert batch_monitor.seq == len(rounds)
+        assert batch_monitor.tracker.to_state() == oracle.to_state()
+
+        # The recorded journal of single ingests, batches and dedup
+        # references replays to a tracker fed the same rounds one by one.
+        directory, accepted = scripted_monitor(tmp_path / "scripted")
+        replayed = DurableMonitor.create(tmp_path, "replayed", networks=NETWORKS)
+        replayed.close()
+        (tmp_path / "replayed" / JOURNAL_FILE).write_bytes(
+            JOURNAL_GOLDEN.read_bytes()
         )
+        reopened = DurableMonitor.open(tmp_path, "replayed")
+        oracle = OnlineFenrir(networks=NETWORKS)
+        for states, when in accepted:
+            oracle.ingest(states, when)
+        scripted = DurableMonitor.open(directory.parent, "golden")
+        for monitor in (reopened, scripted):
+            assert monitor.seq == len(accepted)
+            assert monitor.tracker.to_state() == oracle.to_state()
+            monitor.close()
 
     def test_journal_bytes_identical(self, tmp_path):
-        rounds = make_rounds(25)
-        seq_monitor = DurableMonitor.create(tmp_path, "seq", networks=NETWORKS)
-        for states, when in rounds:
-            seq_monitor.ingest(states, when)
-        batch_monitor = DurableMonitor.create(tmp_path, "bat", networks=NETWORKS)
-        batch_monitor.ingest_batch(rounds)
-
-        seq_bytes = (tmp_path / "seq" / JOURNAL_FILE).read_bytes()
-        batch_bytes = (tmp_path / "bat" / JOURNAL_FILE).read_bytes()
-        assert seq_bytes == batch_bytes
+        directory, _ = scripted_monitor(tmp_path)
+        assert (directory / JOURNAL_FILE).read_bytes() == JOURNAL_GOLDEN.read_bytes()
 
     def test_replay_state_identical(self, tmp_path):
         rounds = make_rounds(30)
@@ -251,6 +303,43 @@ class TestIncrementalCheckpoints:
         assert recovered.tracker.to_state() == oracle.to_state()
         recovered.close()
 
+    @pytest.mark.parametrize("checkpoint", ["snapshot", "install_delta"])
+    def test_checkpoint_whose_journal_reset_fails_still_heads_the_chain(
+        self, tmp_path, monkeypatch, checkpoint
+    ):
+        """A failed reset after a snapshot or shipped delta landed must
+        not leave the next cadence delta chaining from the counts
+        before it."""
+        rounds = make_rounds(8)
+        monitor = DurableMonitor.create(
+            tmp_path, "m", networks=NETWORKS, snapshot_every=3
+        )
+        primary = DurableMonitor.create(tmp_path / "p", "m", networks=NETWORKS)
+        primary.ingest_batch(rounds[:2])
+        primary.close()
+        if checkpoint == "snapshot":
+            monitor.ingest_batch(rounds[:2])
+        real_reset = JournalWriter.reset
+
+        def refuse(writer):
+            monkeypatch.setattr(JournalWriter, "reset", real_reset)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(JournalWriter, "reset", refuse)
+        with pytest.raises(OSError):  # explicit checkpoints still report it
+            if checkpoint == "snapshot":
+                monitor.snapshot()
+            else:
+                monitor.install_delta(2, primary.tracker.to_state(updates_after=0))
+        monitor.ingest_batch(rounds[2:])  # crosses the cadence: a delta
+        monitor.close()
+        oracle = OnlineFenrir(networks=NETWORKS)
+        for states, when in rounds:
+            oracle.ingest(states, when)
+        reopened = DurableMonitor.open(tmp_path, "m")
+        assert reopened.tracker.to_state() == oracle.to_state()
+        reopened.close()
+
     def test_snapshot_file_untouched_by_cadence(self, tmp_path):
         """Periodic checkpoints must not rewrite the base snapshot —
         that is the O(rounds²) behaviour being removed."""
@@ -312,3 +401,12 @@ class TestDescribeCounters:
         assert description["recurrences"] == len(monitor.tracker.recurrences())
         assert description["rounds"] == 50
         monitor.close()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        directory, _ = scripted_monitor(Path(scratch))
+        JOURNAL_GOLDEN.write_bytes((directory / JOURNAL_FILE).read_bytes())
+    print(f"wrote {JOURNAL_GOLDEN}")

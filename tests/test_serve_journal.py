@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 from datetime import datetime, timedelta
 
 import pytest
@@ -109,6 +111,26 @@ class TestJournal:
         records, tail = read_journal(path)
         assert [r.seq for r in records] == [1]
         assert tail is not None and tail.first_bad_line == 2
+
+    def test_failed_reset_keeps_the_journal_appendable(self, tmp_path, monkeypatch):
+        path = tmp_path / JOURNAL_FILE
+        writer = JournalWriter(path)
+        writer.append(record(1))
+
+        def refuse(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            writer.reset()
+        monkeypatch.undo()
+        writer.append(record(2))  # the old journal and stream stay live
+        assert [r.seq for r in read_journal(path)[0]] == [1, 2]
+        writer.reset()
+        writer.append(record(3))
+        writer.close()
+        assert [r.seq for r in read_journal(path, after_seq=2)[0]] == [3]
+        assert path.read_text().count("\n") == 1
 
 
 class TestSnapshot:

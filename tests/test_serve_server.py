@@ -9,6 +9,7 @@ timeline matches an uninterrupted oracle run.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import signal
@@ -32,6 +33,9 @@ from repro.serve import (
     ServeClientError,
     ServeConfig,
 )
+from repro.serve import monitor as monitor_module
+from repro.serve.journal import JournalWriter
+from repro.serve.monitor import DurableMonitor
 from repro.serve.protocol import recv_frame, send_frame
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
@@ -386,14 +390,14 @@ class TestFailurePaths:
             client.create("svc", ["x"])
             runtime = server.server._monitors["svc"]
 
-            def explode(states, when):
+            def explode(rounds):
                 raise RuntimeError("disk on fire")
 
-            runtime.monitor.ingest = explode
+            runtime.monitor.ingest_batch = explode
             with pytest.raises(ServeClientError) as exc_info:
                 client.ingest("svc", {"x": "L"}, T0)
             assert exc_info.value.code == "internal"
-            del runtime.monitor.ingest  # restore the real method
+            del runtime.monitor.ingest_batch  # restore the real method
             assert client.ingest("svc", {"x": "L"}, T0)["seq"] == 1
             assert client.stats()["counters"]["ingest_failures"] == 1
             # The broad handler's visible trace: a per-site labeled
@@ -458,6 +462,100 @@ class TestFailurePaths:
                 assert other.query("svc")["rounds"] == 20
         finally:
             slow.close()
+
+
+class TestQueuedOnReplacedMonitor:
+    """Rounds queued on a monitor that ``install`` replaces."""
+
+    @pytest.mark.parametrize("command", ["ingest", "ingest_batch"])
+    def test_answered_no_such_monitor(self, server, command):
+        with connect(server) as client:
+            client.create("svc", ["x"])
+            client.ingest("svc", {"x": "L"}, T0)
+            shipped = client.handoff("svc")
+            round_ = {"time": (T0 + timedelta(1)).isoformat(), "states": {"x": "A"}}
+            ingest = (
+                {"cmd": "ingest", "id": 1, "monitor": "svc", **round_}
+                if command == "ingest"
+                else {"cmd": command, "id": 1, "monitor": "svc", "rounds": [round_]}
+            )
+            install = {
+                "cmd": "install",
+                "id": 2,
+                "monitor": "svc",
+                "seq": shipped["seq"],
+                "state": shipped["state"],
+            }
+            frames = [json.dumps(request).encode() for request in (ingest, install)]
+            with socket.create_connection(server.address, timeout=10) as sock:
+                # One write: the install lands while the round is queued.
+                sock.sendall(b"".join(struct.pack(">I", len(f)) + f for f in frames))
+                responses = {r["id"]: r for r in (recv_frame(sock), recv_frame(sock))}
+            assert responses[2]["ok"]
+            assert responses[1]["error"] == "no_such_monitor"
+            assert "nothing was journaled" in responses[1]["message"]
+            # Nothing was applied, so routing the round again succeeds.
+            assert client.query("svc")["rounds"] == 1
+            assert client.ingest("svc", round_["states"], round_["time"])["seq"] == 2
+            counters = client.stats()["counters"]
+            assert counters.get("ingest_failures", 0) == 0
+            assert "serve_internal_errors_total" not in client.metrics()
+
+
+def fail_once(function):
+    """``function`` that raises ENOSPC on its first call only."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+class TestCheckpointFaults:
+    """A failed cadence checkpoint neither fails the ack nor the chain."""
+
+    @pytest.mark.parametrize(
+        "fault, deltas",
+        [("write_delta", [3, 5]), ("journal_reset", [2, 4, 6])],
+    )
+    @pytest.mark.parametrize(
+        "server", [{"snapshot_every": 2}], indirect=True, ids=["snapshot_every=2"]
+    )
+    def test_ack_ok_and_reopen_matches_oracle(
+        self, server, monkeypatch, tmp_path, fault, deltas
+    ):
+        if fault == "write_delta":
+            failing = fail_once(monitor_module.write_delta)
+            monkeypatch.setattr(monitor_module, "write_delta", failing)
+        else:
+            monkeypatch.setattr(JournalWriter, "reset", fail_once(JournalWriter.reset))
+        rounds = [
+            ({"x": "L" if index % 3 else "A", "y": "L"}, T0 + timedelta(hours=index))
+            for index in range(6)
+        ]
+        with connect(server) as client:
+            client.create("svc", ["x", "y"])
+            for seq, (states, when) in enumerate(rounds, start=1):
+                assert client.ingest("svc", states, when)["seq"] == seq
+            assert 'serve_checkpoint_failures_total{monitor="svc"} 1' in (
+                client.metrics()
+            )
+        directory = server.config.data_dir / "svc"
+        written = sorted(directory.glob("delta-*.json"))
+        assert written == [directory / f"delta-{seq:012d}.json" for seq in deltas]
+
+        oracle = DurableMonitor.create(tmp_path / "oracle", "svc", networks=["x", "y"])
+        for states, when in rounds:
+            oracle.ingest(states, when)
+        reopened = DurableMonitor.open(server.config.data_dir, "svc")
+        assert reopened.describe() == oracle.describe()
+        assert reopened.tracker.mode_timeline() == oracle.tracker.mode_timeline()
+        reopened.close()
+        oracle.close()
 
 
 class TestBatchCommands:

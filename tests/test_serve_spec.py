@@ -121,9 +121,7 @@ def test_router_answers_exactly_its_own_commands():
     assert set(router._answers) == own
 
 
-@pytest.mark.parametrize(
-    "name", [*map(method_name, COMMANDS), "ingest_series", "ingest_many"]
-)
+@pytest.mark.parametrize("name", [*map(method_name, COMMANDS), "ingest_many"])
 def test_both_clients_share_one_method_per_command(name):
     shared = vars(CommandMethods)[name]
     for client in (ServeClient, AsyncServeClient):
