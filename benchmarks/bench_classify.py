@@ -34,15 +34,13 @@ import time
 
 import numpy as np
 
-from repro.classify import (
+from repro.classify import evaluate, featurize_mappings, train_forest
+from repro.classify.dataset import (
     FULL_EVAL,
     FULL_TRAIN,
     QUICK_EVAL,
     QUICK_TRAIN,
     build_dataset,
-    evaluate,
-    featurize_mappings,
-    train_forest,
 )
 
 from common import emit, write_bench_json

@@ -8,6 +8,8 @@ does the streaming approximation agree with the full analysis?
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,10 @@ from repro.core import Fenrir, OnlineFenrir
 from repro.core.vector import RoutingVector
 from repro.datasets import broot
 
-from common import emit
+from common import REPO_ROOT, emit
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles import match_mode_scalar  # noqa: E402  (the tests' scalar oracle)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +128,7 @@ def test_ext_match_mode_oracle_on_broot(study):
         vectorized = tracker._match_mode(incoming)
         t_vectorized += time.perf_counter() - started
         started = time.perf_counter()
-        scalar = tracker._match_mode_scalar(incoming)
+        scalar = match_mode_scalar(tracker, incoming)
         t_scalar += time.perf_counter() - started
         assert vectorized == probe == scalar
         tracker.ingest(mapping, vector.time)

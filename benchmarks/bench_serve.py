@@ -73,6 +73,9 @@ from repro.serve import AsyncServeClient, ServeClient, protocol
 
 from common import REPO_ROOT, emit, write_bench_json
 
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles import match_mode_scalar  # noqa: E402  (the tests' scalar oracle)
+
 NUM_CLIENTS = 4  # one monitor each
 ROUNDS_PER_CLIENT = 500
 SWEEP_REPEATS = 3  # best-of; the box is shared, single runs are noisy
@@ -759,7 +762,7 @@ def run_match_bench(num_modes: int, probes: int = MATCH_PROBES) -> dict:
     vectorized = [tracker._match_mode(v) for v in vectors]
     t_vec = time.perf_counter() - started
     started = time.perf_counter()
-    scalar = [tracker._match_mode_scalar(v) for v in vectors]
+    scalar = [match_mode_scalar(tracker, v) for v in vectors]
     t_scalar = time.perf_counter() - started
     # Oracle equivalence on every probe: unweighted sums are
     # integer-valued, so vectorized and scalar agree bit-for-bit.

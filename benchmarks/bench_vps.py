@@ -216,7 +216,7 @@ def run(quick: bool = False) -> dict:
     generate_seconds = time.perf_counter() - generate_started
 
     select_started = time.perf_counter()
-    plan = select_vps(study.series, SelectionConfig(fraction=FRACTION, jobs=4))
+    plan = select_vps(study.series, SelectionConfig(fraction=FRACTION))
     select_seconds = time.perf_counter() - select_started
     reduced, weights = plan.apply(study.series)
     assert plan.volume_fraction <= FRACTION + 1e-9

@@ -9,7 +9,10 @@ Fenrir detects *that* a mode transition happened; this package labels
 * :mod:`.model` — a dependency-free seeded decision forest with a
   versioned, exactly-round-tripping JSON artifact;
 * :mod:`.dataset` — labeled transitions replayed from the
-  ground-truth study generator, for training and evaluation.
+  ground-truth study generator, for training and evaluation. It pulls
+  in the simulators, so it is not re-exported here: import it as
+  ``repro.classify.dataset``, and the serve tier (which only scores
+  features with a loaded model) never loads it.
 
 The serve tier exposes the model behind the ``classify`` wire command
 (docs/serving.md) and can stream labeled events on mode transitions;
@@ -17,15 +20,6 @@ The serve tier exposes the model behind the ``classify`` wire command
 (docs/classification.md).
 """
 
-from .dataset import (
-    FULL_EVAL,
-    FULL_TRAIN,
-    QUICK_EVAL,
-    QUICK_TRAIN,
-    DatasetConfig,
-    TransitionDataset,
-    build_dataset,
-)
 from .features import (
     FEATURE_NAMES,
     FEATURE_WIDTH,
@@ -48,13 +42,6 @@ from .model import (
 )
 
 __all__ = [
-    "FULL_EVAL",
-    "FULL_TRAIN",
-    "QUICK_EVAL",
-    "QUICK_TRAIN",
-    "DatasetConfig",
-    "TransitionDataset",
-    "build_dataset",
     "FEATURE_NAMES",
     "FEATURE_WIDTH",
     "feature_bytes",

@@ -287,15 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--change-threshold", type=float, default=0.02,
         help="moved-VP fraction that makes a step 'active' (default: 0.02)",
     )
-    v_select.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="threads for the agreement-count matmuls; the plan is "
-        "byte-identical for every setting (default: 1)",
-    )
-    v_select.add_argument(
-        "--tile-size", type=_positive_int, default=128, metavar="COLS",
-        help="output-tile width of the agreement kernel (default: 128)",
-    )
 
     v_apply = vps_commands.add_parser(
         "apply", help="project a series onto a plan's kept VPs"
@@ -696,8 +687,6 @@ def _run_vps(args: argparse.Namespace) -> int:
                     beta=args.beta,
                     gamma=args.gamma,
                     change_threshold=args.change_threshold,
-                    tile_size=args.tile_size,
-                    jobs=args.jobs,
                 ),
             )
         except PlanError as exc:
@@ -741,16 +730,13 @@ def _run_vps(args: argparse.Namespace) -> int:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    from .classify import (
+    from .classify import ClassifierModel, ModelError, evaluate, train_forest
+    from .classify.dataset import (
         FULL_EVAL,
         FULL_TRAIN,
         QUICK_EVAL,
         QUICK_TRAIN,
-        ClassifierModel,
-        ModelError,
         build_dataset,
-        evaluate,
-        train_forest,
     )
 
     if args.classify_command == "train":

@@ -9,6 +9,12 @@ networks whose catchment is the same and known:
 The paper's rule counts unknowns as *changed* (pessimistic); its stated
 ongoing work excludes unknown networks from consideration instead. Both
 policies are implemented; the pessimistic one is the default everywhere.
+
+Every Φ in the package — offline, online and the VP agreement counts —
+goes through two count kernels here: :func:`match_counts` (paired rows)
+and :func:`cooccurrence` (all pairs, one one-hot matmul per state), with
+:func:`denominator` supplying the per-policy denominator. The scalar
+reference forms they are tested against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .vector import RoutingVector, UNKNOWN_CODE
 
 __all__ = [
     "UnknownPolicy",
+    "match_counts",
+    "cooccurrence",
+    "denominator",
     "phi",
     "phi_one_to_many",
     "similarity_matrix",
@@ -56,6 +65,70 @@ def _check_weights(weights: Optional[np.ndarray], length: int) -> np.ndarray:
     return weights
 
 
+def match_counts(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted count of networks whose codes are equal and known.
+
+    The paired-rows kernel, ``Σ_n M(t,t',n)·w(n)``: rows ``a`` and ``b``
+    broadcast against each other, so one row against a stack of rows,
+    or two aligned stacks row by row, is one pass. ``w`` is ``(N,)``, or
+    ``(N, K)`` for K weightings of the same networks at once.
+    """
+    return ((a == b) & (a != UNKNOWN_CODE)) @ w
+
+
+def cooccurrence(
+    rows: np.ndarray, codes: np.ndarray, w: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """All-pairs weighted count of positions where two rows share a code.
+
+    The all-pairs kernel: entry ``(i, j)`` sums ``w(n)`` over the
+    positions ``n`` where ``rows[i, n] == rows[j, n]`` and that code is
+    in ``codes``, as one one-hot matmul per code. Φ passes the known
+    codes only. With ``w=None`` every position weighs 1 and the weight
+    multiply is skipped, so the matmul is a plain ``X @ Xᵀ``.
+    """
+    out = np.zeros((len(rows), len(rows)), dtype=np.float64)
+    for code in codes:
+        indicator = (rows == code).astype(np.float64)
+        out += (indicator if w is None else indicator * w) @ indicator.T
+    return out
+
+
+def denominator(
+    a: np.ndarray,
+    b: Optional[np.ndarray],
+    w: np.ndarray,
+    total: float | np.ndarray,
+    policy: UnknownPolicy,
+) -> np.ndarray:
+    """Φ's denominator for the pairs :func:`match_counts` covers.
+
+    ``total`` (the summed weights) under :attr:`UnknownPolicy.PESSIMISTIC`,
+    the weight of networks known in both rows under
+    :attr:`UnknownPolicy.EXCLUDE`; NaN where that is 0, so Φ comes back
+    NaN there. ``b=None`` asks for every pair of ``a``'s rows, as
+    :func:`cooccurrence` of the known mask.
+    """
+    if policy is UnknownPolicy.PESSIMISTIC:
+        count = np.asarray(total, dtype=np.float64)
+    elif b is None:
+        count = cooccurrence(a != UNKNOWN_CODE, (True,), w)
+    else:
+        count = ((a != UNKNOWN_CODE) & (b != UNKNOWN_CODE)) @ w
+    return np.where(count > 0, count, np.nan)
+
+
+def _check_pair(
+    a: RoutingVector, b: RoutingVector, weights: Optional[np.ndarray]
+) -> np.ndarray:
+    """Check that ``a`` and ``b`` are comparable; return checked weights."""
+    if a.networks != b.networks:
+        raise ValueError("vectors cover different networks")
+    if a.catalog is not b.catalog:
+        raise ValueError("vectors use different state catalogs")
+    return _check_weights(weights, len(a))
+
+
 def phi(
     a: RoutingVector,
     b: RoutingVector,
@@ -67,21 +140,9 @@ def phi(
     Returns a value in [0, 1]; under :attr:`UnknownPolicy.EXCLUDE` with
     no jointly known network, returns ``nan``.
     """
-    if a.networks != b.networks:
-        raise ValueError("vectors cover different networks")
-    if a.catalog is not b.catalog:
-        raise ValueError("vectors use different state catalogs")
-    w = _check_weights(weights, len(a))
-    match = (a.codes == b.codes) & (a.codes != UNKNOWN_CODE)
-    if policy is UnknownPolicy.PESSIMISTIC:
-        denominator = w.sum()
-    else:
-        both_known = (a.codes != UNKNOWN_CODE) & (b.codes != UNKNOWN_CODE)
-        denominator = w[both_known].sum()
-        match = match & both_known
-    if denominator == 0:
-        return float("nan")
-    return float(w[match].sum() / denominator)
+    w = _check_pair(a, b, weights)
+    count = match_counts(a.codes, b.codes, w)
+    return float(count / denominator(a.codes, b.codes, w, w.sum(), policy))
 
 
 def phi_one_to_many(
@@ -89,19 +150,15 @@ def phi_one_to_many(
     exemplar_matrix: np.ndarray,
     weights: Optional[np.ndarray] = None,
     policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC,
-    *,
-    weight_sum: Optional[float] = None,
 ) -> np.ndarray:
     """Φ of one code vector against M exemplar rows in one pass.
 
-    The streaming hot path: ``exemplar_matrix`` is ``(M, N)`` int32 (one
-    row per known mode exemplar), ``codes`` is the ``(N,)`` incoming
-    vector, and the result is the ``(M,)`` vector of similarities — the
-    vectorized equivalent of calling :func:`phi` once per exemplar.
-    ``weight_sum`` lets callers that validated weights once (e.g.
-    :class:`~repro.core.online.OnlineFenrir`) skip the per-call
-    re-summation. Under :attr:`UnknownPolicy.EXCLUDE`, rows with no
-    jointly known network come back NaN, exactly like the scalar form.
+    ``exemplar_matrix`` is ``(M, N)`` int32 (one row per exemplar),
+    ``codes`` is the ``(N,)`` incoming vector, and the result is the
+    ``(M,)`` vector of similarities — the vectorized equivalent of
+    calling :func:`phi` once per exemplar. Under
+    :attr:`UnknownPolicy.EXCLUDE`, rows with no jointly known network
+    come back NaN, exactly like the scalar form.
     """
     exemplars = np.asarray(exemplar_matrix)
     if exemplars.ndim != 2:
@@ -112,19 +169,9 @@ def phi_one_to_many(
             f"codes shape {codes.shape} does not match exemplar row "
             f"length {exemplars.shape[1]}"
         )
-    num_modes = exemplars.shape[0]
     w = _check_weights(weights, len(codes))
-    known = codes != UNKNOWN_CODE
-    match = (exemplars == codes) & known  # equal ⇒ both known or both unknown
-    if policy is UnknownPolicy.PESSIMISTIC:
-        total = float(w.sum()) if weight_sum is None else weight_sum
-        if total == 0:
-            return np.full(num_modes, np.nan)
-        return (match @ w) / total
-    both_known = known & (exemplars != UNKNOWN_CODE)
-    denominator = both_known @ w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denominator > 0, (match @ w) / denominator, np.nan)
+    count = match_counts(codes, exemplars, w)
+    return count / denominator(codes, exemplars, w, w.sum(), policy)
 
 
 def _merge_identical_columns(
@@ -150,32 +197,17 @@ def _merge_identical_columns(
     return codes[:, first], np.bincount(inverse, weights=w)
 
 
-def _matches_by_state(
-    codes: np.ndarray, w: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Weighted known-match counts via one matmul per state (few states)."""
-    num_times = codes.shape[0]
-    matches = np.zeros((num_times, num_times), dtype=np.float64)
-    for code in states:
-        if code == UNKNOWN_CODE:
-            continue
-        indicator = (codes == code).astype(np.float64)
-        matches += (indicator * w) @ indicator.T
-    return matches
-
-
 def _matches_pairwise(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted known-match counts, one row against the rest (many states).
+    """All-pairs :func:`match_counts`, one row against the rest.
 
-    Row ``i`` of the upper triangle is the equality kernel of
-    :func:`phi_one_to_many` against rows ``i..T-1``; the lower triangle
-    is its mirror.
+    Row ``i`` of the upper triangle is row ``i`` against rows
+    ``i..T-1``; the lower triangle is its mirror. O(T²·N) but state-count
+    independent, unlike :func:`cooccurrence`.
     """
     num_times = codes.shape[0]
-    known = codes != UNKNOWN_CODE
     matches = np.zeros((num_times, num_times), dtype=np.float64)
     for i in range(num_times):
-        row = ((codes[i:] == codes[i]) & known[i]) @ w
+        row = match_counts(codes[i], codes[i:], w)
         matches[i, i:] = row
         matches[i:, i] = row
     return matches
@@ -190,10 +222,11 @@ def similarity_matrix(
 
     Networks with identical histories are merged first (one column,
     summed weight), so the kernels run over distinct histories only.
-    With few states, one weighted co-occurrence matmul per state keeps a
-    300-step × 20k-network study in BLAS; studies with huge state spaces
-    (Google's thousands of front ends) fall back to direct pairwise row
-    comparison, which is O(T²·N) but state-count independent.
+    With few states, one weighted co-occurrence matmul per known state
+    (:func:`cooccurrence`) keeps a 300-step × 20k-network study in BLAS;
+    studies with huge state spaces (Google's thousands of front ends)
+    fall back to direct pairwise row comparison, which is O(T²·N) but
+    state-count independent.
     """
     codes = series.matrix
     num_times, num_networks = codes.shape
@@ -202,18 +235,10 @@ def similarity_matrix(
     codes, w = _merge_identical_columns(codes, w)
     states = np.flatnonzero(np.bincount(codes.ravel()))
     if len(states) <= max(32, 2 * num_times):
-        matches = _matches_by_state(codes, w, states)
+        matches = cooccurrence(codes, states[states != UNKNOWN_CODE], w)
     else:
         matches = _matches_pairwise(codes, w)
-    if policy is UnknownPolicy.PESSIMISTIC:
-        if total == 0:
-            return np.full((num_times, num_times), np.nan)
-        return matches / total
-    known = (codes != UNKNOWN_CODE).astype(np.float64)
-    denominator = (known * w) @ known.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = np.where(denominator > 0, matches / denominator, np.nan)
-    return result
+    return matches / denominator(codes, None, w, total, policy)
 
 
 def similarity_to_reference(

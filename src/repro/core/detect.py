@@ -1,7 +1,9 @@
 """Event detection and ground-truth validation (§3).
 
 Detection scans consecutive vector pairs: a routing event is a step (or
-run of steps) whose change ``1 - Φ`` exceeds a threshold. The threshold
+run of steps) whose change ``1 - Φ`` exceeds a threshold. The step
+changes are one pass of the shared paired-rows Φ kernel in
+:mod:`repro.core.compare` over every consecutive pair. The threshold
 can be fixed or derived robustly from the series itself (median + k·MAD
 of the step changes), since stable services differ widely in their
 baseline churn.
@@ -24,9 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compare import UnknownPolicy, _check_weights
+from .compare import UnknownPolicy, _check_weights, denominator, match_counts
 from .series import VectorSeries
-from .vector import UNKNOWN_CODE
 
 __all__ = [
     "DetectedEvent",
@@ -62,20 +63,16 @@ def step_changes(
 ) -> np.ndarray:
     """Per-step change ``1 - Φ(t_i, t_{i+1})`` for consecutive vectors.
 
-    One pass over all consecutive pairs with the equality kernel of
-    :func:`~repro.core.compare.phi_one_to_many`; a step whose Φ is
-    undefined (no jointly known network under EXCLUDE) comes back NaN.
+    One pass of the paired-rows kernel
+    (:func:`~repro.core.compare.match_counts`) over all consecutive
+    pairs; a step whose Φ is undefined (no jointly known network under
+    EXCLUDE) comes back NaN.
     """
     codes = series.matrix
     w = _check_weights(weights, codes.shape[1])
-    known = codes != UNKNOWN_CODE
-    matches = ((codes[1:] == codes[:-1]) & known[:-1]) @ w
-    if policy is UnknownPolicy.PESSIMISTIC:
-        denominator = w.sum()
-    else:
-        denominator = (known[1:] & known[:-1]) @ w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return 1.0 - np.where(denominator > 0, matches / denominator, np.nan)
+    before, after = codes[:-1], codes[1:]
+    count = match_counts(before, after, w)
+    return 1.0 - count / denominator(before, after, w, w.sum(), policy)
 
 
 def _adaptive_threshold(changes: np.ndarray, sensitivity: float) -> float:

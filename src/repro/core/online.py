@@ -14,23 +14,26 @@ genuinely different routing results into one mode.
 
 Hot-path layout: exemplar codes live in a geometrically grown ``(M, N)``
 int32 matrix so matching an incoming vector against every known mode is
-one :func:`~repro.core.compare.phi_one_to_many` pass; weights are
-validated and summed once at construction; event/recurrence counts are
-maintained incrementally so summaries never rescan ``updates``. The
-scalar per-exemplar loop survives as :meth:`_match_mode_scalar`, the
-oracle the vectorized kernel is property-tested against.
+one pass of the shared paired-rows kernel
+(:func:`~repro.core.compare.match_counts` over
+:func:`~repro.core.compare.denominator`), as is the step change;
+weights are validated and summed once at construction and handed to
+the kernels as they are; event/recurrence counts are maintained
+incrementally so summaries never rescan ``updates``. The scalar
+per-exemplar loop the matcher is property-tested against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .compare import UnknownPolicy, _check_weights, phi, phi_one_to_many
-from .vector import UNKNOWN_CODE, RoutingVector, StateCatalog
+from .compare import UnknownPolicy, _check_weights, denominator, match_counts
+from .vector import RoutingVector, StateCatalog
 
 __all__ = ["OnlineUpdate", "OnlineFenrir", "fold_delta_state"]
 
@@ -107,7 +110,7 @@ class OnlineFenrir:
         # construction instead of as a phi shape error on the first
         # ingest — and so the hot path never re-checks or re-sums it.
         self._checked_weights = _check_weights(self.weights, len(self.networks))
-        self._weight_sum = float(self._checked_weights.sum())
+        self._total_weight = float(self._checked_weights.sum())
         self._exemplars: list[RoutingVector] = []
         self._exemplar_codes = np.empty(
             (_INITIAL_MODE_CAPACITY, len(self.networks)), dtype=np.int32
@@ -160,24 +163,16 @@ class OnlineFenrir:
         """Process one measurement round and classify it."""
         if self._last_time is not None and when <= self._last_time:
             raise ValueError(f"observations must move forward in time: {when}")
-        if self._prev_assignment is not None and assignment == self._prev_assignment:
+        recurring = (
+            self._prev_assignment is not None and assignment == self._prev_assignment
+        )
+        if recurring:
             # Recurring round: same mapping as last time, so the codes
             # are the previous codes, the step change is Φ(x, x), and
             # the match is unchanged unless a mode opened in between.
             vector = RoutingVector._trusted(
                 self.networks, self._previous.codes, self.catalog, when
             )
-            if self._prev_self_step is None:
-                self._prev_self_step = 1.0 - self._phi_pair(
-                    vector.codes, vector.codes
-                )
-            step_change = self._prev_self_step
-            if self._memo_match_modes == len(self._exemplars):
-                mode_id, similarity = self._memo_match
-            else:
-                mode_id, similarity = self._match_mode(vector)
-                self._memo_match = (mode_id, similarity)
-                self._memo_match_modes = len(self._exemplars)
         else:
             vector = RoutingVector.from_mapping(
                 dict(assignment),
@@ -185,15 +180,25 @@ class OnlineFenrir:
                 networks=self.networks,
                 time=when,
             )
-            if self._previous is None:
-                step_change = 0.0
-            else:
-                step_change = 1.0 - self._phi_pair(self._previous.codes, vector.codes)
+        if self._previous is None:
+            step_change = 0.0
+        elif recurring and self._prev_self_step is not None:
+            step_change = self._prev_self_step
+        else:
+            before, w = self._previous.codes, self._checked_weights
+            step_change = 1.0 - float(
+                match_counts(before, vector.codes, w)
+                / denominator(before, vector.codes, w, self._total_weight, self.policy)
+            )
+            self._prev_self_step = step_change if recurring else None
+        if recurring and self._memo_match_modes == len(self._exemplars):
+            mode_id, similarity = self._memo_match
+        else:
             mode_id, similarity = self._match_mode(vector)
-            self._prev_assignment = dict(assignment)
-            self._prev_self_step = None
             self._memo_match = (mode_id, similarity)
             self._memo_match_modes = len(self._exemplars)
+        if not recurring:
+            self._prev_assignment = dict(assignment)
         is_event = step_change > self.event_threshold
         is_new_mode = mode_id is None
         if mode_id is None:
@@ -254,25 +259,6 @@ class OnlineFenrir:
 
     # -- matching kernel -----------------------------------------------------
 
-    def _phi_pair(self, a_codes: np.ndarray, b_codes: np.ndarray) -> float:
-        """Scalar Φ on raw codes with the pre-validated weights.
-
-        Same arithmetic (and therefore bit-identical results) as
-        :func:`repro.core.compare.phi`, minus the per-call weight
-        validation and re-summation.
-        """
-        w = self._checked_weights
-        match = (a_codes == b_codes) & (a_codes != UNKNOWN_CODE)
-        if self.policy is UnknownPolicy.PESSIMISTIC:
-            denominator = self._weight_sum
-        else:
-            both_known = (a_codes != UNKNOWN_CODE) & (b_codes != UNKNOWN_CODE)
-            denominator = w[both_known].sum()
-            match = match & both_known
-        if denominator == 0:
-            return float("nan")
-        return float(w[match].sum() / denominator)
-
     def _append_exemplar(self, vector: RoutingVector) -> None:
         count = len(self._exemplars)
         if count == len(self._exemplar_codes):
@@ -290,12 +276,9 @@ class OnlineFenrir:
         count = len(self._exemplars)
         if not count:
             return None, -1.0
-        similarities = phi_one_to_many(
-            vector.codes,
-            self._exemplar_codes[:count],
-            weights=self._checked_weights,
-            policy=self.policy,
-            weight_sum=self._weight_sum,
+        exemplars, w = self._exemplar_codes[:count], self._checked_weights
+        similarities = match_counts(vector.codes, exemplars, w) / denominator(
+            vector.codes, exemplars, w, self._total_weight, self.policy
         )
         valid = ~np.isnan(similarities)
         if not valid.any():
@@ -306,26 +289,6 @@ class OnlineFenrir:
         best_similarity = float(similarities[best])
         if best_similarity >= self.mode_threshold:
             return best, best_similarity
-        return None, best_similarity
-
-    def _match_mode_scalar(
-        self, vector: RoutingVector
-    ) -> tuple[Optional[int], float]:
-        """Reference implementation: the per-exemplar scalar Φ loop.
-
-        Kept as the oracle for the vectorized kernel; property tests
-        and ``benchmarks/bench_serve.py`` assert the two agree.
-        """
-        best_mode: Optional[int] = None
-        best_similarity = -1.0
-        for mode_id, exemplar in enumerate(self._exemplars):
-            similarity = phi(
-                exemplar, vector, weights=self.weights, policy=self.policy
-            )
-            if similarity > best_similarity:
-                best_mode, best_similarity = mode_id, similarity
-        if best_mode is not None and best_similarity >= self.mode_threshold:
-            return best_mode, best_similarity
         return None, best_similarity
 
     # -- checkpointing --------------------------------------------------------
@@ -439,6 +402,15 @@ class OnlineFenrir:
         may gain labels, which only assigns identifiers, as
         :meth:`match` does).
         """
+        self.stage_delta(delta)()
+
+    def stage_delta(self, delta: Mapping) -> Callable[[], None]:
+        """Check and decode ``delta`` now; return the call that applies it.
+
+        Raises what :meth:`apply_delta` raises and changes no mode state,
+        so an owner that persists the delta in between (the durable
+        monitor) can leave the tracker untouched when that write fails.
+        """
         live_labels = list(self.catalog.labels)
         new_labels = _check_chain(
             delta, len(self.updates), len(self._exemplars), live_labels, "tracker"
@@ -460,19 +432,24 @@ class OnlineFenrir:
         last_time = delta.get("last_time")
         last_time = datetime.fromisoformat(last_time) if last_time else None
         new_updates = [OnlineUpdate.from_document(doc) for doc in delta["updates"]]
-        for vector in exemplars:
-            self._append_exemplar(vector)
-        self._previous = previous
-        self._previous_mode = delta.get("previous_mode")
-        self._last_time = last_time
-        self.updates.extend(new_updates)
-        self._num_events += sum(1 for u in new_updates if u.is_event)
-        self._num_recurrences += sum(1 for u in new_updates if u.recurred)
-        # The recurring-round memos cache state the delta just replaced.
-        self._prev_assignment = None
-        self._prev_self_step = None
-        self._memo_match = (None, -1.0)
-        self._memo_match_modes = -1
+        previous_mode = delta.get("previous_mode")
+
+        def commit() -> None:
+            for vector in exemplars:
+                self._append_exemplar(vector)
+            self._previous = previous
+            self._previous_mode = previous_mode
+            self._last_time = last_time
+            self.updates.extend(new_updates)
+            self._num_events += sum(1 for u in new_updates if u.is_event)
+            self._num_recurrences += sum(1 for u in new_updates if u.recurred)
+            # The recurring-round memos cache state the delta replaced.
+            self._prev_assignment = None
+            self._prev_self_step = None
+            self._memo_match = (None, -1.0)
+            self._memo_match_modes = -1
+
+        return commit
 
     def mode_timeline(self) -> list[tuple[int, datetime, datetime]]:
         """Contiguous (mode_id, start, end) segments seen so far."""

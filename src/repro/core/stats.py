@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .compare import UnknownPolicy
-from .vector import RoutingVector, UNKNOWN_CODE
+from .compare import UnknownPolicy, _check_pair, denominator, match_counts, phi
+from .vector import RoutingVector
 
 __all__ = ["PhiEstimate", "bootstrap_phi", "permutation_change_test"]
 
@@ -41,18 +41,6 @@ class PhiEstimate:
         return self.high - self.low
 
 
-def _match_indicator(
-    a: RoutingVector, b: RoutingVector, policy: UnknownPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-network (match, in-denominator) indicator arrays."""
-    match = (a.codes == b.codes) & (a.codes != UNKNOWN_CODE)
-    if policy is UnknownPolicy.PESSIMISTIC:
-        denominator = np.ones(len(a), dtype=bool)
-    else:
-        denominator = (a.codes != UNKNOWN_CODE) & (b.codes != UNKNOWN_CODE)
-    return match, denominator
-
-
 def bootstrap_phi(
     a: RoutingVector,
     b: RoutingVector,
@@ -62,31 +50,30 @@ def bootstrap_phi(
     samples: int = 2000,
     seed: int = 0,
 ) -> PhiEstimate:
-    """Bootstrap CI for Φ(a, b), resampling networks with replacement."""
-    if a.networks != b.networks:
-        raise ValueError("vectors cover different networks")
+    """Bootstrap CI for Φ(a, b), resampling networks with replacement.
+
+    Takes the inputs :func:`~repro.core.compare.phi` takes and rejects
+    the same ones. A resample that draws network ``n`` ``c`` times
+    weighs it ``c·w(n)``, so every resample is one column of weights
+    for the shared paired-rows kernel.
+    """
+    w = _check_pair(a, b, weights)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     if samples < 10:
         raise ValueError("need at least 10 bootstrap samples")
-    match, denominator = _match_indicator(a, b, policy)
+    point = phi(a, b, w, policy)
     count = len(a)
-    w = (
-        np.ones(count)
-        if weights is None
-        else np.asarray(weights, dtype=np.float64)
-    )
-    match_weight = np.where(match, w, 0.0)
-    denom_weight = np.where(denominator, w, 0.0)
-    total_denominator = denom_weight.sum()
-    point = float(match_weight.sum() / total_denominator) if total_denominator else float("nan")
-
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, count, size=(samples, count))
-    numerators = match_weight[indices].sum(axis=1)
-    denominators = denom_weight[indices].sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(denominators > 0, numerators / denominators, np.nan)
+    draws = np.bincount(
+        (indices + count * np.arange(samples)[:, np.newaxis]).ravel(),
+        minlength=samples * count,
+    ).reshape(samples, count)
+    resampled = (draws * w).T  # N×samples: one weighting per resample
+    values = match_counts(a.codes, b.codes, resampled) / denominator(
+        a.codes, b.codes, resampled, resampled.sum(axis=0), policy
+    )
     alpha = (1.0 - confidence) / 2
     low = float(np.nanquantile(values, alpha))
     high = float(np.nanquantile(values, 1.0 - alpha))

@@ -377,10 +377,12 @@ class DurableMonitor:
         """Apply a shipped delta segment that chains from the live state.
 
         Replication followers call this on every sync: the delta is
-        applied in memory first (:meth:`OnlineFenrir.apply_delta`
+        checked against the tracker first (:meth:`OnlineFenrir.stage_delta`
         raises on any chain mismatch before disk is touched), then
-        persisted as a delta segment at ``seq`` and the journal is
-        reset — the on-disk chain stays exactly equivalent to the
+        persisted as a delta segment at ``seq``, and only then applied
+        in memory and the journal reset. A failed write raises with the
+        tracker unchanged, so the next sync asks for the same rounds
+        again and the on-disk chain stays exactly equivalent to the
         in-memory tracker.
         """
         if not isinstance(seq, int) or isinstance(seq, bool) or seq < self.seq:
@@ -388,10 +390,11 @@ class DurableMonitor:
                 f"delta seq {seq!r} must be an int >= current seq {self.seq}"
             )
         try:
-            self.tracker.apply_delta(delta)
+            commit = self.tracker.stage_delta(delta)
         except (ValueError, KeyError, TypeError) as exc:
             raise MonitorError(f"unapplyable delta: {exc}") from exc
         write_delta(self.directory, seq, delta)
+        commit()
         self.seq = seq
         self._mark_checkpoint()
         self._reset_journal()

@@ -19,24 +19,24 @@ All three terms are monotone and submodular, so greedy selection
 under a cardinality budget carries the classic (1 − 1/e) guarantee.
 
 Determinism (the property the CLI tests pin down): agreement counts
-are computed as per-state-code one-hot float64 matmuls. Every product
-is 0/1 and every sum is an integer ≤ T ≪ 2⁵³, so each count is
-*exact* in float64 — tiling and accumulation order cannot change a
-single bit, which makes the emitted plan byte-identical across runs
-and across ``--jobs`` settings. Ties in the greedy argmax break to
-the lowest VP index.
+are the package's all-pairs Φ count kernel,
+:func:`~repro.core.compare.cooccurrence`, run unweighted over the
+columns — one one-hot float64 matmul per state code. Every product is
+0/1 and every sum is an integer ≤ T ≪ 2⁵³, so each count is *exact* in
+float64 — accumulation order cannot change a single bit, which makes
+the emitted plan byte-identical across runs. Ties in the greedy argmax
+break to the lowest VP index.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
+from ..core.compare import cooccurrence
 from ..core.series import VectorSeries
 from ..core.vector import OTHER_CODE
 from ..obs import get_registry, span
@@ -63,8 +63,6 @@ class SelectionConfig:
     beta: float = 1.0  # transition detection power
     gamma: float = 0.25  # catchment-state coverage
     change_threshold: float = 0.02
-    tile_size: int = 128
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if (self.budget is None) == (self.fraction is None):
@@ -75,10 +73,6 @@ class SelectionConfig:
             raise PlanError(f"fraction must be in (0, 1], got {self.fraction}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise PlanError("term weights must be non-negative")
-        if self.tile_size < 1:
-            raise PlanError(f"tile_size must be >= 1, got {self.tile_size}")
-        if self.jobs < 1:
-            raise PlanError(f"jobs must be >= 1, got {self.jobs}")
 
     def resolve_budget(self, total_networks: int) -> int:
         if self.budget is not None:
@@ -87,45 +81,19 @@ class SelectionConfig:
         return max(1, int(total_networks * self.fraction))
 
 
-def _tile_block(
-    onehot: np.ndarray, bounds: Tuple[int, int]
-) -> Tuple[int, np.ndarray]:
-    start, stop = bounds
-    return start, onehot[:, start:stop].T @ onehot
-
-
-def agreement_counts(
-    matrix: np.ndarray, tile_size: int = 128, jobs: int = 1
-) -> np.ndarray:
+def agreement_counts(matrix: np.ndarray) -> np.ndarray:
     """N×N matrix of exact per-pair column-agreement round counts.
 
-    Computed per state code as one-hot matmuls accumulated over codes:
-    ``sum_code (M == code)ᵀ(M == code)``. All entries are integers
-    ≤ T represented exactly in float64, so the result is bitwise
-    independent of ``tile_size`` and ``jobs``. Tiles are fixed-size
-    row blocks of the output; ``jobs > 1`` computes them on a thread
-    pool (the matmul releases the GIL).
+    Entry ``(i, j)`` counts the rounds in which VPs ``i`` and ``j``
+    report the same code. Every code counts, the special ones included:
+    unlike Φ, where an unknown catchment never matches, two VPs that are
+    both unknown in a round *agree* in that round. This is
+    :func:`~repro.core.compare.cooccurrence` on ``matrix.T`` over every
+    code present, unweighted; all entries are integers ≤ T represented
+    exactly in float64.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.int32)
-    rounds, networks = matrix.shape
-    out = np.zeros((networks, networks), dtype=np.float64)
-    if rounds == 0 or networks == 0:
-        return out
-    tiles = [
-        (start, min(start + tile_size, networks))
-        for start in range(0, networks, tile_size)
-    ]
-    for code in np.unique(matrix):
-        onehot = (matrix == code).astype(np.float64)
-        compute = partial(_tile_block, onehot)
-        if jobs > 1 and len(tiles) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                blocks = list(pool.map(compute, tiles))
-        else:
-            blocks = [compute(bounds) for bounds in tiles]
-        for start, block in blocks:
-            out[start : start + block.shape[0]] += block
-    return out
+    matrix = np.asarray(matrix, dtype=np.int32)
+    return cooccurrence(matrix.T, np.unique(matrix))
 
 
 def _moved(matrix: np.ndarray) -> np.ndarray:
@@ -157,9 +125,7 @@ def select_vps(series: VectorSeries, config: SelectionConfig) -> VPPlan:
     started = perf_counter()
     registry = get_registry()
     with span("vps.select", networks=total, rounds=rounds, budget=budget):
-        sim = agreement_counts(
-            matrix, tile_size=config.tile_size, jobs=config.jobs
-        )
+        sim = agreement_counts(matrix)
 
         moved = _moved(matrix)
         if moved.size:

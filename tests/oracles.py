@@ -11,10 +11,15 @@ property tests can hold the fast ones to them:
   :func:`~repro.core.cluster.cut_linkage` per grid threshold.
 * :func:`pairwise_matches` — weighted known-match counts by one masked
   sum per pair of rows.
-* :func:`scalar_step_changes` — per-step change by one scalar
-  :func:`~repro.core.compare.phi` per consecutive pair.
-* :func:`scalar_similarity` — the all-pairs Φ matrix by one scalar
-  :func:`~repro.core.compare.phi` per pair, over every network.
+* :func:`scalar_phi` — Φ of two vectors by masked sums, ``w[match].sum()``
+  over the policy's denominator: the form every production Φ entry
+  point (the count kernels in :mod:`repro.core.compare`) is held to.
+* :func:`scalar_step_changes` — per-step change by one :func:`scalar_phi`
+  per consecutive pair.
+* :func:`scalar_similarity` — the all-pairs Φ matrix by one
+  :func:`scalar_phi` per pair, over every network.
+* :func:`match_mode_scalar` — an online tracker's mode match by one
+  :func:`scalar_phi` per exemplar.
 * :func:`scalar_interpolate` — gap filling by a per-cell scan outward
   for the nearest known neighbour.
 """
@@ -24,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cluster import Linkage, cut_linkage
-from repro.core.compare import UnknownPolicy, phi
+from repro.core.compare import UnknownPolicy
+from repro.core.online import OnlineFenrir
 from repro.core.series import VectorSeries
-from repro.core.vector import ERROR_CODE, UNKNOWN_CODE
+from repro.core.vector import ERROR_CODE, UNKNOWN_CODE, RoutingVector
 
 
 def global_argmin_linkage(distance: np.ndarray, method: str = "average") -> Linkage:
@@ -107,6 +113,25 @@ def pairwise_matches(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matches
 
 
+def scalar_phi(
+    a: RoutingVector,
+    b: RoutingVector,
+    weights: np.ndarray | None = None,
+    policy: UnknownPolicy = UnknownPolicy.PESSIMISTIC,
+) -> float:
+    """Φ(a, b) as masked sums of the weights; NaN on a zero denominator."""
+    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=np.float64)
+    a_known = a.codes != UNKNOWN_CODE
+    match = (a.codes == b.codes) & a_known
+    if policy is UnknownPolicy.PESSIMISTIC:
+        denominator = w.sum()
+    else:
+        denominator = w[a_known & (b.codes != UNKNOWN_CODE)].sum()
+    if denominator == 0:
+        return float("nan")
+    return float(w[match].sum() / denominator)
+
+
 def scalar_step_changes(
     series: VectorSeries,
     weights: np.ndarray | None = None,
@@ -115,8 +140,8 @@ def scalar_step_changes(
     """Per-step change ``1 - Φ(t_i, t_{i+1})``, one scalar Φ per step."""
     changes = np.empty(max(len(series) - 1, 0), dtype=np.float64)
     for index in range(len(series) - 1):
-        changes[index] = 1.0 - phi(
-            series[index], series[index + 1], weights=weights, policy=policy
+        changes[index] = 1.0 - scalar_phi(
+            series[index], series[index + 1], weights, policy
         )
     return changes
 
@@ -131,10 +156,27 @@ def scalar_similarity(
     similarity = np.empty((num_times, num_times), dtype=np.float64)
     for i in range(num_times):
         for j in range(num_times):
-            similarity[i, j] = phi(
-                series[i], series[j], weights=weights, policy=policy
-            )
+            similarity[i, j] = scalar_phi(series[i], series[j], weights, policy)
     return similarity
+
+
+def match_mode_scalar(
+    tracker: OnlineFenrir, vector: RoutingVector
+) -> tuple[int | None, float]:
+    """``tracker``'s mode match for ``vector``, one Φ per exemplar.
+
+    The first exemplar with the highest Φ wins (strict ``>``); it is a
+    match only at or above the tracker's ``mode_threshold``.
+    """
+    best_mode: int | None = None
+    best_similarity = -1.0
+    for mode_id, exemplar in enumerate(tracker._exemplars):
+        similarity = scalar_phi(exemplar, vector, tracker.weights, tracker.policy)
+        if similarity > best_similarity:
+            best_mode, best_similarity = mode_id, similarity
+    if best_mode is not None and best_similarity >= tracker.mode_threshold:
+        return best_mode, best_similarity
+    return None, best_similarity
 
 
 def scalar_interpolate(

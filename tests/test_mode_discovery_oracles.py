@@ -1,9 +1,9 @@
 """Mode discovery against its reference oracles (``tests/oracles.py``).
 
 The production kernels — nearest-neighbour-chain HAC, the one-pass
-adaptive threshold sweep, the by-state and row-block Φ paths behind the
-merge of identical network columns, and the vectorized step changes —
-must reproduce the straightforward forms they replaced. Inputs are
+adaptive threshold sweep, the co-occurrence and row-block Φ paths
+behind the merge of identical network columns, and the vectorized step
+changes — must reproduce the straightforward forms they replaced. Inputs are
 tie-heavy on purpose: distances are ``1 - k/N`` fractions from small
 integer code matrices, which is the shape real Φ has and where merge
 order is most ambiguous. Agreement with scipy on
@@ -30,9 +30,9 @@ from oracles import (
 from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
 from repro.core.compare import (
     UnknownPolicy,
-    _matches_by_state,
     _matches_pairwise,
     _merge_identical_columns,
+    cooccurrence,
     similarity_matrix,
 )
 from repro.core.detect import step_changes
@@ -139,9 +139,10 @@ class TestManyStatePhi:
             )
         )
         expected = pairwise_matches(codes, weights)
-        states = np.unique(codes)
+        known_states = np.setdiff1d(codes, [0])
         assert _matches_pairwise(codes, weights).tobytes() == expected.tobytes()
-        assert _matches_by_state(codes, weights, states).tobytes() == expected.tobytes()
+        by_state = cooccurrence(codes, known_states, weights)
+        assert by_state.tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(code_matrices(max_states=6), st.data())
@@ -155,8 +156,8 @@ class TestManyStatePhi:
         )
         expected = pairwise_matches(codes, weights)
         assert _matches_pairwise(codes, weights) == pytest.approx(expected)
-        states = np.unique(codes)
-        assert _matches_by_state(codes, weights, states) == pytest.approx(expected)
+        known_states = np.setdiff1d(codes, [0])
+        assert cooccurrence(codes, known_states, weights) == pytest.approx(expected)
 
 
 def series_of(codes: np.ndarray) -> VectorSeries:
@@ -187,9 +188,11 @@ def duplicate_heavy_matrices(draw, max_base=4, max_networks=12):
 
 
 def assert_same_phi(ours: np.ndarray, expected: np.ndarray) -> None:
-    """Equal NaN placement, and equal values elsewhere up to rounding."""
+    """Equal NaN placement, and equal values elsewhere within 1e-12."""
     assert np.array_equal(np.isnan(ours), np.isnan(expected))
-    assert ours[~np.isnan(ours)] == pytest.approx(expected[~np.isnan(expected)])
+    assert ours[~np.isnan(ours)] == pytest.approx(
+        expected[~np.isnan(expected)], rel=0, abs=1e-12
+    )
 
 
 class TestMergedSimilarity:
@@ -308,7 +311,7 @@ class TestStepChanges:
                 elements=st.floats(min_value=0.01, max_value=1e3),
             )
         )
-        expected = scalar_step_changes(series, weights, policy)
-        ours = step_changes(series, weights, policy)
-        assert np.array_equal(np.isnan(ours), np.isnan(expected))
-        assert ours[~np.isnan(ours)] == pytest.approx(expected[~np.isnan(expected)])
+        assert_same_phi(
+            step_changes(series, weights, policy),
+            scalar_step_changes(series, weights, policy),
+        )

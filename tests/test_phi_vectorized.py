@@ -1,9 +1,9 @@
 """Oracle equivalence for the vectorized streaming hot path.
 
-``phi_one_to_many`` and the vectorized ``OnlineFenrir._match_mode``
-must agree with the scalar-loop forms they replaced — the scalar
-:func:`repro.core.compare.phi` stays in the tree precisely to serve as
-this oracle.
+``phi``, ``phi_one_to_many``, ``similarity_to_reference`` and the
+tracker's step change and ``_match_mode`` must agree with the
+masked-sum scalar forms in ``tests/oracles.py``: bit for bit under
+integer weights, within 1e-12 under float weights.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from oracles import match_mode_scalar, scalar_phi
 from repro.core.compare import (
     UnknownPolicy,
     phi,
@@ -24,6 +25,26 @@ from repro.core.series import VectorSeries
 from repro.core.vector import UNKNOWN_CODE, RoutingVector, StateCatalog
 
 POLICIES = [UnknownPolicy.PESSIMISTIC, UnknownPolicy.EXCLUDE]
+WEIGHT_KINDS = ("none", "float", "integer")
+
+
+def _weights(kind, rng, size):
+    """No weights, float weights, or integer-valued float weights."""
+    if kind == "none":
+        return None
+    if kind == "float":
+        return rng.uniform(0.1, 5.0, size=size)
+    return rng.integers(1, 9, size=size).astype(np.float64)
+
+
+def assert_equals_oracle(ours, expected, weights):
+    """Bit-equal under integer (or no) weights; within 1e-12 otherwise."""
+    ours = np.asarray(ours, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    if weights is None or np.array_equal(weights, np.round(weights)):
+        assert ours.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(ours, expected, rtol=0, atol=1e-12)
 
 
 def _random_setup(rng, num_modes, num_networks, num_states=5, unknown_rate=0.2):
@@ -53,18 +74,19 @@ class TestPhiOneToMany:
         num_modes = int(rng.integers(1, 12))
         num_networks = int(rng.integers(1, 30))
         _, _, exemplars, probe = _random_setup(rng, num_modes, num_networks)
-        weights = (
-            None if seed % 2 else rng.uniform(0.1, 5.0, size=num_networks)
-        )
+        weights = _weights(WEIGHT_KINDS[seed % 3], rng, num_networks)
         matrix = np.stack([e.codes for e in exemplars])
-
-        vectorized = phi_one_to_many(
-            probe.codes, matrix, weights=weights, policy=policy
+        expected = [scalar_phi(e, probe, weights, policy) for e in exemplars]
+        assert_equals_oracle(
+            phi_one_to_many(probe.codes, matrix, weights=weights, policy=policy),
+            expected,
+            weights,
         )
-        scalar = np.array(
-            [phi(e, probe, weights=weights, policy=policy) for e in exemplars]
+        assert_equals_oracle(
+            [phi(e, probe, weights=weights, policy=policy) for e in exemplars],
+            expected,
+            weights,
         )
-        np.testing.assert_allclose(vectorized, scalar, rtol=0, atol=1e-12)
 
     def test_exclude_all_unknown_row_is_nan(self):
         rng = np.random.default_rng(7)
@@ -122,9 +144,11 @@ class TestSimilarityToReferenceVectorized:
             for i, e in enumerate(exemplars)
         ]
         series = VectorSeries.from_vectors(stamped)
-        profile = similarity_to_reference(series, reference, policy=policy)
-        expected = [phi(v, reference, policy=policy) for v in stamped]
-        np.testing.assert_allclose(profile, expected, rtol=0, atol=1e-12)
+        for kind in WEIGHT_KINDS:
+            weights = _weights(kind, rng, len(networks))
+            profile = similarity_to_reference(series, reference, weights, policy)
+            expected = [scalar_phi(v, reference, weights, policy) for v in stamped]
+            assert_equals_oracle(profile, expected, weights)
 
 
 class TestMatchModeVectorized:
@@ -132,10 +156,11 @@ class TestMatchModeVectorized:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scalar_oracle_over_a_stream(self, policy, seed):
         """Every _match_mode during a random stream agrees with the
-        scalar loop, including the (mode_id, similarity) tie-breaks."""
+        scalar loop, including the (mode_id, similarity) tie-breaks, and
+        every step change agrees with the scalar Φ of the two rounds."""
         rng = np.random.default_rng(seed)
         networks = [f"n{i}" for i in range(12)]
-        weights = None if seed % 2 else rng.uniform(0.5, 2.0, size=len(networks))
+        weights = _weights(WEIGHT_KINDS[seed % 3], rng, len(networks))
         tracker = OnlineFenrir(
             networks=networks,
             mode_threshold=0.6,
@@ -144,6 +169,7 @@ class TestMatchModeVectorized:
         )
         sites = ["LAX", "MIA", "AMS", "unknown"]
         base = datetime(2025, 1, 1)
+        previous = None
         for step in range(60):
             states = {
                 n: sites[int(rng.integers(0, len(sites)))] for n in networks
@@ -152,17 +178,17 @@ class TestMatchModeVectorized:
                 dict(states), catalog=tracker.catalog, networks=tracker.networks
             )
             mode_id, similarity = tracker._match_mode(vector)
-            oracle_id, oracle_similarity = tracker._match_mode_scalar(vector)
+            oracle_id, oracle_similarity = match_mode_scalar(tracker, vector)
             assert mode_id == oracle_id
-            if weights is None:
-                # Integer-valued sums: the matmul and the masked sum are
-                # bit-identical.
-                assert similarity == oracle_similarity
-            else:
-                # Dot product and masked pairwise sum may differ in the
-                # final ulp with float weights.
-                assert similarity == pytest.approx(oracle_similarity, abs=1e-12)
-            tracker.ingest(states, base + timedelta(hours=step))
+            assert_equals_oracle(similarity, oracle_similarity, weights)
+            update = tracker.ingest(states, base + timedelta(hours=step))
+            expected_step = (
+                0.0
+                if previous is None
+                else 1.0 - scalar_phi(previous, vector, weights, policy)
+            )
+            assert_equals_oracle(update.step_change, expected_step, weights)
+            previous = vector
 
     def test_match_with_no_modes(self):
         tracker = OnlineFenrir(networks=["a", "b"])
@@ -179,7 +205,7 @@ class TestMatchModeVectorized:
         vector = RoutingVector.from_mapping(
             {}, catalog=tracker.catalog, networks=tracker.networks
         )
-        assert tracker._match_mode(vector) == tracker._match_mode_scalar(vector)
+        assert tracker._match_mode(vector) == match_mode_scalar(tracker, vector)
         assert tracker._match_mode(vector) == (None, -1.0)
 
 

@@ -30,6 +30,7 @@ from repro.serve.journal import (
     JournalWriter,
     read_snapshot,
 )
+from repro.serve import monitor as monitor_module
 from repro.serve.monitor import DurableMonitor, MonitorError
 
 BASE = datetime(2025, 1, 1)
@@ -333,6 +334,44 @@ class TestIncrementalCheckpoints:
                 monitor.install_delta(2, primary.tracker.to_state(updates_after=0))
         monitor.ingest_batch(rounds[2:])  # crosses the cadence: a delta
         monitor.close()
+        oracle = OnlineFenrir(networks=NETWORKS)
+        for states, when in rounds:
+            oracle.ingest(states, when)
+        reopened = DurableMonitor.open(tmp_path, "m")
+        assert reopened.tracker.to_state() == oracle.to_state()
+        reopened.close()
+
+    def test_shipped_delta_whose_write_fails_is_not_applied(
+        self, tmp_path, monkeypatch
+    ):
+        """A follower whose delta segment write fails keeps the tracker
+        where its disk chain is, so the next sync asks for the same
+        rounds again and the reopened chain equals the primary's."""
+        rounds = make_rounds(6)
+        primary = DurableMonitor.create(tmp_path / "p", "m", networks=NETWORKS)
+        follower = DurableMonitor.create(tmp_path, "m", networks=NETWORKS)
+
+        def sync():
+            after = len(follower.tracker.updates)
+            follower.install_delta(
+                primary.seq, primary.tracker.to_state(updates_after=after)
+            )
+
+        primary.ingest_batch(rounds[:3])
+        real_write = monitor_module.write_delta
+
+        def refuse(*args):
+            monkeypatch.setattr(monitor_module, "write_delta", real_write)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(monitor_module, "write_delta", refuse)
+        with pytest.raises(OSError):
+            sync()
+        assert len(follower.tracker.updates) == 0
+        primary.ingest_batch(rounds[3:])
+        sync()
+        follower.close()
+        primary.close()
         oracle = OnlineFenrir(networks=NETWORKS)
         for states, when in rounds:
             oracle.ingest(states, when)

@@ -692,6 +692,34 @@ class TestBatchCommands:
             assert client.list_monitors() == ["svc"]
 
 
+def test_serve_import_loads_no_simulator():
+    """The serve path (every shard process) imports none of the
+    simulators the offline workflows use."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.serve.server; print(*sorted(sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    ).stdout.split()
+    packages = {name.split(".")[1] for name in loaded if name.startswith("repro.")}
+    simulators = {
+        "bgp",
+        "anycast",
+        "dns",
+        "traceroute",
+        "webmap",
+        "datasets",
+        "controlplane",
+    }
+    assert packages & simulators == set()
+
+
 def wait_for_port_line(process: subprocess.Popen) -> tuple[str, int]:
     line = process.stdout.readline().decode()
     assert line.startswith("listening on "), f"unexpected readiness line: {line!r}"

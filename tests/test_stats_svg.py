@@ -63,6 +63,27 @@ class TestBootstrapPhi:
         excluding = bootstrap_phi(a, b, samples=100, policy=UnknownPolicy.EXCLUDE)
         assert excluding.point > pessimistic.point
 
+    @pytest.mark.parametrize(
+        "weights, other_catalog",
+        [
+            pytest.param(np.ones(1), False, id="weights-of-shape-1"),
+            pytest.param(np.array([1.0, -3.0, 1.0]), False, id="negative-weight"),
+            pytest.param(np.array([1.0, np.nan, 1.0]), False, id="nan-weight"),
+            pytest.param(None, True, id="different-catalogs"),
+        ],
+    )
+    def test_rejects_what_phi_rejects(self, weights, other_catalog):
+        a, b = make_pair(size=3, matching=2)
+        if other_catalog:
+            # Every site differs from a's, but the codes coincide.
+            b = RoutingVector.from_mapping(
+                {network: "ELSEWHERE" for network in a.networks},
+                catalog=StateCatalog(),
+                networks=a.networks,
+            )
+        with pytest.raises(ValueError):
+            bootstrap_phi(a, b, weights=weights, samples=50)
+
     def test_validation(self):
         a, b = make_pair(size=5, matching=5)
         with pytest.raises(ValueError):
