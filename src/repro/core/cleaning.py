@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .series import VectorSeries
-from .vector import ERROR_CODE, OTHER_CODE, UNKNOWN_CODE, RoutingVector
+from .vector import ERROR_CODE, OTHER_CODE, UNKNOWN_CODE
 
 __all__ = [
     "map_unmapped_states",
@@ -153,11 +153,11 @@ def interpolate_series(
     source = np.where(out_of_reach, time_index, source)
     filled = np.take_along_axis(codes, source, axis=0)
 
+    # ``filled`` gathers already-validated codes and the times already
+    # increase, so the rows go in as they are, like ``between`` does.
     cleaned = VectorSeries(series.networks, series.catalog)
-    for index, time in enumerate(series.times):
-        cleaned.append(
-            RoutingVector(series.networks, filled[index], series.catalog, time)
-        )
+    cleaned._rows = list(filled)
+    cleaned.times = list(series.times)
     return cleaned
 
 

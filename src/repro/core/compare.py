@@ -15,6 +15,12 @@ goes through two count kernels here: :func:`match_counts` (paired rows)
 and :func:`cooccurrence` (all pairs, one one-hot matmul per state), with
 :func:`denominator` supplying the per-policy denominator. The scalar
 reference forms they are tested against live in ``tests/oracles.py``.
+
+The kernels sum in the dtype of the weights they are given and return
+float64, so every Φ is divided in float64. Weights are cast to their
+:func:`count_dtype` once, where they are validated: float32 when every
+count is an integer below 2**24 (exact there, and faster), float64
+otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .vector import RoutingVector, UNKNOWN_CODE
 
 __all__ = [
     "UnknownPolicy",
+    "count_dtype",
     "match_counts",
     "cooccurrence",
     "denominator",
@@ -47,22 +54,46 @@ class UnknownPolicy(enum.Enum):
     EXCLUDE = "exclude"  # unknowns leave both numerator and denominator
 
 
+#: float32 holds every integer below this exactly (24-bit significand).
+_FLOAT32_EXACT_BELOW = 2**24
+
+
+def count_dtype(w: np.ndarray) -> np.dtype:
+    """The dtype the count kernels should sum ``w`` in.
+
+    float32 when every weight is an integer and every column of ``w``
+    (one for ``(N,)``, K for ``(N, K)``) sums below 2**24: each partial
+    sum of a count is then an integer no larger than its column's
+    total, which float32 holds exactly, so no summation order or FMA
+    can change a bit. float64 otherwise. ``w`` must be finite and
+    non-negative. This scans ``w``, so it runs once, where weights are
+    validated, and never inside a kernel call.
+    """
+    w = np.asarray(w)
+    totals = w.sum(axis=0, dtype=np.float64)
+    if np.all(totals < _FLOAT32_EXACT_BELOW) and np.array_equal(w, np.trunc(w)):
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
 def _check_weights(weights: Optional[np.ndarray], length: int) -> np.ndarray:
+    """Validated weights, in their :func:`count_dtype`."""
     if weights is None:
-        return np.ones(length, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (length,):
-        raise ValueError(f"weights shape {weights.shape} != ({length},)")
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
-    if length and not weights.any():
-        raise ValueError(
-            "weights are all zero: every Φ would be 0/0; "
-            "drop the weighting instead of zeroing every network"
-        )
-    return weights
+        weights = np.ones(length, dtype=np.float64)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (length,):
+            raise ValueError(f"weights shape {weights.shape} != ({length},)")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        if (weights < 0).any():
+            raise ValueError("weights must be non-negative")
+        if length and not weights.any():
+            raise ValueError(
+                "weights are all zero: every Φ would be 0/0; "
+                "drop the weighting instead of zeroing every network"
+            )
+    return weights.astype(count_dtype(weights), copy=False)
 
 
 def match_counts(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -71,9 +102,11 @@ def match_counts(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     The paired-rows kernel, ``Σ_n M(t,t',n)·w(n)``: rows ``a`` and ``b``
     broadcast against each other, so one row against a stack of rows,
     or two aligned stacks row by row, is one pass. ``w`` is ``(N,)``, or
-    ``(N, K)`` for K weightings of the same networks at once.
+    ``(N, K)`` for K weightings of the same networks at once. The sum
+    runs in ``w``'s dtype (see :func:`count_dtype`); the result is
+    float64.
     """
-    return ((a == b) & (a != UNKNOWN_CODE)) @ w
+    return np.asarray(((a == b) & (a != UNKNOWN_CODE)) @ w, dtype=np.float64)
 
 
 def cooccurrence(
@@ -86,12 +119,21 @@ def cooccurrence(
     in ``codes``, as one one-hot matmul per code. Φ passes the known
     codes only. With ``w=None`` every position weighs 1 and the weight
     multiply is skipped, so the matmul is a plain ``X @ Xᵀ``.
+
+    The counts sum in ``w``'s dtype (see :func:`count_dtype`), and
+    unweighted in float32 while a count, at most ``rows.shape[1]``, is
+    below 2**24. ``codes`` are distinct, so each position adds to one
+    code's term at most. The result is float64.
     """
-    out = np.zeros((len(rows), len(rows)), dtype=np.float64)
+    if w is None:
+        dtype = np.float32 if rows.shape[1] < _FLOAT32_EXACT_BELOW else np.float64
+    else:
+        dtype = w.dtype
+    out = np.zeros((len(rows), len(rows)), dtype=dtype)
     for code in codes:
-        indicator = (rows == code).astype(np.float64)
+        indicator = (rows == code).astype(dtype)
         out += (indicator if w is None else indicator * w) @ indicator.T
-    return out
+    return out.astype(np.float64, copy=False)
 
 
 def denominator(
@@ -114,7 +156,8 @@ def denominator(
     elif b is None:
         count = cooccurrence(a != UNKNOWN_CODE, (True,), w)
     else:
-        count = ((a != UNKNOWN_CODE) & (b != UNKNOWN_CODE)) @ w
+        known = (a != UNKNOWN_CODE) & (b != UNKNOWN_CODE)
+        count = np.asarray(known @ w, dtype=np.float64)
     return np.where(count > 0, count, np.nan)
 
 
@@ -232,7 +275,10 @@ def similarity_matrix(
     num_times, num_networks = codes.shape
     w = _check_weights(weights, num_networks)
     total = w.sum()
-    codes, w = _merge_identical_columns(codes, w)
+    # Merged integer weights are integers with the same total, so they
+    # keep the count dtype that ``bincount``'s float64 would lose.
+    codes, merged = _merge_identical_columns(codes, w)
+    w = merged.astype(w.dtype, copy=False)
     states = np.flatnonzero(np.bincount(codes.ravel()))
     if len(states) <= max(32, 2 * num_times):
         matches = cooccurrence(codes, states[states != UNKNOWN_CODE], w)

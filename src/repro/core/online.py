@@ -17,9 +17,10 @@ int32 matrix so matching an incoming vector against every known mode is
 one pass of the shared paired-rows kernel
 (:func:`~repro.core.compare.match_counts` over
 :func:`~repro.core.compare.denominator`), as is the step change;
-weights are validated and summed once at construction and handed to
-the kernels as they are; event/recurrence counts are maintained
-incrementally so summaries never rescan ``updates``. The scalar
+weights are validated, summed and cast to their count dtype once at
+construction and handed to the kernels as they are; event/recurrence
+counts are maintained incrementally so summaries never rescan
+``updates``. The scalar
 per-exemplar loop the matcher is property-tested against lives in
 ``tests/oracles.py``.
 """
@@ -108,7 +109,8 @@ class OnlineFenrir:
             self.weights = np.asarray(self.weights, dtype=np.float64)
         # Validate once, here, so a bad weight vector fails at
         # construction instead of as a phi shape error on the first
-        # ingest — and so the hot path never re-checks or re-sums it.
+        # ingest — and so the hot path never re-checks, re-sums or
+        # re-picks the count dtype of it.
         self._checked_weights = _check_weights(self.weights, len(self.networks))
         self._total_weight = float(self._checked_weights.sum())
         self._exemplars: list[RoutingVector] = []

@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .compare import UnknownPolicy, _check_pair, denominator, match_counts, phi
+from .compare import (
+    UnknownPolicy,
+    _check_pair,
+    count_dtype,
+    denominator,
+    match_counts,
+    phi,
+)
 from .vector import RoutingVector
 
 __all__ = ["PhiEstimate", "bootstrap_phi", "permutation_change_test"]
@@ -71,6 +78,7 @@ def bootstrap_phi(
         minlength=samples * count,
     ).reshape(samples, count)
     resampled = (draws * w).T  # N×samples: one weighting per resample
+    resampled = resampled.astype(count_dtype(resampled), copy=False)
     values = match_counts(a.codes, b.codes, resampled) / denominator(
         a.codes, b.codes, resampled, resampled.sum(axis=0), policy
     )

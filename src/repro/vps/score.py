@@ -21,10 +21,11 @@ under a cardinality budget carries the classic (1 − 1/e) guarantee.
 Determinism (the property the CLI tests pin down): agreement counts
 are the package's all-pairs Φ count kernel,
 :func:`~repro.core.compare.cooccurrence`, run unweighted over the
-columns — one one-hot float64 matmul per state code. Every product is
-0/1 and every sum is an integer ≤ T ≪ 2⁵³, so each count is *exact* in
-float64 — accumulation order cannot change a single bit, which makes
-the emitted plan byte-identical across runs. Ties in the greedy argmax
+columns — one one-hot float32 matmul per state code. Every product is
+0/1 and every sum is an integer ≤ T < 2²⁴, so each count is *exact* in
+float32 (the kernel falls back to float64 from T = 2²⁴ on) —
+accumulation order cannot change a single bit, which makes the emitted
+plan byte-identical across runs. Ties in the greedy argmax
 break to the lowest VP index.
 """
 
@@ -89,8 +90,8 @@ def agreement_counts(matrix: np.ndarray) -> np.ndarray:
     unlike Φ, where an unknown catchment never matches, two VPs that are
     both unknown in a round *agree* in that round. This is
     :func:`~repro.core.compare.cooccurrence` on ``matrix.T`` over every
-    code present, unweighted; all entries are integers ≤ T represented
-    exactly in float64.
+    code present, unweighted: summed in float32, exact because every
+    entry is an integer ≤ T < 2**24, and returned as float64.
     """
     matrix = np.asarray(matrix, dtype=np.int32)
     return cooccurrence(matrix.T, np.unique(matrix))

@@ -70,6 +70,21 @@ class TestHacSmall:
         with pytest.raises(ValueError):
             hac_linkage(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_accepts_asymmetry_within_tolerance(self):
+        # Not exactly symmetric, so the exact check falls through to
+        # allclose(atol=1e-12), which accepts it as before.
+        distance = np.array([[0.0, 0.4], [0.4 + 1e-13, 0.0]])
+        assert not np.array_equal(distance, distance.T)
+        result = hac_linkage(distance, "single")
+        assert result.merges[0, 2] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_rejects_nan_even_when_mirrored(self, cell):
+        distance = np.array([[0.0, 0.4], [0.4, 0.0]])
+        distance[cell] = distance[cell[::-1]] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            hac_linkage(distance)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             hac_linkage(np.zeros((0, 0)))

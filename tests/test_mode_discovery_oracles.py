@@ -3,7 +3,8 @@
 The production kernels — nearest-neighbour-chain HAC, the one-pass
 adaptive threshold sweep, the co-occurrence and row-block Φ paths
 behind the merge of identical network columns, and the vectorized step
-changes — must reproduce the straightforward forms they replaced. Inputs are
+changes — must reproduce the straightforward forms they replaced, and
+the float32 count path must equal the float64 one bit for bit. Inputs are
 tie-heavy on purpose: distances are ``1 - k/N`` fractions from small
 integer code matrices, which is the shape real Φ has and where merge
 order is most ambiguous. Agreement with scipy on
@@ -30,12 +31,17 @@ from oracles import (
 from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
 from repro.core.compare import (
     UnknownPolicy,
+    _check_weights,
     _matches_pairwise,
     _merge_identical_columns,
     cooccurrence,
+    count_dtype,
+    denominator,
+    match_counts,
     similarity_matrix,
 )
 from repro.core.detect import step_changes
+from repro.core.online import OnlineFenrir
 from repro.core.series import VectorSeries
 from repro.core.vector import RoutingVector, StateCatalog
 
@@ -315,3 +321,140 @@ class TestStepChanges:
             step_changes(series, weights, policy),
             scalar_step_changes(series, weights, policy),
         )
+
+
+F32 = np.dtype(np.float32)
+F64 = np.dtype(np.float64)
+TWO_24 = 2**24
+
+
+@st.composite
+def integer_weights_with_total(draw, total, max_networks=8):
+    """Non-negative integer weights, as float64, summing to ``total``."""
+    count = draw(st.integers(min_value=1, max_value=max_networks))
+    cuts = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=total),
+            min_size=count - 1,
+            max_size=count - 1,
+        )
+    )
+    return np.diff([0, *sorted(cuts), total]).astype(np.float64)
+
+
+class TestCountDtype:
+    """float32 counts only where they are exact, and then bit-equal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(code_matrices(max_states=6), st.data())
+    def test_float32_counts_bit_equal_float64_under_integer_weights(
+        self, codes, data
+    ):
+        # Up to 8 networks of weight below 2**21: totals stay below
+        # 2**24 while single counts use most of float32's significand.
+        weights = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=0, max_value=2**21 - 1).map(float),
+            )
+        )
+        assert count_dtype(weights) == F32
+        narrow = weights.astype(F32)
+        total = weights.sum()
+        before, after = codes[:-1], codes[1:]
+        pairs = [(before, after), (codes[0], codes)]
+        for a, b in pairs:
+            assert (
+                match_counts(a, b, narrow).tobytes()
+                == match_counts(a, b, weights).tobytes()
+            )
+            assert (
+                denominator(a, b, narrow, total, UnknownPolicy.EXCLUDE).tobytes()
+                == denominator(a, b, weights, total, UnknownPolicy.EXCLUDE).tobytes()
+            )
+        known_states = np.setdiff1d(codes, [0])
+        assert (
+            cooccurrence(codes, known_states, narrow).tobytes()
+            == cooccurrence(codes, known_states, weights).tobytes()
+        )
+        assert (
+            denominator(codes, None, narrow, total, UnknownPolicy.EXCLUDE).tobytes()
+            == denominator(codes, None, weights, total, UnknownPolicy.EXCLUDE).tobytes()
+        )
+        # Unweighted, the kernel picks float32 itself; weights of one in
+        # float64 are the same counts.
+        every_code = np.unique(codes)
+        ones = np.ones(codes.shape[1])
+        assert (
+            cooccurrence(codes, every_code).tobytes()
+            == cooccurrence(codes, every_code, ones).tobytes()
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_weights_with_total(TWO_24 - 1))
+    def test_total_just_below_two_to_the_24_takes_float32(self, weights):
+        assert count_dtype(weights) == F32
+        checked = _check_weights(weights, len(weights))
+        assert checked.dtype == F32
+        assert checked.tobytes() == weights.astype(F32).tobytes()
+        # The largest possible count, every network matching, is exact.
+        codes = np.full(len(weights), 3, dtype=np.int32)
+        assert match_counts(codes, codes, checked) == TWO_24 - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_weights_with_total(TWO_24))
+    def test_total_of_two_to_the_24_falls_back_to_float64(self, weights):
+        assert count_dtype(weights) == F64
+        assert _check_weights(weights, len(weights)).dtype == F64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        integer_weights_with_total(1000),
+        st.data(),
+        st.floats(min_value=1e-6, max_value=1 - 1e-6),
+    )
+    def test_non_integral_weights_take_float64(self, weights, data, fraction):
+        index = data.draw(st.integers(min_value=0, max_value=len(weights) - 1))
+        weights[index] += fraction
+        assert count_dtype(weights) == F64
+        assert _check_weights(weights, len(weights)).dtype == F64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=4))
+    def test_two_dimensional_weights_are_guarded_per_column(self, data, columns):
+        # The bootstrap's (N, K) resampled weights: float32 only when
+        # every column is integral and sums below 2**24, however large
+        # the sum over all columns is.
+        totals = data.draw(
+            st.lists(
+                st.sampled_from([1, TWO_24 // 2 + 1, TWO_24 - 1, TWO_24]),
+                min_size=columns,
+                max_size=columns,
+            )
+        )
+        count = data.draw(st.integers(min_value=1, max_value=6))
+        weights = np.zeros((count, columns))
+        for column, total in enumerate(totals):
+            share = data.draw(integer_weights_with_total(total, max_networks=count))
+            weights[: len(share), column] = share
+        expected = F32 if max(totals) < TWO_24 else F64
+        assert count_dtype(weights) == expected
+        if expected == F32:
+            weights[data.draw(st.integers(0, count - 1)), 0] += 0.5
+            assert count_dtype(weights) == F64
+
+    def test_column_sums_not_the_grand_total_decide(self):
+        weights = np.full((4, 3), float(TWO_24 // 4 - 1))
+        assert weights.sum() >= TWO_24
+        assert count_dtype(weights) == F32
+
+    def test_validated_weights_carry_their_count_dtype(self):
+        networks = ["a", "b", "c"]
+        assert _check_weights(None, 3).dtype == F32
+        integral = OnlineFenrir(networks=networks, weights=[1.0, 4.0, 16.0])
+        assert integral._checked_weights.dtype == F32
+        fractional = OnlineFenrir(networks=networks, weights=[1.0, 0.5, 2.0])
+        assert fractional._checked_weights.dtype == F64
+        # The tracker's own copy of the weights stays as given.
+        assert integral.weights.dtype == F64
