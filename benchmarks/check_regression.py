@@ -2,21 +2,20 @@
 
 Usage::
 
-    python benchmarks/check_regression.py baseline.json candidate.json \
+    python benchmarks/check_regression.py \
         [--vps-baseline BENCH_vps.json --vps-candidate fresh_vps.json] \
         [--classify-baseline BENCH_classify.json \
          --classify-candidate fresh_classify.json] \
         [--max-drop 0.40] [--max-latency-rise 2.0]
 
 Each benchmark is a *suite*: a baseline/candidate document pair plus
-the sections to compare row by row. The serve suite (the positional
-arguments) gates ``throughput_by_batch`` (required) and, when the
-baseline recorded them, ``throughput_by_shards``,
-``throughput_by_concurrency``, ``throughput_router_vs_direct`` and
-``latency_p99_ms_by_concurrency``. The vps suite gates the fixed
-``ingest_rounds_per_second`` micro-bench; the classify suite gates
-held-out ``macro_f1`` (a drop is the regression) and
-``classify_latency_ms`` (a p99 rise is the regression).
+the sections to compare row by row; at least one suite is required.
+The vps suite gates the fixed ``ingest_rounds_per_second``
+micro-bench; the classify suite gates held-out ``macro_f1`` (a drop is
+the regression) and ``classify_latency_ms`` (a p99 rise is the
+regression). The serve tier's benchmark is perfbench's
+``mixed-routed`` workload (``BENCHMARK.json``), judged by alternating
+runs against the parent rather than by one run against a file.
 
 Shared rules: improvements and new rows never fail; a row that
 vanished from the candidate does, because silently losing a
@@ -25,10 +24,10 @@ a drop beyond ``--max-drop``; latency sections fail on a *rise* beyond
 ``--max-latency-rise`` (far more generous, because tail latency on a
 shared runner is the noisiest number this harness records).
 
-The vps and classify suites tolerate a missing *baseline* file with a
-notice and a refresh hint — the first PR that ships a bench has no
-committed baseline to compare against — but once a baseline exists, a
-missing or section-less candidate fails.
+Both suites tolerate a missing *baseline* file with a notice and a
+refresh hint — the first PR that ships a bench has no committed
+baseline to compare against — but once a baseline exists, a missing
+or section-less candidate fails.
 
 The generous default threshold is deliberate: CI runners are noisy
 shared machines, and this gate exists to catch "someone serialized the
@@ -43,37 +42,21 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-UPDATE_HINT = """\
-If this slowdown is expected (e.g. the batch path deliberately trades
-throughput for a new guarantee), refresh the committed baseline:
-
-    PYTHONPATH=src python benchmarks/bench_serve.py --quick --shards 4
-    git add BENCH_serve.json
-
-and explain the trade-off in the commit message. Otherwise, profile the
-serve ingest path before merging — `repro client metrics` exposes
-per-command latency histograms and journal fsync timings."""
-
-VPS_UPDATE_HINT = """\
-If the vps baseline is missing or stale, refresh it:
-
-    PYTHONPATH=src python benchmarks/bench_vps.py --quick
-    git add BENCH_vps.json"""
-
-CLASSIFY_UPDATE_HINT = """\
-If the classify baseline is missing or stale, refresh it:
-
-    PYTHONPATH=src python benchmarks/bench_classify.py --quick
-    git add BENCH_classify.json"""
+def refresh_hint(name: str) -> str:
+    """How to refresh the committed baseline of suite ``name``."""
+    return (
+        f"If the {name} baseline is missing or stale, refresh it:\n\n"
+        f"    PYTHONPATH=src python benchmarks/bench_{name}.py --quick\n"
+        f"    git add BENCH_{name}.json"
+    )
 
 
-def load_document(
-    path: Path, optional: bool = False, hint: str = VPS_UPDATE_HINT
-) -> dict | None:
+def load_document(path: Path, hint: str | None = None) -> dict | None:
+    """The JSON document at ``path``; None if it is missing and ``hint`` is given."""
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        if optional:
+        if hint is not None:
             print(
                 f"notice: {path} does not exist; skipping its comparison.\n"
                 f"{hint}"
@@ -113,12 +96,7 @@ def compare_section(
             f"{label}: section present in baseline but missing from candidate"
         )
         return
-    # Serve sections key by batch/shard counts, vps by workload names;
-    # sort numerically when possible, lexically otherwise.
-    def sort_key(value: str) -> tuple:
-        return (0, int(value), "") if value.isdigit() else (1, 0, value)
-
-    for key in sorted(baseline, key=sort_key):
+    for key in sorted(baseline):
         before = baseline[key]
         after = candidate.get(key)
         if after is None:
@@ -155,63 +133,44 @@ class SectionSpec:
     gate: str = "drop"  # "drop" -> --max-drop, "rise" -> --max-latency-rise
 
 
-#: What each bench suite compares. The serve suite is the positional
-#: pair; vps and classify are opt-in flag pairs with a tolerated
-#: missing baseline (their first PR has nothing committed to compare
-#: against) and a suite-specific refresh hint.
-SERVE_SECTIONS = (
-    SectionSpec("batch", "throughput_by_batch", required=True),
-    SectionSpec("shards", "throughput_by_shards"),
-    SectionSpec("concurrency", "throughput_by_concurrency"),
-    SectionSpec("route", "throughput_router_vs_direct"),
-    SectionSpec(
-        "p99",
-        "latency_p99_ms_by_concurrency",
-        higher_is_better=False,
-        unit="ms",
-        gate="rise",
+#: What each bench suite compares, keyed by its flag prefix
+#: (``--<name>-baseline``/``--<name>-candidate``) and by the
+#: ``benchmarks/bench_<name>.py`` that writes its ``BENCH_<name>.json``.
+SUITES = {
+    "vps": (SectionSpec("vps", "ingest_rounds_per_second", required=True),),
+    "classify": (
+        SectionSpec("classify-f1", "macro_f1", required=True, unit="macro-F1"),
+        SectionSpec(
+            "classify-latency",
+            "classify_latency_ms",
+            higher_is_better=False,
+            unit="ms",
+            gate="rise",
+        ),
     ),
-)
-VPS_SECTIONS = (
-    SectionSpec("vps", "ingest_rounds_per_second", required=True),
-)
-CLASSIFY_SECTIONS = (
-    SectionSpec(
-        "classify-f1", "macro_f1", required=True, unit="macro-F1"
-    ),
-    SectionSpec(
-        "classify-latency",
-        "classify_latency_ms",
-        higher_is_better=False,
-        unit="ms",
-        gate="rise",
-    ),
-)
+}
 
 
 def compare_suite(
     name: str,
     baseline_path: Path,
     candidate_path: Path | None,
-    sections: tuple[SectionSpec, ...],
     limits: dict[str, float],
     failures: list[str],
-    optional_baseline: bool = False,
-    hint: str = VPS_UPDATE_HINT,
 ) -> None:
     """Load one baseline/candidate pair and compare its sections.
 
-    With ``optional_baseline`` a missing baseline file prints the
-    suite's refresh hint and skips the comparison entirely; once the
-    baseline loads, the candidate is mandatory.
+    A missing baseline file prints the suite's refresh hint and skips
+    the comparison entirely; once the baseline loads, the candidate is
+    mandatory.
     """
-    baseline_doc = load_document(baseline_path, optional=optional_baseline, hint=hint)
+    baseline_doc = load_document(baseline_path, hint=refresh_hint(name))
     if baseline_doc is None:
         return
     if candidate_path is None:
         sys.exit(f"error: --{name}-baseline given without --{name}-candidate")
     candidate_doc = load_document(candidate_path)
-    for spec in sections:
+    for spec in SUITES[name]:
         baseline = extract_section(
             baseline_doc, baseline_path, spec.section, required=spec.required
         )
@@ -233,32 +192,19 @@ def compare_suite(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", type=Path, help="committed BENCH_serve.json")
-    parser.add_argument("candidate", type=Path, help="freshly measured BENCH_serve.json")
-    parser.add_argument(
-        "--vps-baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_vps.json (missing file tolerated)",
-    )
-    parser.add_argument(
-        "--vps-candidate",
-        type=Path,
-        default=None,
-        help="freshly measured BENCH_vps.json",
-    )
-    parser.add_argument(
-        "--classify-baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_classify.json (missing file tolerated)",
-    )
-    parser.add_argument(
-        "--classify-candidate",
-        type=Path,
-        default=None,
-        help="freshly measured BENCH_classify.json",
-    )
+    for name in SUITES:
+        parser.add_argument(
+            f"--{name}-baseline",
+            type=Path,
+            default=None,
+            help=f"committed BENCH_{name}.json (missing file tolerated)",
+        )
+        parser.add_argument(
+            f"--{name}-candidate",
+            type=Path,
+            default=None,
+            help=f"freshly measured BENCH_{name}.json",
+        )
     parser.add_argument(
         "--max-drop",
         type=float,
@@ -279,40 +225,32 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-drop must be a fraction in (0, 1)")
     if args.max_latency_rise <= 0.0:
         parser.error("--max-latency-rise must be positive")
+    suites = [name for name in SUITES if getattr(args, f"{name}_baseline")]
+    if not suites:
+        flags = ", ".join(f"--{name}-baseline" for name in SUITES)
+        parser.error(f"give at least one suite: {flags}")
     limits = {"drop": args.max_drop, "rise": args.max_latency_rise}
 
     failures: list[str] = []
-    compare_suite(
-        "serve", args.baseline, args.candidate, SERVE_SECTIONS, limits, failures
-    )
-    if args.vps_baseline is not None:
+    hints: list[str] = []
+    for name in suites:
+        before = len(failures)
         compare_suite(
-            "vps",
-            args.vps_baseline,
-            args.vps_candidate,
-            VPS_SECTIONS,
+            name,
+            getattr(args, f"{name}_baseline"),
+            getattr(args, f"{name}_candidate"),
             limits,
             failures,
-            optional_baseline=True,
-            hint=VPS_UPDATE_HINT,
         )
-    if args.classify_baseline is not None:
-        compare_suite(
-            "classify",
-            args.classify_baseline,
-            args.classify_candidate,
-            CLASSIFY_SECTIONS,
-            limits,
-            failures,
-            optional_baseline=True,
-            hint=CLASSIFY_UPDATE_HINT,
-        )
+        if len(failures) > before:
+            hints.append(refresh_hint(name))
 
     if failures:
         print("\nbench regression detected:", file=sys.stderr)
         for line in failures:
             print(f"  - {line}", file=sys.stderr)
-        print(f"\n{UPDATE_HINT}", file=sys.stderr)
+        for hint in hints:
+            print(f"\n{hint}", file=sys.stderr)
         return 1
     print("no bench regression beyond the threshold")
     return 0

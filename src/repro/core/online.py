@@ -36,7 +36,7 @@ import numpy as np
 from .compare import UnknownPolicy, _check_weights, denominator, match_counts
 from .vector import RoutingVector, StateCatalog
 
-__all__ = ["OnlineUpdate", "OnlineFenrir", "fold_delta_state"]
+__all__ = ["OnlineUpdate", "OnlineFenrir"]
 
 STATE_VERSION = 1
 
@@ -311,8 +311,8 @@ class OnlineFenrir:
         With ``updates_after=k`` the result is a *delta segment*: only
         the updates (and exemplars) recorded after the first ``k``
         plus the small mutable head (previous vector, catalog, last
-        time). Folding it onto the state it chains from with
-        :func:`fold_delta_state` reproduces the full snapshot, so
+        time). :meth:`apply_delta` on a tracker restored from the
+        state it chains from reproduces the full snapshot, so
         periodic checkpoints write O(delta) bytes instead of
         re-serializing the whole history. ``exemplars_after`` (the
         exemplar count already captured upstream) is derived from the
@@ -374,8 +374,8 @@ class OnlineFenrir:
             raise ValueError(f"unsupported OnlineFenrir state version: {version!r}")
         if state.get("kind") == "delta":
             raise ValueError(
-                "cannot restore from a delta segment: fold it onto its "
-                "base state with fold_delta_state first"
+                "cannot restore from a delta segment: restore its base "
+                "state, then apply_delta it"
             )
         weights = state.get("weights")
         tracker = cls(
@@ -393,12 +393,12 @@ class OnlineFenrir:
     def apply_delta(self, delta: Mapping) -> None:
         """Apply a ``to_state(updates_after=...)`` delta to this live tracker.
 
-        The in-memory analogue of :func:`fold_delta_state`: the delta
-        must chain exactly from this tracker's current counts (its
-        ``updates_after``/``exemplars_after`` equal the live list
+        The delta must chain exactly from this tracker's current counts
+        (its ``updates_after``/``exemplars_after`` equal the live list
         lengths and its catalog extends the live catalog), and applying
         it costs O(delta) — this is how a replication follower keeps up
-        with a primary without re-serializing or re-ingesting history.
+        with a primary, and how recovery applies the checkpoint segments
+        on disk, without re-serializing or re-ingesting history.
         Raises :class:`ValueError` on any chain mismatch or malformed
         vector or update, *before* changing any mode state (the catalog
         may gain labels, which only assigns identifiers, as
@@ -415,7 +415,7 @@ class OnlineFenrir:
         """
         live_labels = list(self.catalog.labels)
         new_labels = _check_chain(
-            delta, len(self.updates), len(self._exemplars), live_labels, "tracker"
+            delta, len(self.updates), len(self._exemplars), live_labels
         )
         for label in new_labels[len(live_labels):]:
             self.catalog.code(label)
@@ -466,9 +466,9 @@ class OnlineFenrir:
 
 
 def _check_chain(
-    delta: Mapping, updates: int, exemplars: int, catalog: list, onto: str
+    delta: Mapping, updates: int, exemplars: int, catalog: list
 ) -> list:
-    """Check that ``delta`` chains from ``onto`` (``"tracker"``/``"base"``).
+    """Check that ``delta`` chains from a tracker's current state.
 
     ``updates``/``exemplars`` are the counts it must chain from and
     ``catalog`` the labels its catalog must extend (the catalog is
@@ -480,38 +480,14 @@ def _check_chain(
     if delta["updates_after"] != updates:
         raise ValueError(
             f"delta chains from {delta['updates_after']} updates, "
-            f"{onto} has {updates}"
+            f"tracker has {updates}"
         )
     if delta["exemplars_after"] != exemplars:
         raise ValueError(
             f"delta chains from {delta['exemplars_after']} exemplars, "
-            f"{onto} has {exemplars}"
+            f"tracker has {exemplars}"
         )
     new_catalog = list(delta["catalog"])
     if new_catalog[: len(catalog)] != catalog:
-        owner = "the tracker's" if onto == "tracker" else "the base"
-        raise ValueError(f"delta catalog does not extend {owner} catalog")
+        raise ValueError("delta catalog does not extend the tracker's catalog")
     return new_catalog
-
-
-def fold_delta_state(state: Mapping, delta: Mapping) -> dict:
-    """Fold one ``to_state(updates_after=...)`` delta onto its base.
-
-    ``state`` is a full snapshot document; ``delta`` must chain exactly
-    from it (its ``updates_after``/``exemplars_after`` counts equal the
-    base's list lengths, and its catalog extends the base's — the
-    catalog is append-only). Returns a new full snapshot document.
-    Raises :class:`ValueError` on any chain mismatch.
-    """
-    base_updates = list(state["updates"])
-    base_exemplars = list(state["exemplars"])
-    folded = dict(state)
-    folded["catalog"] = _check_chain(
-        delta, len(base_updates), len(base_exemplars), list(state["catalog"]), "base"
-    )
-    folded["exemplars"] = base_exemplars + list(delta["exemplars"])
-    folded["updates"] = base_updates + list(delta["updates"])
-    folded["previous"] = delta["previous"]
-    folded["previous_mode"] = delta["previous_mode"]
-    folded["last_time"] = delta["last_time"]
-    return folded

@@ -6,8 +6,9 @@ back a shared no-op before touching the clock or allocating. Code
 that builds spans directly — ``get_tracer().span(...)``,
 ``tracer.span(...)``, or instantiating ``Span(...)`` — bypasses that
 ``REPRO_OBS`` gate and pays allocation + context-var + clock cost on
-every call even with observability off, which is exactly the overhead
-the bench_serve obs gate (<= 3%) exists to prevent.
+every call even with observability off. perfbench runs with tracing
+off, so that cost would land in ``mixed-routed``'s ``rounds_per_s``
+and ``server.command_p50_ms``.
 
 The rule flags span construction outside :mod:`repro.obs` itself (the
 package that *implements* the gate is the one place allowed to touch

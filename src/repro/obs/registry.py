@@ -13,7 +13,7 @@ Design constraints, in order:
 1. **Hot-path cheapness.** ``Counter.inc`` is one dict-free attribute
    add; ``Histogram.observe`` is one bisect plus three adds. The serve
    ingest path observes per request, so anything heavier would show up
-   in ``bench_serve``.
+   in perfbench's ``mixed-routed`` ``server.command_p50_ms``.
 2. **No dependencies.** Pure stdlib (plus ``bisect``); the exposition
    format is plain text.
 3. **Bounded memory.** Histograms are fixed-bucket; the

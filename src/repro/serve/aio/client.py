@@ -71,37 +71,28 @@ class AsyncServeClient(AsyncCommands):
         host: str = "127.0.0.1",
         port: int = 7339,
         timeout: Optional[float] = 30.0,
-        connect_timeout: Optional[float] = None,
-        max_frame: int = protocol.MAX_FRAME,
         max_connections: int = 4,
         max_inflight: int = 64,
         ring_aware: bool = False,
         topology_ttl: float = 5.0,
-        reconnect_backoff: float = 0.05,
-        reconnect_attempts: int = 5,
     ) -> None:
         """Configure the client; connections are dialed on first use.
 
-        ``timeout`` bounds each request's slot wait and response wait
-        (:class:`~repro.serve.protocol.ServeTimeout` on expiry), as in
-        the blocking client. ``max_connections × max_inflight`` is the
-        hard cap on requests in flight; the excess waits FIFO.
-        ``ring_aware`` turns on direct-to-shard routing against a
-        router, refreshed every ``topology_ttl`` seconds.
+        ``timeout`` bounds each dial and each request's slot wait and
+        response wait (:class:`~repro.serve.protocol.ServeTimeout` on
+        expiry), as in the blocking client. ``max_connections ×
+        max_inflight`` is the hard cap on requests in flight; the
+        excess waits FIFO. ``ring_aware`` turns on direct-to-shard
+        routing against a router, refreshed every ``topology_ttl``
+        seconds.
         """
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.connect_timeout = (
-            connect_timeout if connect_timeout is not None else timeout
-        )
-        self.max_frame = max_frame
         self.max_connections = max_connections
         self.max_inflight = max_inflight
         self.ring_aware = ring_aware
         self.topology_ttl = topology_ttl
-        self._reconnect_backoff = reconnect_backoff
-        self._reconnect_attempts = reconnect_attempts
         self._pool = self._make_pool(host, port)
         self._shard_pools: Dict[Tuple[str, int], ConnectionPool] = {}
         self._topology: Optional[_Topology] = None
@@ -113,10 +104,7 @@ class AsyncServeClient(AsyncCommands):
             port,
             max_connections=self.max_connections,
             max_inflight=self.max_inflight,
-            connect_timeout=self.connect_timeout,
-            max_frame=self.max_frame,
-            reconnect_backoff=self._reconnect_backoff,
-            reconnect_attempts=self._reconnect_attempts,
+            connect_timeout=self.timeout,
         )
 
     # -- lifecycle -----------------------------------------------------------

@@ -24,11 +24,13 @@ import asyncio
 import random
 from typing import Optional
 
-from .. import protocol
 from ..protocol import ServeClientError, ServeTimeout
 from .connection import AsyncConnection, Dialer, RequestNotSent
 
 __all__ = ["ConnectionPool"]
+
+RECONNECT_ATTEMPTS = 5  # dials per re-dial before ConnectionError
+RECONNECT_BACKOFF = 0.05  # seconds before the second dial, doubling after
 
 
 class _Member:
@@ -51,25 +53,17 @@ class ConnectionPool:
         max_connections: int = 4,
         max_inflight: int = 64,
         connect_timeout: Optional[float] = 5.0,
-        max_frame: int = protocol.MAX_FRAME,
-        reconnect_backoff: float = 0.05,
-        reconnect_attempts: int = 5,
         health_check: bool = True,
     ) -> None:
         if max_connections < 1:
             raise ValueError("max_connections must be at least 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if reconnect_attempts < 1:
-            raise ValueError("reconnect_attempts must be at least 1")
         self.host = host
         self.port = port
         self.max_connections = max_connections
         self.max_inflight = max_inflight
         self.connect_timeout = connect_timeout
-        self.max_frame = max_frame
-        self.reconnect_backoff = reconnect_backoff
-        self.reconnect_attempts = reconnect_attempts
         self.health_check = health_check
         self._members = [_Member(Dialer(self._dial)) for _ in range(max_connections)]
         self._slots = asyncio.Semaphore(max_connections * max_inflight)
@@ -139,9 +133,9 @@ class ConnectionPool:
         concurrent requests on a dead member wait for one re-dial
         rather than racing their own.
         """
-        delay = self.reconnect_backoff
+        delay = RECONNECT_BACKOFF
         last_error: Exception | None = None
-        for attempt in range(self.reconnect_attempts):
+        for attempt in range(RECONNECT_ATTEMPTS):
             if attempt:
                 # Jitter in [0.5, 1.5)× so a fleet of waiters does not
                 # re-dial a recovering server in lockstep.
@@ -153,7 +147,6 @@ class ConnectionPool:
                     port,
                     connect_timeout=self.connect_timeout,
                     max_inflight=self.max_inflight,
-                    max_frame=self.max_frame,
                 )
             except (ConnectionError, OSError, ServeTimeout) as exc:
                 last_error = exc
@@ -176,7 +169,7 @@ class ConnectionPool:
                 return connection
         raise ConnectionError(
             f"could not reach {host}:{port} after "
-            f"{self.reconnect_attempts} attempts: {last_error}"
+            f"{RECONNECT_ATTEMPTS} attempts: {last_error}"
         ) from last_error
 
     # -- lifecycle -----------------------------------------------------------

@@ -39,8 +39,9 @@ Periodic checkpoints are *incremental*: instead of re-serializing the
 whole tracker history every ``snapshot_every`` rounds (O(rounds²)
 cumulative bytes), :func:`write_delta` persists only the updates since
 the previous checkpoint as a ``delta-<seq>.json`` segment.
-:func:`read_snapshot` folds the segment chain onto the base snapshot
-(via :func:`repro.core.online.fold_delta_state`), and an explicit
+Recovery restores the base snapshot and applies each newer segment to
+the tracker (:meth:`repro.core.online.OnlineFenrir.apply_delta`, the
+same call a replication follower uses), and an explicit
 :meth:`DurableMonitor.snapshot` compacts — rewrites the full base and
 discards the segments. Segments whose seq is at or below the base's
 are compaction leftovers and are skipped, so a crash at any point in
@@ -61,8 +62,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # circular-import-free type for flush_histogram
     from ..obs import Histogram
-
-from ..core.online import fold_delta_state
 
 __all__ = [
     "JournalError",
@@ -396,11 +395,10 @@ def discard_deltas(directory: Path) -> int:
 
 
 def read_snapshot(directory: Path) -> tuple[int, dict]:
-    """Load and verify a checkpoint; returns (seq, state).
+    """Load and verify the base snapshot; returns (seq, state).
 
-    The base snapshot is folded with any newer delta segments before
-    being returned, so callers always see the full state as of the
-    latest checkpoint (base or incremental).
+    Delta segments newer than ``seq`` (:func:`read_deltas`) are not
+    folded in: the caller applies them to the restored tracker.
 
     The manifest checksum is enforced only when the manifest records
     the same seq as the snapshot document: a manifest for a *different*
@@ -434,14 +432,4 @@ def read_snapshot(directory: Path) -> tuple[int, dict]:
             actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
             if actual != expected:
                 raise JournalError(f"snapshot checksum mismatch in {directory}")
-    for delta_seq, delta in read_deltas(directory):
-        if delta_seq <= seq:
-            continue  # compaction leftover, already folded into the base
-        try:
-            state = fold_delta_state(state, delta)
-        except ValueError as exc:
-            raise JournalError(
-                f"delta segment chain broken in {directory}: {exc}"
-            ) from exc
-        seq = delta_seq
     return seq, state

@@ -27,11 +27,13 @@ from ..core.online import OnlineFenrir, OnlineUpdate
 from ..obs import Counter, MetricsRegistry, span
 from .journal import (
     JOURNAL_FILE,
+    JournalError,
     JournalRecord,
     JournalTail,
     JournalWriter,
     _canonical,
     discard_deltas,
+    read_deltas,
     read_journal,
     read_snapshot,
     record_line,
@@ -258,6 +260,16 @@ class DurableMonitor:
         with span("serve.replay", monitor=name):
             snapshot_seq, state = read_snapshot(directory)
             tracker = OnlineFenrir.from_state(state)
+            for delta_seq, delta in read_deltas(directory):
+                if delta_seq <= snapshot_seq:
+                    continue  # compaction leftover, already in the base
+                try:
+                    tracker.apply_delta(delta)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise JournalError(
+                        f"delta segment chain broken in {directory}: {exc}"
+                    ) from exc
+                snapshot_seq = delta_seq
             chain_updates = len(tracker.updates)
             chain_exemplars = tracker.num_modes
             records, tail = read_journal(

@@ -1,10 +1,11 @@
 """Unit tests for the bench-delta gate (benchmarks/check_regression.py).
 
 The script is loaded by file path (benchmarks/ is not a package) and
-driven through ``main(argv)``. Focus: the suite helper's shared rules
-— missing optional baselines are tolerated with the suite-specific
-refresh hint, vanished rows fail, and the classify sections gate in
-the right directions (macro-F1 drop fails, latency rise fails).
+driven through ``main(argv)``. Every shared rule is covered on the vps
+and classify suites: improvements pass, vanished rows fail, drops
+beyond ``--max-drop`` and rises beyond ``--max-latency-rise`` fail, a
+missing baseline is tolerated with the suite-specific refresh hint,
+and a baseline without its candidate (or no suite at all) errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ sys.modules[spec.name] = check_regression
 spec.loader.exec_module(check_regression)
 
 
-SERVE_DOC = {"throughput_by_batch": {"1": 1000.0, "128": 9000.0}}
+VPS_DOC = {
+    "ingest_rounds_per_second": {"dedup": 70000.0, "full": 27000.0}
+}
 CLASSIFY_DOC = {
     "macro_f1": {"holdout": 0.95},
     "classify_latency_ms": {"p50": 0.4, "p99": 1.2},
@@ -41,36 +44,53 @@ def write(path: Path, document: dict) -> Path:
     return path
 
 
-@pytest.fixture
-def serve_pair(tmp_path):
-    baseline = write(tmp_path / "serve_baseline.json", SERVE_DOC)
-    candidate = write(tmp_path / "serve_candidate.json", SERVE_DOC)
-    return [str(baseline), str(candidate)]
+def vps_argv(tmp_path, candidate_doc, extra=()):
+    baseline = write(tmp_path / "vps_baseline.json", VPS_DOC)
+    candidate = write(tmp_path / "vps_candidate.json", candidate_doc)
+    return [
+        "--vps-baseline", str(baseline),
+        "--vps-candidate", str(candidate),
+        *extra,
+    ]
 
 
-class TestServeSuite:
-    def test_identical_documents_pass(self, serve_pair):
-        assert check_regression.main(serve_pair) == 0
+class TestVpsSuite:
+    def test_identical_documents_pass(self, tmp_path):
+        assert check_regression.main(vps_argv(tmp_path, VPS_DOC)) == 0
 
-    def test_throughput_drop_fails(self, tmp_path, serve_pair):
-        slower = dict(SERVE_DOC)
-        slower["throughput_by_batch"] = {"1": 1000.0, "128": 4000.0}
-        candidate = write(tmp_path / "slower.json", slower)
-        argv = [serve_pair[0], str(candidate), "--max-drop", "0.40"]
+    def test_throughput_improvement_passes(self, tmp_path):
+        faster = {"ingest_rounds_per_second": {"dedup": 90000.0, "full": 40000.0}}
+        assert check_regression.main(vps_argv(tmp_path, faster)) == 0
+
+    def test_throughput_drop_fails(self, tmp_path, capsys):
+        slower = {"ingest_rounds_per_second": {"dedup": 70000.0, "full": 12000.0}}
+        argv = vps_argv(tmp_path, slower, ["--max-drop", "0.40"])
         assert check_regression.main(argv) == 1
+        assert "git add BENCH_vps.json" in capsys.readouterr().err
 
-    def test_vanished_row_fails(self, tmp_path, serve_pair):
-        partial = {"throughput_by_batch": {"1": 1000.0}}
-        candidate = write(tmp_path / "partial.json", partial)
-        assert check_regression.main([serve_pair[0], str(candidate)]) == 1
+    def test_drop_within_max_drop_passes(self, tmp_path):
+        slower = {"ingest_rounds_per_second": {"dedup": 70000.0, "full": 20000.0}}
+        argv = vps_argv(tmp_path, slower, ["--max-drop", "0.40"])
+        assert check_regression.main(argv) == 0
+
+    def test_vanished_row_fails(self, tmp_path):
+        partial = {"ingest_rounds_per_second": {"dedup": 70000.0}}
+        assert check_regression.main(vps_argv(tmp_path, partial)) == 1
+
+    def test_candidate_without_the_section_exits(self, tmp_path):
+        with pytest.raises(SystemExit):
+            check_regression.main(vps_argv(tmp_path, {}))
+
+
+def test_no_suite_is_an_error():
+    with pytest.raises(SystemExit):
+        check_regression.main(["--max-drop", "0.40"])
 
 
 class TestOptionalBaselines:
-    def test_missing_classify_baseline_tolerated_with_hint(
-        self, tmp_path, serve_pair, capsys
-    ):
+    def test_missing_classify_baseline_tolerated_with_hint(self, tmp_path, capsys):
         candidate = write(tmp_path / "classify.json", CLASSIFY_DOC)
-        argv = serve_pair + [
+        argv = [
             "--classify-baseline", str(tmp_path / "absent.json"),
             "--classify-candidate", str(candidate),
         ]
@@ -80,9 +100,9 @@ class TestOptionalBaselines:
         assert "bench_classify.py --quick" in out
         assert "git add BENCH_classify.json" in out
 
-    def test_missing_vps_baseline_gets_vps_hint(self, tmp_path, serve_pair, capsys):
-        candidate = write(tmp_path / "vps.json", {"ingest_rounds_per_second": {}})
-        argv = serve_pair + [
+    def test_missing_vps_baseline_gets_vps_hint(self, tmp_path, capsys):
+        candidate = write(tmp_path / "vps.json", VPS_DOC)
+        argv = [
             "--vps-baseline", str(tmp_path / "absent.json"),
             "--vps-candidate", str(candidate),
         ]
@@ -91,44 +111,53 @@ class TestOptionalBaselines:
         assert "bench_vps.py --quick" in out
         assert "git add BENCH_vps.json" in out
 
-    def test_baseline_without_candidate_flag_exits(self, tmp_path, serve_pair):
+    def test_baseline_without_candidate_flag_exits(self, tmp_path):
         baseline = write(tmp_path / "classify.json", CLASSIFY_DOC)
-        argv = serve_pair + ["--classify-baseline", str(baseline)]
+        argv = ["--classify-baseline", str(baseline)]
         with pytest.raises(SystemExit):
             check_regression.main(argv)
 
 
 class TestClassifySuite:
-    def run(self, tmp_path, serve_pair, candidate_doc, extra=()):
+    def run(self, tmp_path, candidate_doc, extra=()):
         baseline = write(tmp_path / "classify_baseline.json", CLASSIFY_DOC)
         candidate = write(tmp_path / "classify_candidate.json", candidate_doc)
-        argv = serve_pair + [
+        argv = [
             "--classify-baseline", str(baseline),
             "--classify-candidate", str(candidate),
             *extra,
         ]
         return check_regression.main(argv)
 
-    def test_identical_pass(self, tmp_path, serve_pair):
-        assert self.run(tmp_path, serve_pair, CLASSIFY_DOC) == 0
+    def test_identical_pass(self, tmp_path):
+        assert self.run(tmp_path, CLASSIFY_DOC) == 0
 
-    def test_macro_f1_drop_fails(self, tmp_path, serve_pair):
+    def test_macro_f1_drop_fails(self, tmp_path):
         worse = {**CLASSIFY_DOC, "macro_f1": {"holdout": 0.5}}
-        assert self.run(tmp_path, serve_pair, worse) == 1
+        assert self.run(tmp_path, worse) == 1
 
-    def test_latency_rise_fails(self, tmp_path, serve_pair):
+    def test_latency_rise_fails(self, tmp_path):
         worse = {
             **CLASSIFY_DOC,
             "classify_latency_ms": {"p50": 0.4, "p99": 5.0},
         }
-        assert (
-            self.run(tmp_path, serve_pair, worse, ["--max-latency-rise", "2.0"]) == 1
-        )
+        assert self.run(tmp_path, worse, ["--max-latency-rise", "2.0"]) == 1
 
-    def test_latency_improvement_passes(self, tmp_path, serve_pair):
+    def test_latency_rise_within_limit_passes(self, tmp_path):
+        slower = {
+            **CLASSIFY_DOC,
+            "classify_latency_ms": {"p50": 0.8, "p99": 3.0},
+        }
+        assert self.run(tmp_path, slower, ["--max-latency-rise", "2.0"]) == 0
+
+    def test_latency_improvement_passes(self, tmp_path):
         better = {
             **CLASSIFY_DOC,
             "macro_f1": {"holdout": 1.0},
             "classify_latency_ms": {"p50": 0.1, "p99": 0.2},
         }
-        assert self.run(tmp_path, serve_pair, better) == 0
+        assert self.run(tmp_path, better) == 0
+
+    def test_both_suites_in_one_run(self, tmp_path):
+        argv = vps_argv(tmp_path, VPS_DOC)
+        assert self.run(tmp_path, CLASSIFY_DOC, argv) == 0

@@ -1,72 +1,52 @@
-"""Figures the docs quote from committed benchmark files match those files.
+"""Every repo path the docs quote in backticks exists.
 
-``docs/performance.md`` quotes its "Measured envelope" table from
-``BENCH_serve.json``, one figure per row with the key it came from.
-A re-recorded bench file then fails this test until the table is
-updated with it, instead of leaving the docs stale.
+A backticked token in ``docs/*.md`` or ``README.md`` (inline code or
+a fenced block) is a *repo path* when it starts with ``benchmarks/``,
+``perfbench/``, ``tests/`` or ``src/``, or names a ``BENCH_*.json``
+file. A deleted script, bench record or test file then fails this
+test until the sentence quoting it is re-pointed or removed, instead
+of leaving the docs stale. A ``::node`` suffix (a pytest node id) and
+trailing punctuation are stripped; a token with a glob character must
+match at least one path.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE_ROW = re.compile(r"^\| [^|]+ \| `(?P<key>[^`]+)` \| (?P<value>[^|]+) \|$")
-KEY_PART = re.compile(r'(?P<name>\w+)(?:\["(?P<index>[^"]+)"\]|(?P<each>\[\]))?')
+DOCS = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+SPAN = re.compile(r"`([^`]+)`")
+REPO_PATH = re.compile(r"^(?:benchmarks|perfbench|tests|src)/|^BENCH_[^/\s]*\.json$")
 
 
-def quoted_rows(doc: Path, heading: str) -> list[tuple[str, str]]:
-    """``(key, value)`` of every table row under ``heading``."""
-    section = doc.read_text().split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
-    return [
-        (match["key"], match["value"].strip())
-        for match in map(TABLE_ROW.match, section.splitlines())
-        if match
-    ]
+def quoted_paths(doc: Path) -> list[str]:
+    """The distinct repo paths backticked in ``doc``, in sorted order."""
+    text = doc.read_text(encoding="utf-8")
+    chunks = FENCE.findall(text) + SPAN.findall(FENCE.sub("", text))
+    tokens = (token for chunk in chunks for token in chunk.split())
+    paths = {token.split("::")[0].rstrip(".,;:)") for token in tokens}
+    return sorted(path for path in paths if REPO_PATH.match(path))
 
 
-def resolve(document: dict, key: str) -> list[float]:
-    """Values at a dotted key; ``name[]`` fans out over a list."""
-    values = [document]
-    for part in key.split("."):
-        match = KEY_PART.fullmatch(part)
-        assert match, f"unparsable key part {part!r} in {key!r}"
-        values = [value[match["name"]] for value in values]
-        if match["index"] is not None:
-            values = [value[match["index"]] for value in values]
-        elif match["each"]:
-            values = [item for value in values for item in value]
-    return [float(value) for value in values]
+QUOTED = [(doc, path) for doc in DOCS for path in quoted_paths(doc)]
 
 
-def parse_figure(text: str) -> list[tuple[float, int]]:
-    """Each number in a quoted figure with its count of decimals."""
-    figures = []
-    for number in re.findall(r"\d[\d ]*(?:\.\d+)?", text):
-        number = number.replace(" ", "")
-        decimals = len(number.split(".")[1]) if "." in number else 0
-        figures.append((float(number), decimals))
-    return figures
+def test_docs_quote_repo_paths():
+    assert len(QUOTED) >= 20
 
 
-ENVELOPE = quoted_rows(ROOT / "docs" / "performance.md", "## Measured envelope")
-
-
-def test_envelope_table_quotes_bench_keys():
-    assert len(ENVELOPE) >= 4
-
-
-@pytest.mark.parametrize("key,quoted", ENVELOPE, ids=[key for key, _ in ENVELOPE])
-def test_envelope_figure_matches_bench_serve(key, quoted):
-    bench = json.loads((ROOT / "BENCH_serve.json").read_text())
-    values = resolve(bench, key)
-    figures = parse_figure(quoted)
-    if len(figures) == 2:  # a range quotes the smallest and largest value
-        values = [min(values), max(values)]
-    assert len(figures) == len(values), f"{key}: {quoted!r} against {values}"
-    for (figure, decimals), value in zip(figures, values):
-        assert round(value, decimals) == figure, f"{key}: {quoted!r} against {value}"
+@pytest.mark.parametrize(
+    "doc,path",
+    QUOTED,
+    ids=[f"{doc.relative_to(ROOT)}:{path}" for doc, path in QUOTED],
+)
+def test_quoted_repo_path_exists(doc, path):
+    if any(char in path for char in "*?["):
+        assert list(ROOT.glob(path)), f"{doc.name}: {path!r} matches nothing"
+    else:
+        assert (ROOT / path).exists(), f"{doc.name}: {path!r} does not exist"

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.compare import UnknownPolicy
-from repro.core.online import OnlineFenrir, fold_delta_state
+from repro.core.online import OnlineFenrir
 from repro.core.vector import UNKNOWN
 
 T0 = datetime(2025, 1, 1)
@@ -63,14 +63,15 @@ STATE_GOLDEN = Path(__file__).parent / "golden" / "online_state.jsonl"
 GOLDEN_SPLIT = 17
 
 
-def golden_tracker() -> OnlineFenrir:
+def golden_tracker(num_rounds: int = 30) -> OnlineFenrir:
+    """The fixture's tracker after the first ``num_rounds`` of its stream."""
     networks, rounds = random_rounds(7, num_rounds=30)
     tracker = OnlineFenrir(
         networks=networks,
         event_threshold=0.2,
         weights=np.arange(1.0, len(networks) + 1.0),
     )
-    drive(tracker, rounds)
+    drive(tracker, rounds[:num_rounds])
     return tracker
 
 
@@ -155,10 +156,11 @@ class TestGoldenState:
     def test_restored_tracker_reproduces_the_fixture(self):
         full, delta = map(json.loads, STATE_GOLDEN.read_text().splitlines())
         assert state_lines(OnlineFenrir.from_state(full)) == STATE_GOLDEN.read_text()
-        base = golden_tracker().to_state()
-        base["updates"] = base["updates"][:GOLDEN_SPLIT]
-        base["exemplars"] = base["exemplars"][: delta["exemplars_after"]]
-        assert fold_delta_state(base, delta) == full
+        # Recovery's chain: restore the base state, then apply the delta.
+        base = OnlineFenrir.from_state(golden_tracker(GOLDEN_SPLIT).to_state())
+        base.apply_delta(delta)
+        assert base.to_state() == full
+        assert state_lines(base) == STATE_GOLDEN.read_text()
 
     def test_catalog_without_special_states_is_refused(self):
         full = golden_tracker().to_state()
@@ -167,8 +169,8 @@ class TestGoldenState:
             OnlineFenrir.from_state(full)
         delta = golden_tracker().to_state(updates_after=0)
         delta["catalog"] = delta["catalog"][3:]
-        with pytest.raises(ValueError, match="does not extend the base catalog"):
-            fold_delta_state(OnlineFenrir(networks=full["networks"]).to_state(), delta)
+        with pytest.raises(ValueError, match="does not extend the tracker's catalog"):
+            OnlineFenrir(networks=full["networks"]).apply_delta(delta)
 
 
 class TestApplyDelta:

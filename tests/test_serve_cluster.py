@@ -30,6 +30,7 @@ from cluster_chaos import (
     oracle_state,
 )
 from repro.serve import (
+    AsyncServeClient,
     FenrirServer,
     ServeClient,
     ServeClientError,
@@ -279,6 +280,55 @@ class TestShardRouter:
                 assert direct.list_monitors() == sorted(
                     n for n in names if ring.owner(n) == shard
                 )
+
+    def test_concurrent_streams_are_counted_and_recovered(self, tmp_path):
+        """Pipelined streams through the router: every acked round is
+        counted once in the merged ``rounds_ingested``, and a restarted
+        tier recovers every one of them with the same timelines."""
+        monitors = {
+            f"load{index}": generate_rounds(NETWORKS, 40, seed=index)
+            for index in range(8)
+        }
+        total = sum(len(rounds) for rounds in monitors.values())
+
+        async def drive(address) -> tuple[int, dict, dict]:
+            async with AsyncServeClient(*address, max_connections=1) as client:
+                for name in monitors:
+                    await client.create(name, NETWORKS)
+                acked = await asyncio.gather(
+                    *(
+                        client.ingest_many(name, rounds, batch_size=8)
+                        for name, rounds in monitors.items()
+                    )
+                )
+                stats = await client.stats()
+                timelines = {
+                    name: (await client.timeline(name))["segments"]
+                    for name in monitors
+                }
+            return sum(map(len, acked)), stats, timelines
+
+        async def reread(address) -> tuple[dict, dict]:
+            async with AsyncServeClient(*address, max_connections=1) as client:
+                rounds = {
+                    name: (await client.query(name))["rounds"] for name in monitors
+                }
+                timelines = {
+                    name: (await client.timeline(name))["segments"]
+                    for name in monitors
+                }
+            return rounds, timelines
+
+        data_dir = tmp_path / "cluster"
+        with RouterTier(data_dir, shards=2) as first:
+            acked, stats, timelines = asyncio.run(drive(first.address))
+        assert acked == total
+        assert {stats["monitors"][name]["shard"] for name in monitors} == {0, 1}
+        assert stats["counters"]["rounds_ingested"] == total
+        with RouterTier(data_dir, shards=2) as second:
+            rounds, recovered = asyncio.run(reread(second.address))
+        assert rounds == {name: len(stream) for name, stream in monitors.items()}
+        assert recovered == timelines
 
     def test_stats_merges_and_reports_cluster_health(self, tier):
         with tier_client(tier) as client:

@@ -12,7 +12,7 @@ monitor fed the same stream. Properties:
   survives reopen;
 * toggling mid-stream is safe at any point;
 * a SIGKILL mid-dedup-ingest recovers to the uninterrupted oracle on
-  the acked prefix (the bench_serve acceptance scenario, dedup-mode);
+  the acked prefix (dedup-mode);
 * the ``vps``/``dedup`` wire commands create plan-backed monitors and
   report/toggle dedup.
 """

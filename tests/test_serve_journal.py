@@ -214,6 +214,80 @@ class TestDurableMonitor:
         assert reopened.replay.snapshot_seq == 2
         assert reopened.replay.replayed_records == 1
 
+    def test_compaction_leftover_segments_are_skipped(self, tmp_path):
+        monitor = DurableMonitor.create(
+            tmp_path, "svc", ["n1", "n2"], snapshot_every=2
+        )
+        self.feed(monitor, ["LAX", "LAX", "AMS", "FRA"])
+        segments = {
+            path.name: path.read_bytes()
+            for path in (tmp_path / "svc").glob("delta-*.json")
+        }
+        monitor.snapshot()
+        self.feed(monitor, ["NRT"], start=4)
+        expected = monitor.tracker.to_state()
+        monitor.close()
+        # A crash between the base rewrite and the discard leaves the old
+        # segments behind; their seqs are at or below the base's.
+        for name, body in segments.items():
+            (tmp_path / "svc" / name).write_bytes(body)
+        reopened = DurableMonitor.open(tmp_path, "svc")
+        assert reopened.replay.snapshot_seq == 4
+        assert reopened.tracker.to_state() == expected
+
+    def test_broken_delta_chain_raises(self, tmp_path):
+        monitor = DurableMonitor.create(
+            tmp_path, "svc", ["n1", "n2"], snapshot_every=2
+        )
+        self.feed(monitor, ["LAX", "LAX", "AMS", "FRA", "LAX", "AMS"])
+        monitor.close()
+        segments = sorted((tmp_path / "svc").glob("delta-*.json"))
+        segments[1].unlink()  # the third segment now chains across a gap
+        with pytest.raises(JournalError, match="delta segment chain broken"):
+            DurableMonitor.open(tmp_path, "svc")
+
+    def test_keys_outside_the_networks_replay_unchanged(self, tmp_path):
+        """Keys a monitor was not created with are journaled, then ignored."""
+        rounds = [
+            {"n1": "LAX", "n2": "LAX", "x9": "AMS"},
+            {"n1": "LAX", "n2": "LAX", "x9": "OUTSIDE"},
+            {"n1": "AMS", "x9": "LAX", "zz": "FRA"},
+            {"n1": "AMS", "n2": "AMS"},
+            {"n1": "LAX", "n2": "LAX", "zz": "OUTSIDE"},
+            {"n1": "FRA", "n2": "FRA", "x9": "FRA"},
+            {"n1": "LAX", "n2": "LAX", "x9": "AMS"},
+        ]
+
+        def answers(monitor: DurableMonitor) -> str:
+            """The ``query`` and ``timeline`` documents, as bytes."""
+            timeline = [
+                {"mode_id": mode, "start": start.isoformat(), "end": end.isoformat()}
+                for mode, start, end in monitor.tracker.mode_timeline()
+            ]
+            return json.dumps([monitor.describe(), timeline], sort_keys=True)
+
+        def feed(directory, keep_outside: bool) -> DurableMonitor:
+            monitor = DurableMonitor.create(
+                directory, "svc", ["n1", "n2"], snapshot_every=3
+            )
+            for index, states in enumerate(rounds):
+                if not keep_outside:
+                    states = {k: v for k, v in states.items() if k in ("n1", "n2")}
+                monitor.ingest(states, T0 + timedelta(hours=index))
+            return monitor
+
+        monitor = feed(tmp_path / "outside", keep_outside=True)
+        oracle = feed(tmp_path / "inside", keep_outside=False)
+        live = answers(monitor)
+        assert live == answers(oracle)
+        assert "OUTSIDE" not in monitor.tracker.catalog.labels
+        monitor.close()
+        journal = (tmp_path / "outside" / "svc" / JOURNAL_FILE).read_text()
+        assert '"x9":"AMS"' in journal  # the last round, journaled as sent
+        reopened = DurableMonitor.open(tmp_path / "outside", "svc")
+        assert reopened.replay.replayed_records == 1
+        assert answers(reopened) == live
+
     def test_truncated_journal_recovers_prefix(self, tmp_path):
         monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"])
         self.feed(monitor, ["LAX", "AMS", "FRA"])
