@@ -24,7 +24,8 @@ machine-readable trajectory goes to ``BENCH_classify.json`` at the
 repo root (uploaded as a CI artifact).
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_classify.py``
-(``--quick`` for the CI smoke variant).
+(``--quick`` for smaller smoke studies; CI runs full mode, the mode
+of the committed ``BENCH_classify.json``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ SEED = 7
 MIN_MACRO_F1 = 0.9
 
 #: Wire-path latency sample size: enough calls that p99 is a real
-#: tail, small enough that the quick CI variant stays in seconds.
+#: tail, small enough that a run stays in seconds.
 LATENCY_CALLS = 2000
 
 
@@ -149,7 +150,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke variant: smaller train/eval studies",
+        help="smoke variant: smaller train/eval studies",
     )
     arguments = parser.parse_args()
     run(quick=arguments.quick)

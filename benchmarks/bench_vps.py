@@ -20,17 +20,18 @@ end-to-end claim on the ground-truth study (docs/vps.md):
 * **Volume**: the study stream replayed through ``DurableMonitor`` —
   full volume without dedup (the before) vs the plan's 20% with dedup
   (the after) — with acked rounds/s, journal bytes, and the speedup.
-* **Micro-bench**: a fixed synthetic workload (identical in quick and
-  full modes, so CI's bench-delta can compare across them) timing the
-  journal encode path with dedup off, on, and on-at-20%-width; the
-  ``ingest_rounds_per_second`` section feeds ``check_regression.py``.
+* **Micro-bench**: a fixed synthetic workload timing the journal
+  encode path with dedup off, on, and on-at-20%-width; the
+  ``ingest_rounds_per_second`` section feeds ``check_regression.py``,
+  which compares it only against a baseline of the same mode.
 
 Human-readable results go to ``benchmarks/out/vps.txt``; the
 machine-readable trajectory goes to ``BENCH_vps.json`` at the repo
 root (uploaded as a CI artifact).
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_vps.py``
-(``--quick`` for the CI smoke variant).
+(``--quick`` for a 150-VP smoke study; CI runs full mode, the mode
+of the committed ``BENCH_vps.json``).
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ MIN_STUDY_SPEEDUP = 3.0
 QUICK_MIN_STUDY_SPEEDUP = 2.0
 MAX_JOURNAL_RATIO = 0.15
 
-# Fixed synthetic micro-bench workload — identical in quick and full
-# modes so BENCH_vps.json's ingest_rounds_per_second is comparable
-# across CI (quick) and local (full) refreshes.
+# Fixed synthetic micro-bench workload, the same in quick and full
+# modes.
 SYNTH_NETWORKS = 200
 SYNTH_ROUNDS = 2000
 SYNTH_SHIFT_EVERY = 97
@@ -336,8 +336,7 @@ def run(quick: bool = False) -> dict:
             "journal_ratio": round(journal_ratio, 4),
         },
         "micro": micro,
-        # The check_regression section: identical workload in both
-        # modes, so quick CI runs compare against full local refreshes.
+        # The check_regression section.
         "ingest_rounds_per_second": {
             label: entry["throughput"] for label, entry in micro.items()
         },
@@ -387,7 +386,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke variant: 150-VP study, core-equality asserts only",
+        help="smoke variant: 150-VP study, core-equality asserts only",
     )
     arguments = parser.parse_args()
     run(quick=arguments.quick)

@@ -24,6 +24,12 @@ a drop beyond ``--max-drop``; latency sections fail on a *rise* beyond
 ``--max-latency-rise`` (far more generous, because tail latency on a
 shared runner is the noisiest number this harness records).
 
+A baseline and a candidate must record the same ``mode`` (``quick``
+or ``full``): the two modes run studies of different sizes (classify
+trains and scores on different events), so a row is compared only
+with a row of the same mode, and a mismatched pair is refused with
+``error: mode mismatch`` and a non-zero exit.
+
 Both suites tolerate a missing *baseline* file with a notice and a
 refresh hint — the first PR that ships a bench has no committed
 baseline to compare against — but once a baseline exists, a missing
@@ -46,7 +52,7 @@ def refresh_hint(name: str) -> str:
     """How to refresh the committed baseline of suite ``name``."""
     return (
         f"If the {name} baseline is missing or stale, refresh it:\n\n"
-        f"    PYTHONPATH=src python benchmarks/bench_{name}.py --quick\n"
+        f"    PYTHONPATH=src python benchmarks/bench_{name}.py\n"
         f"    git add BENCH_{name}.json"
     )
 
@@ -170,6 +176,13 @@ def compare_suite(
     if candidate_path is None:
         sys.exit(f"error: --{name}-baseline given without --{name}-candidate")
     candidate_doc = load_document(candidate_path)
+    baseline_mode, candidate_mode = baseline_doc.get("mode"), candidate_doc.get("mode")
+    if baseline_mode != candidate_mode:
+        sys.exit(
+            f"error: mode mismatch: {baseline_path} is a {baseline_mode!r} run "
+            f"and {candidate_path} a {candidate_mode!r} run; compare runs of "
+            "the same mode"
+        )
     for spec in SUITES[name]:
         baseline = extract_section(
             baseline_doc, baseline_path, spec.section, required=spec.required

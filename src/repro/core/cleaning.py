@@ -135,28 +135,41 @@ def interpolate_series(
 
     # Row of the most recent known observation at or before each cell,
     # and of the next one at or after it. A missing neighbour gets a
-    # sentinel row more than ``limit`` steps away from every cell.
-    forward_source = np.where(known, time_index, np.int32(-limit - 1))
-    np.maximum.accumulate(forward_source, axis=0, out=forward_source)
-    backward_source = np.where(known, time_index, np.int32(num_times + limit))
-    backward_flipped = backward_source[::-1]
-    np.minimum.accumulate(backward_flipped, axis=0, out=backward_flipped)
+    # sentinel row more than ``limit`` steps away from every cell:
+    # ``known·(t − sentinel) + sentinel`` is ``t`` where known and the
+    # sentinel elsewhere. These two buffers are reused in place below,
+    # with ``known`` as the one mask buffer, so no further T×N temporary
+    # is made; each select is a product with a mask, which runs several
+    # times faster than ``np.where`` or a masked ``np.copyto``.
+    before = np.int32(-limit - 1)
+    after = np.int32(num_times + limit)
+    forward = np.multiply(known, time_index - before, dtype=np.int32)
+    forward += before
+    np.maximum.accumulate(forward, axis=0, out=forward)
+    backward = np.multiply(known, time_index - after, dtype=np.int32)
+    backward += after
+    flipped = backward[::-1]
+    np.minimum.accumulate(flipped, axis=0, out=flipped)
 
-    # Known cells are their own nearest neighbour at distance 0; the
-    # earlier neighbour wins ties; beyond reach a cell keeps its own row.
-    forward_distance = time_index - forward_source
-    backward_distance = backward_source - time_index
-    source = np.where(
-        forward_distance <= backward_distance, forward_source, backward_source
-    )
-    out_of_reach = np.minimum(forward_distance, backward_distance) > limit
-    source = np.where(out_of_reach, time_index, source)
+    # ``offset`` is the signed step to the nearer neighbour: −forward
+    # distance when the earlier one is no farther (ties go earlier), else
+    # +backward distance. Known cells are their own neighbour at offset
+    # 0, and so is a cell with no neighbour within reach.
+    np.subtract(time_index, forward, out=forward)
+    offset = np.subtract(backward, time_index, out=backward)
+    earlier = np.less_equal(forward, offset, out=known)
+    np.add(forward, offset, out=forward)
+    offset -= np.multiply(forward, earlier, out=forward)
+    offset *= np.less_equal(np.abs(offset, out=forward), limit, out=earlier)
+    source = np.add(offset, time_index, out=offset)
     filled = np.take_along_axis(codes, source, axis=0)
 
     # ``filled`` gathers already-validated codes and the times already
-    # increase, so the rows go in as they are, like ``between`` does.
+    # increase, so the rows go in as they are, like ``between`` does,
+    # and ``filled`` is the cleaned series' matrix as it stands.
     cleaned = VectorSeries(series.networks, series.catalog)
     cleaned._rows = list(filled)
+    cleaned._matrix = filled
     cleaned.times = list(series.times)
     return cleaned
 

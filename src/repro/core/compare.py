@@ -120,6 +120,12 @@ def cooccurrence(
     codes only. With ``w=None`` every position weighs 1 and the weight
     multiply is skipped, so the matmul is a plain ``X @ Xᵀ``.
 
+    Each code's one-hot keeps only the positions where that code
+    occurs: the others add zeros to every entry. The matmuls then cost
+    T²·K for the K (position, code) pairs that occur, not T²·S·N for S
+    codes over N positions. In Φ a position is a network, whose
+    catchment visits few sites, so K is far below S·N.
+
     The counts sum in ``w``'s dtype (see :func:`count_dtype`), and
     unweighted in float32 while a count, at most ``rows.shape[1]``, is
     below 2**24. ``codes`` are distinct, so each position adds to one
@@ -131,8 +137,10 @@ def cooccurrence(
         dtype = w.dtype
     out = np.zeros((len(rows), len(rows)), dtype=dtype)
     for code in codes:
-        indicator = (rows == code).astype(dtype)
-        out += (indicator if w is None else indicator * w) @ indicator.T
+        hit = rows == code
+        present = hit.any(axis=0)
+        indicator = hit[:, present].astype(dtype)
+        out += (indicator if w is None else indicator * w[present]) @ indicator.T
     return out.astype(np.float64, copy=False)
 
 

@@ -11,6 +11,9 @@ property tests can hold the fast ones to them:
   :func:`~repro.core.cluster.cut_linkage` per grid threshold.
 * :func:`pairwise_matches` — weighted known-match counts by one masked
   sum per pair of rows.
+* :func:`dense_cooccurrence` — the all-pairs code co-occurrence counts
+  by one dense one-hot matmul per code over every position, occurring
+  or not.
 * :func:`scalar_phi` — Φ of two vectors by masked sums, ``w[match].sum()``
   over the policy's denominator: the form every production Φ entry
   point (the count kernels in :mod:`repro.core.compare`) is held to.
@@ -111,6 +114,25 @@ def pairwise_matches(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
             matches[i, j] = value
             matches[j, i] = value
     return matches
+
+
+def dense_cooccurrence(
+    rows: np.ndarray, codes, w: np.ndarray | None = None
+) -> np.ndarray:
+    """All-pairs co-occurrence counts, one T×N one-hot matmul per code.
+
+    The same dtype rule as :func:`repro.core.compare.cooccurrence`:
+    ``w``'s dtype, or float32 unweighted while a count is below 2**24.
+    """
+    if w is None:
+        dtype = np.float32 if rows.shape[1] < 2**24 else np.float64
+    else:
+        dtype = w.dtype
+    out = np.zeros((len(rows), len(rows)), dtype=dtype)
+    for code in codes:
+        indicator = (rows == code).astype(dtype)
+        out += (indicator if w is None else indicator * w) @ indicator.T
+    return out.astype(np.float64, copy=False)
 
 
 def scalar_phi(

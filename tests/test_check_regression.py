@@ -5,7 +5,8 @@ driven through ``main(argv)``. Every shared rule is covered on the vps
 and classify suites: improvements pass, vanished rows fail, drops
 beyond ``--max-drop`` and rises beyond ``--max-latency-rise`` fail, a
 missing baseline is tolerated with the suite-specific refresh hint,
-and a baseline without its candidate (or no suite at all) errors.
+and a baseline without its candidate (or no suite at all) errors, as
+does a baseline/candidate pair recorded in different modes.
 """
 
 from __future__ import annotations
@@ -82,6 +83,36 @@ class TestVpsSuite:
             check_regression.main(vps_argv(tmp_path, {}))
 
 
+class TestModeMismatch:
+    @pytest.mark.parametrize(
+        "baseline_mode, candidate_mode",
+        [("full", "quick"), ("quick", "full"), ("full", None)],
+    )
+    def test_runs_of_different_modes_are_refused(
+        self, tmp_path, baseline_mode, candidate_mode
+    ):
+        baseline = {**VPS_DOC, "mode": baseline_mode}
+        candidate = {**VPS_DOC}
+        if candidate_mode is not None:
+            candidate["mode"] = candidate_mode
+        argv = [
+            "--vps-baseline", str(write(tmp_path / "baseline.json", baseline)),
+            "--vps-candidate", str(write(tmp_path / "candidate.json", candidate)),
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            check_regression.main(argv)
+        assert exit_info.value.code not in (0, None)
+        assert "error: mode mismatch" in str(exit_info.value.code)
+
+    def test_runs_of_the_same_mode_are_compared(self, tmp_path):
+        document = {**CLASSIFY_DOC, "mode": "quick"}
+        argv = [
+            "--classify-baseline", str(write(tmp_path / "b.json", document)),
+            "--classify-candidate", str(write(tmp_path / "c.json", document)),
+        ]
+        assert check_regression.main(argv) == 0
+
+
 def test_no_suite_is_an_error():
     with pytest.raises(SystemExit):
         check_regression.main(["--max-drop", "0.40"])
@@ -97,7 +128,7 @@ class TestOptionalBaselines:
         assert check_regression.main(argv) == 0
         out = capsys.readouterr().out
         assert "does not exist; skipping" in out
-        assert "bench_classify.py --quick" in out
+        assert "python benchmarks/bench_classify.py\n" in out
         assert "git add BENCH_classify.json" in out
 
     def test_missing_vps_baseline_gets_vps_hint(self, tmp_path, capsys):
@@ -108,7 +139,7 @@ class TestOptionalBaselines:
         ]
         assert check_regression.main(argv) == 0
         out = capsys.readouterr().out
-        assert "bench_vps.py --quick" in out
+        assert "python benchmarks/bench_vps.py\n" in out
         assert "git add BENCH_vps.json" in out
 
     def test_baseline_without_candidate_flag_exits(self, tmp_path):

@@ -134,6 +134,25 @@ class TestInterpolation:
         cleaned = interpolate_series(series_from(maps), limit=3)
         assert all(cleaned[i].state_of("x") == UNKNOWN for i in range(4))
 
+    def test_rows_and_handed_off_matrix_agree(self):
+        # The gathered matrix becomes the cleaned series' matrix as is;
+        # its rows and the matrix must stay the same codes, and an
+        # append must rebuild the matrix with the new row.
+        maps = [
+            {"x": "A", "y": UNKNOWN},
+            {"x": UNKNOWN, "y": "B"},
+            {"x": "C", "y": UNKNOWN},
+        ]
+        cleaned = interpolate_series(series_from(maps), limit=1)
+        for index in range(len(cleaned)):
+            assert np.array_equal(cleaned[index].codes, cleaned.matrix[index])
+        cleaned.append_mapping({"x": "B", "y": "C"}, datetime(2024, 1, 4))
+        assert cleaned.matrix.shape == (4, 2)
+        assert np.array_equal(cleaned.matrix[3], cleaned[3].codes)
+        assert [cleaned[3].state_of(net) for net in ("x", "y")] == ["B", "C"]
+        for index in range(len(cleaned)):
+            assert np.array_equal(cleaned[index].codes, cleaned.matrix[index])
+
     @settings(max_examples=50)
     @given(
         st.lists(

@@ -2,7 +2,8 @@
 
 The production kernels — nearest-neighbour-chain HAC, the one-pass
 adaptive threshold sweep, the co-occurrence and row-block Φ paths
-behind the merge of identical network columns, and the vectorized step
+behind the merge of identical network columns (the co-occurrence kernel
+held byte for byte to its dense per-code loop), and the vectorized step
 changes — must reproduce the straightforward forms they replaced, and
 the float32 count path must equal the float64 one bit for bit. Inputs are
 tie-heavy on purpose: distances are ``1 - k/N`` fractions from small
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    dense_cooccurrence,
     global_argmin_linkage,
     grid_sweep,
     pairwise_matches,
@@ -164,6 +166,84 @@ class TestManyStatePhi:
         assert _matches_pairwise(codes, weights) == pytest.approx(expected)
         known_states = np.setdiff1d(codes, [0])
         assert cooccurrence(codes, known_states, weights) == pytest.approx(expected)
+
+
+def golden_fractional_weights(data, count: int) -> np.ndarray:
+    """Multiples of 2**-20 below 1000, as in ``test_phi_golden.py``.
+
+    Their sums are exact in float64 in any order, so a reordered BLAS
+    sum cannot move a bit.
+    """
+    whole = data.draw(
+        arrays(np.int64, count, elements=st.integers(min_value=1, max_value=999))
+    )
+    fraction = data.draw(
+        arrays(np.int64, count, elements=st.integers(min_value=1, max_value=2**20 - 1))
+    )
+    return whole + fraction / 2**20
+
+
+def assert_cooccurrence_equals_dense(rows, codes, w=None) -> None:
+    expected = dense_cooccurrence(rows, codes, w)
+    ours = cooccurrence(rows, codes, w)
+    assert ours.dtype == expected.dtype
+    assert ours.tobytes() == expected.tobytes()
+
+
+class TestPrunedCooccurrence:
+    """``cooccurrence`` one-hots only the positions where a code occurs;
+    the counts must equal the dense per-code loop byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        code_matrices(max_states=6),
+        # Codes up to 8 against matrices up to 6: some never occur.
+        st.lists(st.integers(min_value=0, max_value=8), unique=True, max_size=9),
+        st.data(),
+    )
+    def test_equals_dense_loop(self, codes, counted, data):
+        integer = data.draw(
+            arrays(
+                np.float64,
+                codes.shape[1],
+                elements=st.integers(min_value=0, max_value=1000).map(float),
+            )
+        )
+        assume(integer.any())
+        fractional = golden_fractional_weights(data, codes.shape[1])
+        known = codes != 0
+        for w in (None, _check_weights(integer, codes.shape[1])):
+            assert w is None or w.dtype == np.float32
+            assert_cooccurrence_equals_dense(codes, counted, w)
+            assert_cooccurrence_equals_dense(known, (True,), w)
+        w = _check_weights(fractional, codes.shape[1])
+        assert w.dtype == np.float64
+        assert_cooccurrence_equals_dense(codes, counted, w)
+        assert_cooccurrence_equals_dense(known, (True,), w)
+
+    def test_code_in_no_column_adds_nothing(self):
+        codes = np.array([[3, 4], [4, 3]], dtype=np.int32)
+        assert not cooccurrence(codes, (5, 6)).any()
+        assert_cooccurrence_equals_dense(codes, (3, 5))
+
+    def test_code_in_exactly_one_column(self):
+        codes = np.array([[3, 4, 4], [3, 4, 5], [0, 5, 4]], dtype=np.int32)
+        w = _check_weights(np.array([2.0, 3.0, 5.0]), 3)
+        assert_cooccurrence_equals_dense(codes, (3,), w)
+        assert cooccurrence(codes, (3,), w).tolist() == [
+            [2.0, 2.0, 0.0],
+            [2.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ]
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_rows_or_positions(self, shape):
+        codes = np.zeros(shape, dtype=np.int32)
+        w = _check_weights(np.ones(shape[1]), shape[1])
+        assert cooccurrence(codes, (0, 3)).shape == (shape[0], shape[0])
+        assert_cooccurrence_equals_dense(codes, (0, 3))
+        assert_cooccurrence_equals_dense(codes, (0, 3), w)
+        assert_cooccurrence_equals_dense(codes != 0, (True,), w)
 
 
 def series_of(codes: np.ndarray) -> VectorSeries:
