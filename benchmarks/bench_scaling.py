@@ -2,10 +2,11 @@
 
 Not a paper table — these document the computational envelope of the
 implementation: the all-pairs Φ matrix in networks (N) and rounds (T),
-HAC in T, and the routing oracle in topology size. The paper's
-full-scale studies (5M blocks, 1.9k daily rounds) stay tractable
-because Φ is O(|S|·T²·N) in BLAS and everything downstream is
-T-sized.
+HAC in T (single linkage on its minimum spanning tree, average linkage
+on the nearest-neighbour chain), and the routing oracle in topology
+size. The paper's full-scale studies (5M blocks, 1.9k daily rounds)
+stay tractable because Φ is O(|S|·T²·N) in BLAS and everything
+downstream is T-sized.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ def test_scaling_similarity_in_rounds(benchmark, num_rounds):
     assert result.shape == (num_rounds, num_rounds)
 
 
+# Single linkage runs Prim's minimum spanning tree, average linkage the
+# nearest-neighbour chain: one row per algorithm.
+@pytest.mark.parametrize("method", ["single", "average"])
 @pytest.mark.parametrize("num_points", [100, 300, 600])
-def test_scaling_hac_in_rounds(benchmark, num_points):
+def test_scaling_hac_in_rounds(benchmark, num_points, method):
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 1, num_points)
     distance = np.abs(points[:, None] - points[None, :])
-    result = benchmark(hac_linkage, distance, "single")
+    result = benchmark(hac_linkage, distance, method)
     assert result.num_points == num_points
 
 

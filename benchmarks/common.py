@@ -13,6 +13,9 @@ from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# Where ``write_bench_json`` writes. Under pytest, ``conftest.py`` points
+# this and ``OUT_DIR`` at a temporary directory.
+JSON_DIR = REPO_ROOT
 
 
 def emit(experiment: str, text: str) -> None:
@@ -30,7 +33,7 @@ def write_bench_json(name: str, metrics: dict) -> Path:
     diffable artifact across PRs (and uploadable from CI), not just a
     human-readable block under ``benchmarks/out/``.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    path = JSON_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     print(f"bench json: {path}")
     return path

@@ -1,14 +1,17 @@
 """Hierarchical agglomerative clustering over routing vectors (§2.6.2).
 
 Fenrir finds routing "modes" by clustering the vectors of a series
-under the Gower distance. This module implements HAC from scratch
-(single, complete and average linkage via Lance–Williams updates on a
-nearest-neighbour chain, O(T²)) on a precomputed distance matrix, plus
-the paper's adaptive threshold rule: sweep thresholds from 0 to 1 in
-steps of 0.01 and keep the first model with fewer than 15 clusters,
-each backed by at least 2 observations. The sweep walks the merges
-once in height order and cuts the dendrogram only at the threshold it
-keeps.
+under the Gower distance. This module implements HAC from scratch on a
+precomputed distance matrix. Single linkage, the paper's method, is
+read off a minimum spanning tree built by Prim's algorithm (Gower and
+Ross, 1969): O(T²) time and O(T) memory beyond the input. Complete and
+average linkage, kept for the linkage ablation, run on a
+nearest-neighbour chain with Lance–Williams updates, also O(T²). The
+module also holds the paper's adaptive threshold rule: sweep thresholds
+from 0 to 1 in steps of 0.01 and keep the first model with fewer than
+15 clusters, each backed by at least 2 observations. The sweep walks
+the merges once in height order and cuts the dendrogram only at the
+threshold it keeps.
 
 The linkage output matches :func:`scipy.cluster.hierarchy.linkage`
 conventions, which the test suite uses as an oracle.
@@ -38,17 +41,13 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
     """Agglomerate a full distance matrix into a dendrogram.
 
     ``distance`` must be a square symmetric matrix with zero diagonal.
-    Nearest-neighbour-chain HAC (Müllner, arXiv:1109.2378): follow
-    nearest neighbours from any cluster until two clusters are each
-    other's nearest, merge them with a Lance–Williams row update, and
-    continue from what is left of the chain. It is exact for the three
-    reducible linkages here and takes O(T²) time rather than the O(T³)
-    of a global minimum search per merge. Merges come out of the chain
-    out of height order, so they are stably sorted by height and then
-    numbered in the scipy convention.
+    Single linkage takes the edges of a minimum spanning tree
+    (:func:`_prim_edges`); complete and average linkage take the merges
+    of a nearest-neighbour chain (:func:`_chain_merges`). Either way the
+    (pair, height) merges are stably sorted by height and then numbered
+    in the scipy convention.
     """
-    update = _UPDATES.get(method)
-    if update is None:
+    if method != "single" and method not in _UPDATES:
         raise ValueError(f"unknown linkage method: {method}")
     distance = np.asarray(distance, dtype=np.float64)
     if distance.ndim != 2 or distance.shape[0] != distance.shape[1]:
@@ -63,6 +62,64 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
     if num_points == 0:
         raise ValueError("cannot cluster zero points")
 
+    if method == "single":
+        pairs, heights = _prim_edges(distance)
+    else:
+        pairs, heights = _chain_merges(distance, method)
+    return Linkage(_number_merges(pairs, heights, num_points), num_points)
+
+
+def _prim_edges(distance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, heights) of a minimum spanning tree, by Prim's algorithm.
+
+    The single-linkage dendrogram is the minimum spanning tree's edges
+    taken in height order (Gower and Ross, 1969). The tree grows from
+    point 0. ``best`` holds each outside point's distance to the tree
+    (inf inside it) and ``nearest`` the tree point at that distance; each
+    step adds the lowest-indexed outside point at the minimum and lowers
+    ``best`` from its row. Only O(T) arrays are allocated, and
+    ``distance`` is only read.
+    """
+    num_points = distance.shape[0]
+    best = np.full(num_points, np.inf)
+    nearest = np.zeros(num_points, dtype=np.int64)
+    outside = np.ones(num_points, dtype=bool)
+    closer = np.empty(num_points, dtype=bool)
+    pairs = np.empty((num_points - 1, 2), dtype=np.int64)
+    heights = np.empty(num_points - 1, dtype=np.float64)
+    x = 0
+    for step in range(num_points - 1):
+        outside[x] = False
+        row = distance[x]
+        np.less(row, best, out=closer)
+        closer &= outside
+        np.copyto(best, row, where=closer)
+        np.copyto(nearest, x, where=closer)
+        y = int(np.argmin(best))
+        if not np.isfinite(best[y]):
+            raise RuntimeError("ran out of finite distances before full merge")
+        heights[step] = best[y]
+        pairs[step] = (nearest[y], y)
+        best[y] = np.inf
+        x = y
+    return pairs, heights
+
+
+def _chain_merges(
+    distance: np.ndarray, method: LinkageMethod
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, heights) of nearest-neighbour-chain HAC, in merge order.
+
+    Nearest-neighbour-chain HAC (Müllner, arXiv:1109.2378): follow
+    nearest neighbours from any cluster until two clusters are each
+    other's nearest, merge them with a Lance–Williams row update, and
+    continue from what is left of the chain. It is exact for the
+    reducible linkages here and takes O(T²) time rather than the O(T³)
+    of a global minimum search per merge. Merges come out of the chain
+    out of height order.
+    """
+    update = _UPDATES[method]
+    num_points = distance.shape[0]
     # Row/column r of ``working`` holds the cluster whose representative
     # is point r; retired rows and columns, and the diagonal, hold inf.
     working = distance.copy()
@@ -104,11 +161,7 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
         alive[y] = False
         sizes[x] += sizes[y]
 
-    return Linkage(_number_merges(pairs, heights, num_points), num_points)
-
-
-def _single(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
-    return np.minimum(a, b)
+    return pairs, heights
 
 
 def _complete(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
@@ -119,7 +172,9 @@ def _average(a: np.ndarray, b: np.ndarray, size_a: int, size_b: int) -> np.ndarr
     return (size_a * a + size_b * b) / (size_a + size_b)
 
 
-_UPDATES = {"single": _single, "complete": _complete, "average": _average}
+# Lance–Williams updates of the nearest-neighbour chain; single linkage
+# runs on the minimum spanning tree instead.
+_UPDATES = {"complete": _complete, "average": _average}
 
 
 def _find(parent: list[int], node: int) -> int:

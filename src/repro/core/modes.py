@@ -233,7 +233,10 @@ def find_modes(
     """
     if similarity is None:
         similarity = similarity_matrix(series, weights, policy)
-    distance = np.where(np.isnan(similarity), 1.0, 1.0 - similarity)
+    # NaN → 1.0 in place on the one new T×T array: ``similarity`` must
+    # stay untouched, since the ModeSet keeps it.
+    distance = 1.0 - similarity
+    np.copyto(distance, 1.0, where=np.isnan(distance))
     np.fill_diagonal(distance, 0.0)
     result: AdaptiveResult = adaptive_clusters(
         distance,

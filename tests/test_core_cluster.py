@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,10 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
+from repro.core.compare import similarity_matrix
+from repro.core.modes import find_modes
+from repro.core.series import VectorSeries
+from repro.core.vector import StateCatalog
 
 
 def labels_to_partition(labels) -> set[frozenset[int]]:
@@ -211,3 +218,34 @@ class TestAdaptive:
         precomputed = hac_linkage(distance, "single")
         result = adaptive_clusters(distance, linkage=precomputed)
         assert result.linkage is precomputed
+
+
+class TestMemory:
+    def test_single_linkage_extra_space_is_linear(self):
+        points = np.random.default_rng(0).uniform(0, 1, 1000)
+        distance = np.abs(points[:, None] - points[None, :])
+        tracemalloc.start()
+        try:
+            hac_linkage(distance, "single")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The symmetry check's T×T bool is an eighth of the input; a
+        # T×T float64 working copy would be the whole of it.
+        assert peak < 0.25 * distance.nbytes
+
+    def test_find_modes_leaves_similarity_unchanged(self):
+        rounds = ["xxyy", "xxyy", "xyyy", "yyxx", "yyxx", "yyxy"]
+        series = VectorSeries(["a", "b", "c", "d"], StateCatalog())
+        start = datetime(2024, 1, 1)
+        for index, sites in enumerate(rounds):
+            series.append_mapping(
+                dict(zip("abcd", sites)), start + timedelta(days=index)
+            )
+        similarity = similarity_matrix(series)
+        similarity[0, 5] = similarity[5, 0] = np.nan
+        before = similarity.tobytes()
+        modes = find_modes(series, similarity=similarity)
+        assert modes.similarity is similarity
+        assert similarity.tobytes() == before
+        assert len(modes) == 2

@@ -1,6 +1,7 @@
 """Mode discovery against its reference oracles (``tests/oracles.py``).
 
-The production kernels — nearest-neighbour-chain HAC, the one-pass
+The production kernels — single linkage from a minimum spanning tree,
+nearest-neighbour-chain HAC for the other linkages, the one-pass
 adaptive threshold sweep, the co-occurrence and row-block Φ paths
 behind the merge of identical network columns (the co-occurrence kernel
 held byte for byte to its dense per-code loop), and the vectorized step
@@ -8,7 +9,8 @@ changes — must reproduce the straightforward forms they replaced, and
 the float32 count path must equal the float64 one bit for bit. Inputs are
 tie-heavy on purpose: distances are ``1 - k/N`` fractions from small
 integer code matrices, which is the shape real Φ has and where merge
-order is most ambiguous. Agreement with scipy on
+order is most ambiguous. Single linkage is also held to scipy on
+seeded tie-heavy inputs of realistic size; agreement with scipy on
 tie-free inputs is checked in ``tests/test_core_cluster.py``.
 """
 
@@ -21,6 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import squareform
 
 from oracles import (
     dense_cooccurrence,
@@ -30,7 +34,7 @@ from oracles import (
     scalar_similarity,
     scalar_step_changes,
 )
-from repro.core.cluster import adaptive_clusters, cut_linkage, hac_linkage
+from repro.core.cluster import Linkage, adaptive_clusters, cut_linkage, hac_linkage
 from repro.core.compare import (
     UnknownPolicy,
     _check_weights,
@@ -88,6 +92,47 @@ class TestSingleLinkageUnderTies:
             assert np.array_equal(
                 cut_linkage(ours, threshold), cut_linkage(oracle, threshold)
             )
+
+
+def recurring_codes(num_times: int, seed: int, num_networks: int = 12) -> np.ndarray:
+    """Rows drawn from a few base vectors, with some cells redrawn.
+
+    The base vectors recur like routing modes, and over few networks most
+    ``1 - k/N`` distances tie with many others.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 5, (6, num_networks))
+    codes = base[rng.integers(0, len(base), num_times)]
+    redraw = rng.random(codes.shape) < 0.15
+    codes[redraw] = rng.integers(0, 5, int(redraw.sum()))
+    return codes.astype(np.int32)
+
+
+class TestSingleLinkageAtRealisticSize:
+    @pytest.mark.parametrize("num_times", [300, 600])
+    def test_heights_and_grid_cuts_equal_scipy_and_oracle(self, num_times):
+        distance = tie_heavy_distance(recurring_codes(num_times, seed=num_times))
+        ours = hac_linkage(distance, "single")
+        oracle = global_argmin_linkage(distance, "single")
+        theirs = Linkage(
+            scipy_linkage(squareform(distance, checks=False), method="single"),
+            num_times,
+        )
+        heights = ours.merges[:, 2].tobytes()
+        assert heights == oracle.merges[:, 2].tobytes()
+        assert heights == theirs.merges[:, 2].tobytes()
+        for threshold in GRID:
+            labels = cut_linkage(ours, threshold)
+            assert np.array_equal(labels, cut_linkage(oracle, threshold))
+            assert np.array_equal(labels, cut_linkage(theirs, threshold))
+
+    def test_two_blocks_at_infinite_distance_rejected(self):
+        block = tie_heavy_distance(recurring_codes(150, seed=1))
+        distance = np.full((300, 300), np.inf)
+        distance[:150, :150] = block
+        distance[150:, 150:] = block
+        with pytest.raises(RuntimeError, match="finite distances"):
+            hac_linkage(distance, "single")
 
 
 class TestLinkageStructure:
