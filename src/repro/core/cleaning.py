@@ -48,10 +48,7 @@ def map_unmapped_states(series: VectorSeries, known_sites: set[str]) -> VectorSe
     for code in range(3, len(catalog)):  # specials occupy 0..2
         if catalog.label(code) not in known_sites:
             remap[code] = OTHER_CODE
-    cleaned = VectorSeries(series.networks, catalog)
-    for vector in series:
-        cleaned.append(vector.replace_codes(remap[vector.codes]))
-    return cleaned
+    return series.replace_codes(remap[series.matrix])
 
 
 def fold_micro_catchments(
@@ -84,10 +81,7 @@ def fold_micro_catchments(
         code = catalog.lookup(site)
         assert code is not None
         remap[code] = OTHER_CODE
-    cleaned = VectorSeries(series.networks, catalog)
-    for vector in series:
-        cleaned.append(vector.replace_codes(remap[vector.codes]))
-    return cleaned, micro
+    return series.replace_codes(remap[series.matrix]), micro
 
 
 def drop_networks(
@@ -164,14 +158,7 @@ def interpolate_series(
     source = np.add(offset, time_index, out=offset)
     filled = np.take_along_axis(codes, source, axis=0)
 
-    # ``filled`` gathers already-validated codes and the times already
-    # increase, so the rows go in as they are, like ``between`` does,
-    # and ``filled`` is the cleaned series' matrix as it stands.
-    cleaned = VectorSeries(series.networks, series.catalog)
-    cleaned._rows = list(filled)
-    cleaned._matrix = filled
-    cleaned.times = list(series.times)
-    return cleaned
+    return series.replace_codes(filled)
 
 
 def nearest_viable_hop(

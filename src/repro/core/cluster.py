@@ -52,12 +52,16 @@ def hac_linkage(distance: np.ndarray, method: LinkageMethod = "average") -> Link
     distance = np.asarray(distance, dtype=np.float64)
     if distance.ndim != 2 or distance.shape[0] != distance.shape[1]:
         raise ValueError(f"distance matrix must be square, got {distance.shape}")
-    # Exact equality (the usual case, and a fifth of allclose's cost)
-    # implies allclose, so the accepted matrices are the same.
-    if not np.array_equal(distance, distance.T) and not np.allclose(
-        distance, distance.T, atol=1e-12
-    ):
-        raise ValueError("distance matrix must be symmetric")
+    # Compared in blocks of 128 rows against the mirrored columns, so the
+    # temporaries are 128×T, not T×T. Exact equality (the usual case, and
+    # a fifth of allclose's cost) implies allclose, so the accepted
+    # matrices are those of one whole-matrix allclose.
+    for start in range(0, len(distance), 128):
+        rows, mirror = distance[start : start + 128], distance[:, start : start + 128].T
+        if not np.array_equal(rows, mirror) and not np.allclose(
+            rows, mirror, atol=1e-12
+        ):
+            raise ValueError("distance matrix must be symmetric")
     num_points = distance.shape[0]
     if num_points == 0:
         raise ValueError("cannot cluster zero points")

@@ -12,9 +12,10 @@ vector matches (a new mode is opened when none matches). Mode
 exemplars are fixed at mode birth so that slow drift cannot chain two
 genuinely different routing results into one mode.
 
-Hot-path layout: exemplar codes live in a geometrically grown ``(M, N)``
-int32 matrix so matching an incoming vector against every known mode is
-one pass of the shared paired-rows kernel
+Hot-path layout: the exemplars are a
+:class:`~repro.core.series.VectorSeries`, so their codes are one
+``(M, N)`` int32 matrix and matching an incoming vector against every
+known mode is one pass of the shared paired-rows kernel
 (:func:`~repro.core.compare.match_counts` over
 :func:`~repro.core.compare.denominator`), as is the step change;
 weights are validated, summed and cast to their count dtype once at
@@ -34,15 +35,12 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .compare import UnknownPolicy, _check_weights, denominator, match_counts
+from .series import VectorSeries
 from .vector import RoutingVector, StateCatalog
 
 __all__ = ["OnlineUpdate", "OnlineFenrir"]
 
 STATE_VERSION = 1
-
-#: Initial exemplar-matrix capacity; doubles whenever a new mode would
-#: overflow it, so appending M modes costs O(M·N) total copying.
-_INITIAL_MODE_CAPACITY = 4
 
 
 @dataclass(frozen=True)
@@ -113,10 +111,7 @@ class OnlineFenrir:
         # re-picks the count dtype of it.
         self._checked_weights = _check_weights(self.weights, len(self.networks))
         self._total_weight = float(self._checked_weights.sum())
-        self._exemplars: list[RoutingVector] = []
-        self._exemplar_codes = np.empty(
-            (_INITIAL_MODE_CAPACITY, len(self.networks)), dtype=np.int32
-        )
+        self._exemplars = VectorSeries(self.networks, self.catalog)
         self._previous: Optional[RoutingVector] = None
         self._previous_mode: Optional[int] = None
         self._last_time: Optional[datetime] = None
@@ -204,7 +199,7 @@ class OnlineFenrir:
         is_event = step_change > self.event_threshold
         is_new_mode = mode_id is None
         if mode_id is None:
-            self._append_exemplar(vector)
+            self._exemplars.append(vector)
             mode_id = len(self._exemplars) - 1
             similarity = 1.0
         recurred = (
@@ -261,24 +256,11 @@ class OnlineFenrir:
 
     # -- matching kernel -----------------------------------------------------
 
-    def _append_exemplar(self, vector: RoutingVector) -> None:
-        count = len(self._exemplars)
-        if count == len(self._exemplar_codes):
-            grown = np.empty(
-                (max(_INITIAL_MODE_CAPACITY, 2 * count), len(self.networks)),
-                dtype=np.int32,
-            )
-            grown[:count] = self._exemplar_codes[:count]
-            self._exemplar_codes = grown
-        self._exemplar_codes[count] = vector.codes
-        self._exemplars.append(vector)
-
     def _match_mode(self, vector: RoutingVector) -> tuple[Optional[int], float]:
         """Best known mode for ``vector`` via one vectorized Φ pass."""
-        count = len(self._exemplars)
-        if not count:
+        if not len(self._exemplars):
             return None, -1.0
-        exemplars, w = self._exemplar_codes[:count], self._checked_weights
+        exemplars, w = self._exemplars.matrix, self._checked_weights
         similarities = match_counts(vector.codes, exemplars, w) / denominator(
             vector.codes, exemplars, w, self._total_weight, self.policy
         )
@@ -353,7 +335,10 @@ class OnlineFenrir:
         return {
             **head,
             "catalog": list(self.catalog.labels),
-            "exemplars": [_vector_state(e) for e in self._exemplars[exemplars_after:]],
+            "exemplars": [
+                _vector_state(self._exemplars[i])
+                for i in range(exemplars_after, self.num_modes)
+            ],
             "previous": None
             if self._previous is None
             else _vector_state(self._previous),
@@ -429,6 +414,12 @@ class OnlineFenrir:
             )
 
         exemplars = [restore_vector(doc) for doc in delta["exemplars"]]
+        # The exemplar series' append would refuse these mid-``commit``.
+        last = self._exemplars.times[-1] if self.num_modes else None
+        for vector in exemplars:
+            if vector.time is None or (last is not None and vector.time <= last):
+                raise ValueError("delta exemplar times must be set and increase")
+            last = vector.time
         previous = delta.get("previous")
         previous = restore_vector(previous) if previous else None
         last_time = delta.get("last_time")
@@ -438,7 +429,7 @@ class OnlineFenrir:
 
         def commit() -> None:
             for vector in exemplars:
-                self._append_exemplar(vector)
+                self._exemplars.append(vector)
             self._previous = previous
             self._previous_mode = previous_mode
             self._last_time = last_time

@@ -1,13 +1,14 @@
 """Time series of routing vectors.
 
-A :class:`VectorSeries` stacks the vectors of one study into a single
-T×N code matrix over a shared network list and state catalog. All of
-Fenrir's analyses (similarity matrices, clustering, mode discovery,
-transition matrices) operate on this container.
+A :class:`VectorSeries` holds one study's vectors over a shared network
+list and state catalog as a single T×N int32 code matrix: ``append``
+copies into a buffer that doubles when full, and ``matrix`` is a view
+of its filled rows that all of Fenrir's analyses read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from datetime import datetime
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,8 +29,10 @@ class VectorSeries:
     ) -> None:
         self.networks: tuple[str, ...] = tuple(networks)
         self.catalog = catalog or StateCatalog()
-        self._rows: list[np.ndarray] = []
         self.times: list[datetime] = []
+        # Rows past ``len(self)`` are spare; a buffer from ``_with_codes``
+        # has none, so appends never write into another series' rows.
+        self._codes = np.empty((0, len(self.networks)), dtype=np.int32)
         self._matrix: Optional[np.ndarray] = None
 
     # -- construction -------------------------------------------------------
@@ -45,6 +48,15 @@ class VectorSeries:
             series.append(vector)
         return series
 
+    def _with_codes(
+        self, networks: tuple[str, ...], codes: np.ndarray, times: list[datetime]
+    ) -> "VectorSeries":
+        """A series over this catalog whose buffer is ``codes`` as given."""
+        series = VectorSeries(networks, self.catalog)
+        series._codes = codes
+        series.times = times
+        return series
+
     def append(self, vector: RoutingVector) -> None:
         if vector.networks != self.networks:
             raise ValueError("vector networks do not match series networks")
@@ -56,7 +68,12 @@ class VectorSeries:
             raise ValueError(
                 f"timestamps must increase: {vector.time} after {self.times[-1]}"
             )
-        self._rows.append(np.asarray(vector.codes, dtype=np.int32))
+        count = len(self.times)
+        if count == len(self._codes):
+            grown = np.empty((2 * count + 1, len(self.networks)), dtype=np.int32)
+            grown[:count] = self._codes[:count]
+            self._codes = grown
+        self._codes[count] = vector.codes
         self.times.append(vector.time)
         self._matrix = None
 
@@ -67,24 +84,30 @@ class VectorSeries:
         )
         self.append(vector)
 
+    def replace_codes(self, codes: np.ndarray) -> "VectorSeries":
+        """Same networks, catalog and times; ``codes`` (T×N) as the matrix."""
+        codes = np.asarray(codes, dtype=np.int32)
+        if codes.shape != self.matrix.shape:
+            raise ValueError(f"codes shape {codes.shape} is not {self.matrix.shape}")
+        if codes.size and (codes.min() < 0 or codes.max() >= len(self.catalog)):
+            raise ValueError("state code outside catalog range")
+        return self._with_codes(self.networks, codes, list(self.times))
+
     # -- views ---------------------------------------------------------------
 
     @property
     def matrix(self) -> np.ndarray:
-        """T×N int32 matrix of state codes (cached)."""
+        """T×N int32 matrix of state codes (a cached view of the buffer)."""
         if self._matrix is None:
-            if not self._rows:
-                self._matrix = np.empty((0, len(self.networks)), dtype=np.int32)
-            else:
-                self._matrix = np.vstack(self._rows)
+            self._matrix = self._codes[: len(self.times)]
         return self._matrix
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.times)
 
     def __getitem__(self, index: int) -> RoutingVector:
         return RoutingVector(
-            self.networks, self._rows[index], self.catalog, self.times[index]
+            self.networks, self.matrix[index], self.catalog, self.times[index]
         )
 
     def __iter__(self) -> Iterator[RoutingVector]:
@@ -93,31 +116,25 @@ class VectorSeries:
 
     def index_at(self, when: datetime) -> int:
         """Index of the last vector at or before ``when``."""
-        candidates = [i for i, t in enumerate(self.times) if t <= when]
-        if not candidates:
+        index = bisect_right(self.times, when) - 1
+        if index < 0:
             raise KeyError(f"no vector at or before {when}")
-        return candidates[-1]
+        return index
 
     def between(self, start: datetime, end: datetime) -> "VectorSeries":
         """Sub-series of vectors with ``start <= time < end``."""
-        subset = VectorSeries(self.networks, self.catalog)
-        for index, time in enumerate(self.times):
-            if start <= time < end:
-                subset._rows.append(self._rows[index])
-                subset.times.append(time)
-        return subset
+        rows = slice(bisect_left(self.times, start), bisect_left(self.times, end))
+        return self._with_codes(self.networks, self.matrix[rows], self.times[rows])
 
     def select_networks(self, keep: Iterable[str]) -> "VectorSeries":
         """Sub-series restricted to the given networks (order preserved)."""
         keep_set = set(keep)
         indices = [i for i, network in enumerate(self.networks) if network in keep_set]
-        subset = VectorSeries(
-            tuple(self.networks[i] for i in indices), self.catalog
+        return self._with_codes(
+            tuple(self.networks[i] for i in indices),
+            self.matrix[:, indices],
+            list(self.times),
         )
-        for row, time in zip(self._rows, self.times):
-            subset._rows.append(row[indices])
-            subset.times.append(time)
-        return subset
 
     def aggregate_over_time(
         self, weights: Optional[np.ndarray] = None
@@ -148,7 +165,4 @@ class VectorSeries:
         }
 
     def copy(self) -> "VectorSeries":
-        clone = VectorSeries(self.networks, self.catalog)
-        clone._rows = [row.copy() for row in self._rows]
-        clone.times = list(self.times)
-        return clone
+        return self.replace_codes(self.matrix.copy())

@@ -1,10 +1,11 @@
 """Rule: ``float-similarity-compare``.
 
 Φ and mode-similarity values are accumulated floats (weighted sums of
-per-network agreement); ``==``/``!=`` on them encodes an assumption
-about bit-exact arithmetic that vectorization, tiling, and summation
-order all quietly break — the PR 3 fast path is *tolerance*-equal to
-the scalar oracle, not bit-equal. Comparisons on similarity-ish names
+per-network agreement): their counts are bit-equal across kernels under
+integer weights (``tests/golden/phi_digests.json`` pins them) but only
+*tolerance*-equal under float weights, where vectorization, tiling and
+summation order move the low bits, so ``==``/``!=`` on them holds for
+some weightings and quietly fails for others. Comparisons on similarity-ish names
 must go through ``math.isclose`` / ``np.isclose`` / an explicit
 epsilon, or be rewritten as the threshold comparison they usually
 meant (``phi >= mode_threshold``).
@@ -50,7 +51,7 @@ class FloatSimilarityCompare(Rule):
     name = "float-similarity-compare"
     description = (
         "exact ==/!= on a Φ/similarity float; use math.isclose or a "
-        "threshold compare (vectorized paths are tolerance-equal only)"
+        "threshold compare (Φ is bit-equal only under integer weights)"
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -72,5 +73,6 @@ class FloatSimilarityCompare(Rule):
                         self.name,
                         node,
                         f"exact {symbol} on similarity float {name!r}; use "
-                        f"math.isclose/np.isclose or a threshold compare",
+                        f"math.isclose/np.isclose or a threshold compare "
+                        f"(bit-equal only under integer weights)",
                     )

@@ -226,9 +226,9 @@ def enabled() -> bool:
 def span(name: str, **tags: object) -> Union[Span, _NoopSpan]:
     """A timed region: ``with span("compare", engine="tiled"): ...``.
 
-    When tracing is disabled this is one boolean check and a shared
-    no-op — no clock read, no allocation — which is what keeps
-    instrumented hot paths within the <3% overhead budget.
+    With ``REPRO_OBS`` off this is one boolean check and a shared no-op
+    (no clock read, no allocation), which is how perfbench measures its
+    end-to-end metrics; it reports tracing's cost as ``trace.overhead_pct``.
     """
     if not _enabled:
         return _NOOP

@@ -74,8 +74,14 @@ class TestHacSmall:
             hac_linkage(np.zeros((2, 3)))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            hac_linkage(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        # 300 points are three row blocks of the symmetry check; the
+        # second matrix's one mismatched pair sits inside the last
+        # block's own columns.
+        last_block = 1 - np.eye(300)
+        last_block[299, 290] = 0.5
+        for distance in (np.array([[0.0, 1.0], [2.0, 0.0]]), last_block):
+            with pytest.raises(ValueError, match="symmetric"):
+                hac_linkage(distance)
 
     def test_accepts_asymmetry_within_tolerance(self):
         # Not exactly symmetric, so the exact check falls through to
@@ -230,8 +236,9 @@ class TestMemory:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The symmetry check's T×T bool is an eighth of the input; a
-        # T×T float64 working copy would be the whole of it.
+        # The symmetry check compares blocks of rows, so its temporaries
+        # are a fraction of the input; a T×T float64 working copy would
+        # be the whole of it.
         assert peak < 0.25 * distance.nbytes
 
     def test_find_modes_leaves_similarity_unchanged(self):

@@ -19,6 +19,12 @@ class TestAppend:
         assert len(series) == 2
         assert series[1].state_of("b") == UNKNOWN
         assert [v.time for v in series] == series.times
+        assert series[-1].time == t0 + timedelta(days=1)
+        assert series[-1].to_mapping() == {"a": "X", "b": UNKNOWN}
+        # Two appends leave the doubling buffer a spare row; indexing
+        # past the last vector must still fail as it does on a list.
+        with pytest.raises(IndexError):
+            series[len(series)]
 
     def test_timestamps_must_increase(self, t0):
         series = VectorSeries(["a"])
@@ -74,13 +80,22 @@ class TestViews:
     def test_index_at(self, simple_series, t0):
         assert simple_series.index_at(t0) == 0
         assert simple_series.index_at(t0 + timedelta(days=2, hours=5)) == 2
+        assert simple_series.index_at(t0 + timedelta(days=2)) == 2
+        assert simple_series.index_at(t0 + timedelta(days=40)) == 4
         with pytest.raises(KeyError):
             simple_series.index_at(t0 - timedelta(days=1))
 
     def test_between(self, simple_series, t0):
         subset = simple_series.between(t0 + timedelta(days=1), t0 + timedelta(days=3))
         assert len(subset) == 2
-        assert subset.times[0] == t0 + timedelta(days=1)
+        assert subset.times == [t0 + timedelta(days=1), t0 + timedelta(days=2)]
+        assert np.array_equal(subset.matrix, simple_series.matrix[1:3])
+        for start, end in [(2.5, 2.7), (3, 1)]:
+            empty = simple_series.between(
+                t0 + timedelta(days=start), t0 + timedelta(days=end)
+            )
+            assert len(empty) == 0
+            assert empty.matrix.shape == (0, 4)
 
     def test_select_networks(self, simple_series):
         subset = simple_series.select_networks(["n3", "n1"])
@@ -103,3 +118,28 @@ class TestViews:
         clone.append_mapping({"n1": "A"}, t0 + timedelta(days=30))
         assert len(simple_series) == 5
         assert len(clone) == 6
+        # A tail window ends where the parent's spare rows begin: each
+        # side's appends must stay out of the other's rows.
+        tail = simple_series.between(t0 + timedelta(days=3), t0 + timedelta(days=9))
+        before = simple_series.matrix.copy()
+        tail.append_mapping({"n1": "C"}, t0 + timedelta(days=20))
+        assert np.array_equal(simple_series.matrix, before)
+        simple_series.append_mapping({"n1": "D"}, t0 + timedelta(days=21))
+        assert [v.state_of("n1") for v in tail] == ["B", "B", "C"]
+        assert [v.state_of("n1") for v in clone][-1] == "A"
+        assert simple_series[-1].state_of("n1") == "D"
+
+    def test_replace_codes(self, simple_series):
+        swapped = simple_series.replace_codes(simple_series.matrix[:, ::-1])
+        assert swapped.times == simple_series.times
+        assert swapped.networks == simple_series.networks
+        assert swapped.catalog is simple_series.catalog
+        assert swapped[0].state_of("n1") == "B"
+        for bad in (
+            simple_series.matrix[:4],
+            simple_series.matrix[:, :3],
+            np.full((5, 4), len(simple_series.catalog)),
+            np.full((5, 4), -1),
+        ):
+            with pytest.raises(ValueError):
+                simple_series.replace_codes(bad)

@@ -192,6 +192,28 @@ class TestApplyDelta:
         follower.apply_delta(delta)  # still chains: nothing was half-applied
         assert follower.to_state() == source.to_state()
 
+    def test_bad_exemplar_time_is_refused_at_staging(self):
+        networks, rounds = random_rounds(5, num_rounds=12)
+        source = OnlineFenrir(networks=networks)
+        drive(source, rounds[:4])
+        follower = OnlineFenrir.from_state(source.to_state())
+        drive(source, rounds[4:])
+        delta = source.to_state(updates_after=4)
+        assert delta["exemplars"]
+        last_exemplar_time = follower.to_state()["exemplars"][-1]["time"]
+        matches = [follower.match(states) for states, _ in rounds]
+        modes, updates = follower.num_modes, list(follower.updates)
+        for bad_time in (None, last_exemplar_time):
+            broken = json.loads(json.dumps(delta))
+            broken["exemplars"][0]["time"] = bad_time
+            with pytest.raises(ValueError, match="exemplar times"):
+                follower.stage_delta(broken)
+            assert follower.num_modes == modes
+            assert follower.updates == updates
+            assert [follower.match(states) for states, _ in rounds] == matches
+        follower.apply_delta(delta)
+        assert follower.to_state() == source.to_state()
+
 
 class TestMatch:
     def test_match_does_not_mutate_mode_state(self):
