@@ -12,7 +12,10 @@ vector matches (a new mode is opened when none matches). Mode
 exemplars are fixed at mode birth so that slow drift cannot chain two
 genuinely different routing results into one mode.
 
-Hot-path layout: the exemplars are a
+Hot-path layout: a round enters as its labels in network order
+(:meth:`OnlineFenrir.ingest_labels`, the positional ``D(t)``; a
+``{network: state}`` mapping is converted once by :meth:`ingest`) and
+is coded with one lookup per label; the exemplars are a
 :class:`~repro.core.series.VectorSeries`, so their codes are one
 ``(M, N)`` int32 matrix and matching an incoming vector against every
 known mode is one pass of the shared paired-rows kernel
@@ -36,7 +39,7 @@ import numpy as np
 
 from .compare import UnknownPolicy, _check_weights, denominator, match_counts
 from .series import VectorSeries
-from .vector import RoutingVector, StateCatalog
+from .vector import RoutingVector, StateCatalog, labels_of
 
 __all__ = ["OnlineUpdate", "OnlineFenrir"]
 
@@ -74,11 +77,8 @@ class OnlineUpdate:
         return cls(**{**document, "time": datetime.fromisoformat(document["time"])})
 
 
-def _vector_state(vector: RoutingVector) -> dict:
-    return {
-        "time": vector.time.isoformat() if vector.time else None,
-        "codes": [int(code) for code in vector.codes],
-    }
+def _vector_state(time: Optional[datetime], codes: np.ndarray) -> dict:
+    return {"time": time.isoformat() if time else None, "codes": codes.tolist()}
 
 
 @dataclass
@@ -120,16 +120,20 @@ class OnlineFenrir:
         self.updates: list[OnlineUpdate] = []
         # Recurring-round fast path (the paper's central observation:
         # routing results recur, so consecutive rounds usually repeat
-        # the previous assignment verbatim). When the incoming mapping
-        # equals the last one, encoding, the step-change Φ, and — while
+        # the previous assignment verbatim). When the incoming labels
+        # equal the last ones, coding, the step-change Φ, and — while
         # no mode has been opened since — the mode match are all pure
         # functions of state this tracker already computed. The memos
         # below cache them; every value is produced by the exact same
         # arithmetic as the slow path, so results stay bit-identical.
-        self._prev_assignment: Optional[dict] = None
+        self._prev_labels: Optional[list] = None
         self._prev_self_step: Optional[float] = None  # 1 - Φ(prev, prev)
         self._memo_match: tuple[Optional[int], float] = (None, -1.0)
         self._memo_match_modes: int = -1  # num_modes the memo was taken at
+        # The last mapping :meth:`ingest` converted, and its labels: a
+        # repeated mapping skips the conversion as well.
+        self._prev_mapping: Optional[dict] = None
+        self._prev_mapping_labels: list = []
 
     # -- properties ---------------------------------------------------------
 
@@ -157,35 +161,53 @@ class OnlineFenrir:
     # -- ingestion ------------------------------------------------------------
 
     def ingest(self, assignment: Mapping[str, str], when: datetime) -> OnlineUpdate:
-        """Process one measurement round and classify it."""
+        """Process one measurement round given as ``{network: state}``.
+
+        The mapping's labels are read in network order (absent networks
+        are ``unknown``, other keys are ignored) and handed to
+        :meth:`ingest_labels`; a mapping equal to the previous one
+        reuses the previous labels without converting again.
+        """
+        if self._prev_mapping is not None and assignment == self._prev_mapping:
+            labels = self._prev_mapping_labels
+        else:
+            labels = labels_of(assignment, self.networks)
+            self._prev_mapping = dict(assignment)
+            self._prev_mapping_labels = labels
+        return self.ingest_labels(labels, when)
+
+    def ingest_labels(self, labels: Sequence[str], when: datetime) -> OnlineUpdate:
+        """Process one measurement round and classify it.
+
+        ``labels`` holds one state label per network, in the order of
+        :attr:`networks`: the positional routing vector ``D(t)``. A round
+        whose labels equal the previous round's skips the coding.
+        Raises :class:`ValueError`, changing no tracker state, on a
+        time that does not move forward or a wrong number of labels.
+        """
         if self._last_time is not None and when <= self._last_time:
             raise ValueError(f"observations must move forward in time: {when}")
-        recurring = (
-            self._prev_assignment is not None and assignment == self._prev_assignment
-        )
-        if recurring:
-            # Recurring round: same mapping as last time, so the codes
-            # are the previous codes, the step change is Φ(x, x), and
-            # the match is unchanged unless a mode opened in between.
-            vector = RoutingVector._trusted(
-                self.networks, self._previous.codes, self.catalog, when
-            )
+        if len(labels) != len(self.networks):
+            raise ValueError(f"{len(labels)} labels for {len(self.networks)} networks")
+        previous = self._previous
+        # Recurring round: same labels as last time, so the codes are
+        # the previous codes, the step change is Φ(x, x), and the match
+        # is unchanged unless a mode opened in between.
+        recurring = previous is not None and self._prev_labels == labels
+        if previous is not None and recurring:
+            codes = previous.codes
         else:
-            vector = RoutingVector.from_mapping(
-                dict(assignment),
-                catalog=self.catalog,
-                networks=self.networks,
-                time=when,
-            )
-        if self._previous is None:
+            codes = self.catalog.codes(labels)
+        vector = RoutingVector._trusted(self.networks, codes, self.catalog, when)
+        if previous is None:
             step_change = 0.0
         elif recurring and self._prev_self_step is not None:
             step_change = self._prev_self_step
         else:
-            before, w = self._previous.codes, self._checked_weights
+            before, w = previous.codes, self._checked_weights
             step_change = 1.0 - float(
-                match_counts(before, vector.codes, w)
-                / denominator(before, vector.codes, w, self._total_weight, self.policy)
+                match_counts(before, codes, w)
+                / denominator(before, codes, w, self._total_weight, self.policy)
             )
             self._prev_self_step = step_change if recurring else None
         if recurring and self._memo_match_modes == len(self._exemplars):
@@ -195,7 +217,7 @@ class OnlineFenrir:
             self._memo_match = (mode_id, similarity)
             self._memo_match_modes = len(self._exemplars)
         if not recurring:
-            self._prev_assignment = dict(assignment)
+            self._prev_labels = list(labels)
         is_event = step_change > self.event_threshold
         is_new_mode = mode_id is None
         if mode_id is None:
@@ -332,16 +354,17 @@ class OnlineFenrir:
                 "updates_after": updates_after,
                 "exemplars_after": exemplars_after,
             }
+        exemplars = self._exemplars.matrix
         return {
             **head,
             "catalog": list(self.catalog.labels),
             "exemplars": [
-                _vector_state(self._exemplars[i])
+                _vector_state(self._exemplars.times[i], exemplars[i])
                 for i in range(exemplars_after, self.num_modes)
             ],
             "previous": None
             if self._previous is None
-            else _vector_state(self._previous),
+            else _vector_state(self._previous.time, self._previous.codes),
             "previous_mode": self._previous_mode,
             "last_time": self._last_time.isoformat() if self._last_time else None,
             "updates": [u.to_document() for u in self.updates[updates_after:]],
@@ -437,7 +460,7 @@ class OnlineFenrir:
             self._num_events += sum(1 for u in new_updates if u.is_event)
             self._num_recurrences += sum(1 for u in new_updates if u.recurred)
             # The recurring-round memos cache state the delta replaced.
-            self._prev_assignment = None
+            self._prev_labels = None
             self._prev_self_step = None
             self._memo_match = (None, -1.0)
             self._memo_match_modes = -1

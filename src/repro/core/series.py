@@ -145,19 +145,21 @@ class VectorSeries:
         states that ever occur.
         """
         matrix = self.matrix
-        num_states = len(self.catalog)
+        rows, num_states = len(matrix), len(self.catalog)
+        # One bincount over (row, code) bins. Each bin still sums its
+        # row's positions in order, so float-weighted totals are
+        # bit-equal to a bincount per row.
+        bins = (np.arange(rows, dtype=np.int64)[:, None] * num_states + matrix).ravel()
         if weights is None:
-            totals = np.stack(
-                [np.bincount(row, minlength=num_states) for row in matrix]
-            ).astype(np.float64)
+            counts = np.bincount(bins, minlength=rows * num_states)
+            totals = counts.reshape(rows, num_states).astype(np.float64)
         else:
             weights = np.asarray(weights, dtype=np.float64)
-            totals = np.stack(
-                [
-                    np.bincount(row, weights=weights, minlength=num_states)
-                    for row in matrix
-                ]
-            )
+            if weights.shape != (len(self.networks),):
+                raise ValueError("weights length does not match networks")
+            totals = np.bincount(
+                bins, weights=np.tile(weights, rows), minlength=rows * num_states
+            ).reshape(rows, num_states)
         return {
             self.catalog.label(code): totals[:, code]
             for code in range(num_states)

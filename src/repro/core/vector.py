@@ -22,7 +22,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["UNKNOWN", "ERROR", "OTHER", "SPECIAL_STATES", "StateCatalog", "RoutingVector"]
+__all__ = [
+    "UNKNOWN",
+    "ERROR",
+    "OTHER",
+    "SPECIAL_STATES",
+    "StateCatalog",
+    "RoutingVector",
+    "labels_of",
+]
 
 UNKNOWN = "unknown"
 ERROR = "err"
@@ -32,6 +40,18 @@ SPECIAL_STATES = (UNKNOWN, ERROR, OTHER)
 UNKNOWN_CODE = 0
 ERROR_CODE = 1
 OTHER_CODE = 2
+
+
+def labels_of(assignment: Mapping[str, str], networks: Sequence[str]) -> list[str]:
+    """The label of each of ``networks``, in order; absent ones are ``unknown``.
+
+    The one conversion from a ``{network: state}`` mapping to the
+    positional form ``D(t)`` is defined over: keys outside ``networks``
+    are not read, and labels are returned as the mapping holds them, so
+    a caller that must refuse non-string labels checks the list.
+    """
+    get = assignment.get
+    return [get(network, UNKNOWN) for network in networks]
 
 
 class StateCatalog:
@@ -56,6 +76,21 @@ class StateCatalog:
         self._labels.append(label)
         self._codes[label] = code
         return code
+
+    def codes(self, labels: Sequence[str]) -> np.ndarray:
+        """The int32 codes of ``labels``, assigning unseen ones in order.
+
+        New labels get codes in first-occurrence order, exactly as
+        calling :meth:`code` on each label in turn would, so a catalog
+        built this way is the same catalog. A round whose labels are all
+        known (the common case) is one dict lookup per label.
+        """
+        try:
+            return np.fromiter(
+                map(self._codes.__getitem__, labels), np.int32, len(labels)
+            )
+        except KeyError:
+            return np.fromiter(map(self.code, labels), np.int32, len(labels))
 
     def lookup(self, label: str) -> Optional[int]:
         """The code for ``label`` if known, else None (no assignment)."""
@@ -140,11 +175,8 @@ class RoutingVector:
         """
         catalog = catalog or StateCatalog()
         nets = tuple(networks) if networks is not None else tuple(sorted(assignment))
-        codes = np.empty(len(nets), dtype=np.int32)
-        for i, network in enumerate(nets):
-            label = assignment.get(network, UNKNOWN)
-            codes[i] = catalog.code(label)
-        return cls(nets, codes, catalog, time)
+        codes = catalog.codes(labels_of(assignment, nets))
+        return cls._trusted(nets, codes, catalog, time)
 
     # -- views ---------------------------------------------------------------
 

@@ -9,25 +9,39 @@ Durability model (per monitor directory)::
 
 Every acknowledged ingest is first appended to the journal — one JSON
 line carrying a monotonically increasing sequence number and a CRC32
-of its own canonical encoding — and flushed to the OS before the
-tracker applies it. A killed process therefore leaves at worst a
-*truncated final line*, which the reader detects (bad JSON, bad CRC,
-or a sequence gap) and drops, recovering the exact acknowledged
-prefix: the same last-valid-record semantics as
-:func:`repro.io.formats.recover_series_jsonl`.
+— and flushed to the OS before the tracker applies it. A killed
+process therefore leaves at worst a *truncated final line*, which the
+reader detects (bad JSON, bad CRC, or a sequence gap) and drops,
+recovering the exact acknowledged prefix: the same last-valid-record
+semantics as :func:`repro.io.formats.recover_series_jsonl`.
+
+Line formats. The writer emits version 2, a *positional* line::
+
+    {"v":2,"seq":7,"time":"2025-01-01T06:00:00","labels":["AMS","unknown"],
+     "crc":"afe38618"}
+
+(one line on disk). ``labels`` holds one state label per monitor
+network, in the monitor's network order, and the CRC32 is taken over
+the line's own bytes: everything before ``,"crc":`` followed by ``}``.
+The reader
+checks it on the raw bytes, so it never re-encodes JSON. Version 1
+lines, written before positional rounds, carry the ``states`` mapping
+as sent and a CRC32 of the record's canonical (sorted-key) encoding;
+the reader still accepts them, so an older journal replays unchanged
+and a journal may hold version 1 lines followed by version 2 ones.
 
 Recurring rounds can be journaled as *dedup reference records*
-(``repro.vps``'s ingest-dedup mode): when a round's states mapping is
-byte-identical to the most recent fully journaled one, the line
+(``repro.vps``'s ingest-dedup mode): when a round's labels equal those
+of the most recent fully journaled one, the line
 ``{"ref": <full seq>, "seq": ..., "time": ..., "crc": ...}`` is
-written instead of repeating the states. :func:`read_journal` expands
-references while scanning — it only ever needs the last full record's
-states, because a valid writer always refs the most recent full line
-in the same journal (the reference chain never crosses a journal
-reset). Replay is therefore byte-equal to the undeduplicated stream;
-only the on-disk encoding is compact. A reference that does not point
-at the last full record is treated like any other corrupt line: the
-valid prefix is kept and the tail is dropped.
+written instead of repeating them. :func:`read_journal` expands
+references while scanning — it only ever needs the last full record,
+because a valid writer always refs the most recent full line in the
+same journal (the reference chain never crosses a journal reset).
+Replay is therefore byte-equal to the undeduplicated stream; only the
+on-disk encoding is compact. A reference that does not point at the
+last full record is treated like any other corrupt line: the valid
+prefix is kept and the tail is dropped.
 
 Snapshots are written atomically (temp file + ``os.replace``) together
 with a checksum manifest; the journal is then reset. A crash between
@@ -68,6 +82,7 @@ __all__ = [
     "JournalRecord",
     "JournalTail",
     "JournalWriter",
+    "labels_json",
     "record_line",
     "ref_record_line",
     "read_journal",
@@ -90,14 +105,25 @@ class JournalError(ValueError):
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One durable ingest: sequence number, timestamp, assignment."""
+    """One durable ingest: sequence number, timestamp and the round.
+
+    A version 2 record carries ``labels``, one state label per monitor
+    network in the monitor's network order; a version 1 record carries
+    the ``states`` mapping as it was sent. Exactly one of the two is set.
+    """
 
     seq: int
     time: datetime
-    states: dict[str, str]
+    states: Optional[dict[str, str]] = None
+    labels: Optional[list[str]] = None
+
+    def __post_init__(self) -> None:
+        if (self.states is None) == (self.labels is None):
+            raise ValueError("a journal record carries one of states and labels")
 
     @classmethod
     def from_document(cls, document: dict) -> "JournalRecord":
+        """A record from a parsed version 1 line."""
         return cls(
             seq=int(document["seq"]),
             time=datetime.fromisoformat(document["time"]),
@@ -114,40 +140,57 @@ class JournalTail:
     reason: str
 
 
-def _canonical(document: dict) -> str:
+def _canonical(document: object) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _splice_crc(body: str) -> str:
+    """``body`` (a JSON object) with the CRC32 of its bytes as a last field."""
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    return f'{body[:-1]},"crc":"{crc:08x}"}}'
 
 
 def _with_crc(document: dict) -> str:
     body = _canonical(document)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     if len(body) > 2:
         # Splice the checksum into the canonical encoding instead of
         # re-serializing the whole document a second time; the checker
         # pops "crc" and re-canonicalizes, so field order is free.
-        return f'{body[:-1]},"crc":"{crc:08x}"}}'
+        return _splice_crc(body)
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     return _canonical({**document, "crc": f"{crc:08x}"})
 
 
-def record_line(record: "JournalRecord", states_json: Optional[str] = None) -> str:
+def labels_json(labels: list[str]) -> str:
+    """The ``labels`` array of a version 2 line."""
+    return json.dumps(labels, separators=(",", ":"))
+
+
+def record_line(record: "JournalRecord", fragment: Optional[str] = None) -> str:
     """The journal line for ``record`` (no trailing newline).
 
-    The canonical encoding of ``{"seq", "states", "time"}`` (sort order
-    ``seq`` < ``states`` < ``time``) with its CRC spliced in.
-    ``states_json`` is an optional precomputed ``_canonical(states)``
-    fragment. Routing results recur — the paper's core observation —
-    so a monitor ingesting a stable stream re-serializes the same
-    states mapping thousands of times; callers that cache the fragment
-    across repeated rounds skip the dominant JSON cost.
+    A record with ``labels`` encodes as a version 2 line,
+    ``{"v":2,"seq":…,"time":…,"labels":[…]}`` with the CRC of those
+    bytes spliced in as a last ``crc`` field. A record with ``states``
+    encodes as a version 1 line, the canonical encoding of
+    ``{"seq", "states", "time"}`` with its CRC spliced in; only tools
+    and fixtures that stand in for older writers make those.
+
+    ``fragment`` is an optional precomputed :func:`labels_json` (or,
+    for version 1, ``_canonical(states)``). Routing results recur — the
+    paper's core observation — so a monitor that caches it across
+    repeated rounds skips the encoding.
     """
-    if states_json is None:
-        states_json = _canonical(record.states)
-    body = (
-        f'{{"seq":{record.seq},"states":{states_json},'
-        f'"time":"{record.time.isoformat()}"}}'
-    )
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f'{body[:-1]},"crc":"{crc:08x}"}}'
+    when = record.time.isoformat()
+    if record.labels is not None:
+        if fragment is None:
+            fragment = labels_json(record.labels)
+        return _splice_crc(
+            f'{{"v":2,"seq":{record.seq},"time":"{when}","labels":{fragment}}}'
+        )
+    if fragment is None:
+        fragment = _canonical(record.states)
+    return _splice_crc(f'{{"seq":{record.seq},"states":{fragment},"time":"{when}"}}')
 
 
 def ref_record_line(seq: int, time: datetime, ref: int) -> str:
@@ -155,13 +198,11 @@ def ref_record_line(seq: int, time: datetime, ref: int) -> str:
 
     The composed bytes match :func:`_with_crc` of
     ``{"ref": ref, "seq": seq, "time": ...}`` (canonical key order
-    ``ref`` < ``seq`` < ``time``), so the checker treats both record
-    kinds uniformly. The states are *not* repeated — the reader
-    materializes them from the referenced full record.
+    ``ref`` < ``seq`` < ``time``), so the version 1 checker reads it.
+    The round is *not* repeated — the reader materializes it from the
+    referenced full record.
     """
-    body = f'{{"ref":{ref},"seq":{seq},"time":"{time.isoformat()}"}}'
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f'{body[:-1]},"crc":"{crc:08x}"}}'
+    return _splice_crc(f'{{"ref":{ref},"seq":{seq},"time":"{time.isoformat()}"}}')
 
 
 def _check_crc(obj: dict) -> dict:
@@ -173,6 +214,31 @@ def _check_crc(obj: dict) -> dict:
     if crc != expected:
         raise ValueError(f"crc mismatch: {crc} != {expected}")
     return obj
+
+
+_V2_PREFIX = b'{"v":2,'
+_CRC_FIELD = b',"crc":"'
+_CRC_TAIL = len(b',"crc":"00000000"}')
+
+
+def _read_v2(line: bytes) -> JournalRecord:
+    """Check a version 2 line's CRC on its raw bytes, then parse it."""
+    body = len(line) - _CRC_TAIL
+    if body < 0 or line[body : body + len(_CRC_FIELD)] != _CRC_FIELD:
+        raise ValueError("record missing crc")
+    crc = zlib.crc32(b"}", zlib.crc32(memoryview(line)[:body])) & 0xFFFFFFFF
+    stored = line[body + len(_CRC_FIELD) : -2]
+    if stored != b"%08x" % crc or line[-2:] != b'"}':
+        raise ValueError(f"crc mismatch: {stored!r} != {crc:08x}")
+    document = json.loads(line)
+    labels = document["labels"]
+    if type(labels) is not list:
+        raise ValueError("version 2 labels must be a list")
+    return JournalRecord(
+        seq=int(document["seq"]),
+        time=datetime.fromisoformat(document["time"]),
+        labels=labels,
+    )
 
 
 class JournalWriter:
@@ -265,9 +331,14 @@ def read_journal(
     line — everything a crashed writer can leave behind — and reports
     the dropped tail instead of raising.
 
+    Each record carries its round as the line held it: ``labels`` (a
+    list, one label per monitor network in the monitor's order) for a
+    version 2 line, or ``states`` (the ``{network: label}`` mapping as
+    sent) for a version 1 line; the other field is None.
+
     Dedup reference lines (``{"ref": ..., "seq": ..., "time": ...}``)
-    are expanded in place: the record's states are materialized from
-    the referenced full record, so callers see the exact stream an
+    are expanded in place: the record takes the round of the
+    referenced full record, so callers see the exact stream an
     undeduplicated writer would have produced. A reference that does
     not point at the most recent full record is corruption and drops
     the tail like any other bad line.
@@ -278,30 +349,33 @@ def read_journal(
     records: list[JournalRecord] = []
     tail: Optional[JournalTail] = None
     expected = after_seq
-    last_full: Optional[tuple[int, dict]] = None
-    with path.open("r", encoding="utf-8") as stream:
-        iterator: Iterator[tuple[int, str]] = enumerate(stream, start=1)
+    last_full: Optional[JournalRecord] = None
+    with path.open("rb") as stream:
+        iterator: Iterator[tuple[int, bytes]] = enumerate(stream, start=1)
         for line_number, line in iterator:
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                document = _check_crc(json.loads(stripped))
-                if "ref" in document:
-                    ref = document["ref"]
-                    if last_full is None or ref != last_full[0]:
-                        raise ValueError(
-                            f"dangling dedup reference: {ref!r} does not name "
-                            "the most recent full record"
-                        )
-                    record = JournalRecord(
-                        seq=int(document["seq"]),
-                        time=datetime.fromisoformat(document["time"]),
-                        states=last_full[1],
-                    )
+                if stripped.startswith(_V2_PREFIX):
+                    record = last_full = _read_v2(stripped)
                 else:
-                    record = JournalRecord.from_document(document)
-                    last_full = (record.seq, record.states)
+                    document = _check_crc(json.loads(stripped))
+                    if "ref" in document:
+                        ref = document["ref"]
+                        if last_full is None or ref != last_full.seq:
+                            raise ValueError(
+                                f"dangling dedup reference: {ref!r} does not "
+                                "name the most recent full record"
+                            )
+                        record = JournalRecord(
+                            seq=int(document["seq"]),
+                            time=datetime.fromisoformat(document["time"]),
+                            states=last_full.states,
+                            labels=last_full.labels,
+                        )
+                    else:
+                        record = last_full = JournalRecord.from_document(document)
                 if record.seq <= after_seq:
                     continue  # already folded into the snapshot
                 if record.seq != expected + 1:

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.compare import UnknownPolicy
 from ..core.online import OnlineFenrir, OnlineUpdate
+from ..core.vector import UNKNOWN, labels_of
 from ..obs import Counter, MetricsRegistry, span
 from .journal import (
     JOURNAL_FILE,
@@ -31,8 +32,8 @@ from .journal import (
     JournalRecord,
     JournalTail,
     JournalWriter,
-    _canonical,
     discard_deltas,
+    labels_json,
     read_deltas,
     read_journal,
     read_snapshot,
@@ -59,6 +60,10 @@ _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 def valid_monitor_name(name: str) -> bool:
     """Names become directory names, so they must be path-safe."""
     return bool(_NAME_PATTERN.match(name)) and name not in (".", "..")
+
+
+def _is_string_pair(item: tuple) -> bool:
+    return isinstance(item[0], str) and isinstance(item[1], str)
 
 
 class MonitorError(ValueError):
@@ -137,11 +142,13 @@ class DurableMonitor:
     _checkpoint_exemplars: int = field(default=0, init=False, repr=False)
     # Recurring-round fast path: routing results recur, so consecutive
     # rounds usually carry the same states mapping. Cache the last
-    # validated mapping and its canonical JSON fragment; a repeat skips
-    # re-validation and re-serialization (the journal bytes are
-    # identical either way — see journal.record_line).
+    # accepted mapping with its label list and that list's JSON; a
+    # repeat skips conversion, validation and encoding, and hands the
+    # tracker the same list, so it skips the coding too (the journal
+    # bytes are identical either way — see journal.record_line).
     _last_states: Optional[dict] = field(default=None, init=False, repr=False)
-    _last_states_json: Optional[str] = field(default=None, init=False, repr=False)
+    _last_labels: list[str] = field(default_factory=list, init=False, repr=False)
+    _last_labels_json: str = field(default="", init=False, repr=False)
     # The most recent *full* record in the current journal file — the
     # only legal target for a dedup reference. Tracked unconditionally
     # (cheap) so toggling dedup on mid-stream is immediately correct,
@@ -150,7 +157,7 @@ class DurableMonitor:
     # is journaled full even if it repeats, which keeps recovery free of
     # any re-derivation of the tail's last full line.
     _last_full_seq: Optional[int] = field(default=None, init=False, repr=False)
-    _last_full_json: Optional[str] = field(default=None, init=False, repr=False)
+    _last_full_labels: Optional[list[str]] = field(default=None, init=False, repr=False)
     deduped_records: int = field(default=0, init=False, repr=False)
     dedup_bytes_saved: int = field(default=0, init=False, repr=False)
     _dedup_records_counter: Optional[Counter] = field(
@@ -276,25 +283,21 @@ class DurableMonitor:
                 directory / JOURNAL_FILE, after_seq=snapshot_seq
             )
             skipped = 0
-            # Replay through the same batched apply path ingest_batch
-            # uses. A record that parses but cannot be applied (e.g.
-            # written by an older server without pre-journal validation)
-            # was never acknowledged — validation happens before the
+            # A record that parses but cannot be applied (e.g. written
+            # by an older server without pre-journal validation) was
+            # never acknowledged — validation happens before the
             # append, so an apply failure implies the ack never went
             # out. Skip it and report rather than leaving the monitor
-            # permanently unopenable; ingest() appends nothing on
-            # failure, so the update count tells us exactly where to
-            # resume.
-            remaining = records
-            while remaining:
-                applied_before = len(tracker.updates)
+            # permanently unopenable; an ingest that raises changes no
+            # tracker state. Version 2 records go to the tracker as the
+            # label lists they are; only version 1 lines hold mappings.
+            for record in records:
                 try:
-                    tracker.ingest_many(
-                        [(record.states, record.time) for record in remaining]
-                    )
-                    remaining = []
+                    if record.labels is not None:
+                        tracker.ingest_labels(record.labels, record.time)
+                    elif record.states is not None:
+                        tracker.ingest(record.states, record.time)
                 except Exception:
-                    applied_now = len(tracker.updates) - applied_before
                     skipped += 1
                     if registry is not None:
                         registry.counter(
@@ -302,7 +305,6 @@ class DurableMonitor:
                             labels={"monitor": name},
                             help="journal records skipped during replay",
                         ).inc()
-                    remaining = remaining[applied_now + 1:]
         seq = records[-1].seq if records else snapshot_seq
         monitor = cls(
             name=name,
@@ -437,27 +439,27 @@ class DurableMonitor:
         )
         os.replace(temp, self.directory / OPTIONS_FILE)
 
-    def _encode_line(self, record: JournalRecord, states_json: str) -> str:
+    def _encode_line(self, record: JournalRecord, fragment: str) -> str:
         """The journal line for ``record``: full, or a dedup reference.
 
-        In dedup mode a round whose canonical states JSON is
-        byte-identical to the most recent full record's journals as a
-        reference; replay materializes the states from the referenced
-        line, so the recovered stream is byte-equal either way.
+        In dedup mode a round whose labels equal the most recent full
+        record's journals as a reference; replay materializes the
+        labels from the referenced line, so the recovered stream is
+        byte-equal either way. ``fragment`` is the labels' JSON.
         """
         if (
             self.dedup
             and self._last_full_seq is not None
-            and states_json == self._last_full_json
+            and record.labels == self._last_full_labels
         ):
             ref = self._last_full_seq
-            # Full line carries `"states":<json>,`; a ref line carries
-            # `"ref":<seq>,` in its place.
-            self._note_dedup(1, len(states_json) + 3 - len(str(ref)))
+            # A full line carries `"v":2,` and `,"labels":<json>`; a ref
+            # line carries `"ref":<seq>,` instead.
+            self._note_dedup(1, len(fragment) + 9 - len(str(ref)))
             return ref_record_line(record.seq, record.time, ref)
         self._last_full_seq = record.seq
-        self._last_full_json = states_json
-        return record_line(record, states_json)
+        self._last_full_labels = record.labels
+        return record_line(record, fragment)
 
     def _note_dedup(self, records: int, saved: int) -> None:
         self.deduped_records += records
@@ -471,32 +473,54 @@ class DurableMonitor:
         self._journal.reset()
         # References never cross a reset: the next record must be full.
         self._last_full_seq = None
-        self._last_full_json = None
+        self._last_full_labels = None
 
     # -- operations ----------------------------------------------------------
 
-    def _clean_states(self, states: Mapping[str, str]) -> tuple[dict, str]:
-        """A ``{str: str}`` copy of ``states`` and its canonical JSON.
+    def _round_labels(self, states: Mapping[str, str]) -> tuple[list[str], str]:
+        """The round as labels in the monitor's network order, and their JSON.
 
-        The journal must never accept a record the tracker cannot apply:
-        non-string labels (JSON arrays, numbers, null) would raise only
-        inside ``StateCatalog.code``, *after* the append, poisoning the
-        journal for every later replay; they raise :class:`MonitorError`
-        here. A round repeating the previous round's mapping (the common
-        case in a recurring-routing stream) reuses the already-validated
-        dict and its serialization instead of redoing both.
+        This is where a round stops being keyed by network name: the
+        monitor's networks are read from ``states`` in order
+        (:func:`~repro.core.vector.labels_of`, absent ones ``unknown``)
+        and keys outside them are dropped. The journal must never
+        accept a record the tracker cannot apply, and a non-string key
+        or label anywhere in ``states`` raises :class:`MonitorError`
+        here, before the append. The labels are checked as their
+        distinct set; the whole mapping is checked only when its size
+        shows that it holds keys outside the networks. A round repeating
+        the previous round's mapping (the common case in a
+        recurring-routing stream) reuses the previous list and JSON.
         """
         if self._last_states is not None and states == self._last_states:
-            return self._last_states, self._last_states_json
-        for key, value in states.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise MonitorError(
-                    "states must map network names to state labels (strings); "
-                    f"got {key!r}: {value!r}"
-                )
+            return self._last_labels, self._last_labels_json
+        labels = labels_of(states, self.tracker.networks)
+        try:
+            distinct = set(labels)
+            valid = all(isinstance(label, str) for label in distinct)
+        except TypeError:  # an unhashable label, such as a JSON array
+            valid = False
+        if valid:
+            # Every absent network reads as ``unknown``, so the mapping
+            # names at least this many of the networks, and it holds
+            # keys outside them only if it is larger than that.
+            named = len(labels)
+            if UNKNOWN in distinct:
+                named -= labels.count(UNKNOWN)
+            if len(states) > named:
+                valid = all(map(_is_string_pair, states.items()))
+        if not valid:
+            key, label = next(
+                item for item in states.items() if not _is_string_pair(item)
+            )
+            raise MonitorError(
+                "states must map network names to state labels (strings); "
+                f"got {key!r}: {label!r}"
+            )
         self._last_states = dict(states)
-        self._last_states_json = _canonical(self._last_states)
-        return self._last_states, self._last_states_json
+        self._last_labels = labels
+        self._last_labels_json = labels_json(labels)
+        return labels, self._last_labels_json
 
     def ingest(self, states: Mapping[str, str], when: datetime) -> OnlineUpdate:
         """Durably apply one measurement round: a one-round batch."""
@@ -527,12 +551,12 @@ class DurableMonitor:
         """
         with span("serve.ingest_batch", monitor=self.name, rounds=len(rounds)):
             last = self.tracker.last_time
-            accepted: list[JournalRecord] = []
+            accepted: list[tuple[list[str], datetime]] = []
             lines: list[str] = []
             rejection: tuple = ()  # (error_index, error, error_kind)
             for index, (states, when) in enumerate(rounds):
                 try:
-                    clean, states_json = self._clean_states(states)
+                    labels, fragment = self._round_labels(states)
                 except MonitorError as exc:
                     rejection = (index, str(exc), "invalid_states")
                     break
@@ -544,10 +568,10 @@ class DurableMonitor:
                     )
                     break
                 record = JournalRecord(
-                    seq=self.seq + len(accepted) + 1, time=when, states=clean
+                    seq=self.seq + len(accepted) + 1, time=when, labels=labels
                 )
-                accepted.append(record)
-                lines.append(self._encode_line(record, states_json))
+                accepted.append((labels, when))
+                lines.append(self._encode_line(record, fragment))
                 last = when
             try:
                 self._journal.append_lines(lines)
@@ -556,11 +580,10 @@ class DurableMonitor:
                 # record that never hit disk would poison replay. Force the
                 # next round to journal full.
                 self._last_full_seq = None
-                self._last_full_json = None
+                self._last_full_labels = None
                 raise
-            updates = self.tracker.ingest_many(
-                [(record.states, record.time) for record in accepted]
-            )
+            ingest = self.tracker.ingest_labels
+            updates = [ingest(labels, when) for labels, when in accepted]
             self.seq += len(accepted)
             self._since_snapshot += len(accepted)
             if self.snapshot_every and self._since_snapshot >= self.snapshot_every:

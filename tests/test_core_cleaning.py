@@ -76,6 +76,12 @@ class TestMicroCatchments:
         assert folded == []
         assert cleaned[0].to_mapping() == series[0].to_mapping()
 
+    def test_empty_series(self):
+        series = VectorSeries(["a"], StateCatalog(["X"]))
+        cleaned, folded = fold_micro_catchments(series, min_networks=1)
+        assert folded == ["X"]  # a site that never serves has no peak
+        assert len(cleaned) == 0 and cleaned.networks == ("a",)
+
 
 class TestDropNetworks:
     def test_drop_by_predicate(self):

@@ -113,6 +113,36 @@ class TestViews:
         totals = simple_series.aggregate_over_time(weights)
         assert totals["A"].tolist() == [11, 11, 11, 1, 1]
 
+    def test_aggregate_over_time_of_no_rows(self):
+        series = VectorSeries(["a"])
+        assert series.aggregate_over_time() == {}
+        assert series.aggregate_over_time(np.array([2.5])) == {}
+
+    def test_aggregate_over_time_matches_a_bincount_per_row(self, t0):
+        rng = np.random.default_rng(3)
+        networks = [f"n{i}" for i in range(40)]
+        series = VectorSeries(networks, StateCatalog(["A", "B", "C", "D"]))
+        for day in range(25):
+            labels = rng.choice(["A", "B", "C", "D", UNKNOWN], size=len(networks))
+            series.append_mapping(dict(zip(networks, labels)), t0 + timedelta(days=day))
+        # Fractional weights whose sums depend on the order of addition.
+        weights = rng.random(len(networks)) * 1e3 + rng.random(len(networks)) * 1e-9
+        states = len(series.catalog)
+        for given_weights in (None, weights):
+            rows = [
+                np.bincount(row, weights=given_weights, minlength=states)
+                for row in series.matrix
+            ]
+            expected = np.stack(rows).astype(np.float64)
+            totals = series.aggregate_over_time(given_weights)
+            for code, label in enumerate(series.catalog.labels):
+                if expected[:, code].any():
+                    assert totals[label].tobytes() == expected[:, code].tobytes()
+                else:
+                    assert label not in totals
+        with pytest.raises(ValueError, match="weights"):
+            series.aggregate_over_time(weights[:-1])
+
     def test_copy_is_independent(self, simple_series, t0):
         clone = simple_series.copy()
         clone.append_mapping({"n1": "A"}, t0 + timedelta(days=30))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.vector import (
     ERROR,
@@ -12,6 +14,7 @@ from repro.core.vector import (
     UNKNOWN,
     RoutingVector,
     StateCatalog,
+    labels_of,
 )
 
 
@@ -47,6 +50,28 @@ class TestStateCatalog:
         assert "LAX" in catalog
         assert UNKNOWN in catalog
         assert "AMS" not in catalog
+
+    @given(
+        known=st.lists(st.sampled_from("ABCDEF"), max_size=4),
+        labels=st.lists(st.sampled_from(["A", "B", "C", "D", "E", "F", UNKNOWN])),
+    )
+    def test_codes_assign_in_first_occurrence_order(self, known, labels):
+        # The one label coding must build the very catalog that coding
+        # label by label builds, or every snapshot's bytes would move.
+        batch, single = StateCatalog(known), StateCatalog(known)
+        codes = batch.codes(labels)
+        assert codes.dtype == np.int32 and codes.shape == (len(labels),)
+        assert codes.tolist() == [single.code(label) for label in labels]
+        assert batch.labels == single.labels
+
+    def test_codes_of_no_labels(self):
+        assert StateCatalog().codes([]).shape == (0,)
+
+
+def test_labels_of_reads_networks_in_order():
+    mapping = {"b": "LAX", "x9": "AMS", "a": ERROR}
+    assert labels_of(mapping, ["a", "b", "c"]) == [ERROR, "LAX", UNKNOWN]
+    assert labels_of(mapping, []) == []
 
 
 class TestRoutingVector:

@@ -3,13 +3,16 @@
 Two contracts under test:
 
 * ``ingest_batch`` ≡ a sequential tracker — same updates, same replay
-  state, and journal bytes pinned by ``tests/golden/journal.jsonl`` —
-  with the valid-prefix partial failure semantics on top;
+  state, and journal bytes pinned by ``tests/golden/journal_v2.jsonl``
+  — with the valid-prefix partial failure semantics on top;
 * periodic checkpoints write O(delta) bytes (delta segments), not a
   full re-serialization of the history, and fold back losslessly on
   recovery and compaction.
 
-Regenerate the journal fixture after an intentional format change:
+``tests/golden/journal.jsonl`` is frozen: the same script recorded by
+the version 1 writer, kept as the reader fixture for journals written
+before positional lines. Never regenerate it. Regenerate the version 2
+fixture after an intentional format change:
     PYTHONPATH=src python tests/test_serve_batch.py
 """
 
@@ -23,7 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import online as online_module
 from repro.core.online import OnlineFenrir
+from repro.core.vector import RoutingVector, StateCatalog
+from repro.serve import journal as journal_module
 from repro.serve.journal import (
     JOURNAL_FILE,
     SNAPSHOT_FILE,
@@ -49,7 +55,8 @@ def make_rounds(count, start=0, seed=0, networks=NETWORKS):
     ]
 
 
-JOURNAL_GOLDEN = Path(__file__).parent / "golden" / "journal.jsonl"
+JOURNAL_GOLDEN = Path(__file__).parent / "golden" / "journal.jsonl"  # version 1
+JOURNAL_V2_GOLDEN = Path(__file__).parent / "golden" / "journal_v2.jsonl"
 
 
 def scripted_monitor(data_dir):
@@ -118,7 +125,8 @@ class TestBatchEquivalence:
 
     def test_journal_bytes_identical(self, tmp_path):
         directory, _ = scripted_monitor(tmp_path)
-        assert (directory / JOURNAL_FILE).read_bytes() == JOURNAL_GOLDEN.read_bytes()
+        journal = (directory / JOURNAL_FILE).read_bytes()
+        assert journal == JOURNAL_V2_GOLDEN.read_bytes()
 
     def test_replay_state_identical(self, tmp_path):
         rounds = make_rounds(30)
@@ -154,6 +162,145 @@ class TestBatchEquivalence:
         assert result.accepted == 0
         assert result.error_index is None
         assert monitor.seq == 0
+
+
+def answers(monitor):
+    """The ``query`` and ``timeline`` documents, as bytes.
+
+    Without the name and the ``dedup`` counters, which describe this
+    process's journal encoding rather than what was replayed.
+    """
+    timeline = [
+        {"mode_id": mode, "start": start.isoformat(), "end": end.isoformat()}
+        for mode, start, end in monitor.tracker.mode_timeline()
+    ]
+    query = {**monitor.describe(), "monitor": None, "dedup": None}
+    return json.dumps([query, timeline], sort_keys=True)
+
+
+def oracle_answers(data_dir, name, rounds):
+    """``answers`` of a fresh monitor fed ``rounds`` one by one."""
+    oracle = DurableMonitor.create(data_dir, name, networks=NETWORKS)
+    for states, when in rounds:
+        oracle.ingest(states, when)
+    oracle.close()
+    return answers(oracle)
+
+
+class TestPositionalJournal:
+    """Version 2 lines: the round as labels in network order."""
+
+    def test_v1_lines_then_v2_lines_after_reopen(self, tmp_path):
+        _, accepted = scripted_monitor(tmp_path / "scripted")
+        monitor = DurableMonitor.create(tmp_path, "mixed", networks=NETWORKS)
+        monitor.close()
+        journal = tmp_path / "mixed" / JOURNAL_FILE
+        journal.write_bytes(JOURNAL_GOLDEN.read_bytes())
+        monitor = DurableMonitor.open(tmp_path, "mixed")
+        assert monitor.replay.replayed_records == len(accepted)
+        later = make_rounds(6, start=len(accepted) + 10, seed=9)
+        later.insert(1, (later[0][0], later[0][1] + timedelta(minutes=1)))
+        monitor.set_dedup(True)
+        monitor.ingest_batch(later)
+        live = answers(monitor)
+        monitor.close()
+
+        lines = journal.read_bytes().splitlines(keepends=True)
+        v1 = JOURNAL_GOLDEN.read_bytes().splitlines(keepends=True)
+        assert lines[: len(v1)] == v1
+        assert lines[len(v1)].startswith(b'{"v":2,')
+        assert any(line.startswith(b'{"ref":') for line in lines[len(v1) :])
+        reopened = DurableMonitor.open(tmp_path, "mixed")
+        assert reopened.replay.tail is None
+        assert answers(reopened) == live
+        assert live == oracle_answers(tmp_path, "oracle", [*accepted, *later])
+        reopened.close()
+
+    def fed(self, data_dir, count):
+        """A closed monitor's directory holding ``count`` version 2 lines."""
+        rounds = make_rounds(count, seed=4)
+        monitor = DurableMonitor.create(data_dir, "m", networks=NETWORKS)
+        monitor.ingest_batch(rounds)
+        monitor.close()
+        return data_dir / "m", rounds
+
+    def reopen(self, directory, tmp_path, journal: bytes, copy: str):
+        """Open a copy of ``directory`` whose journal is ``journal``."""
+        target = tmp_path / copy / "m"
+        target.mkdir(parents=True)
+        for path in directory.iterdir():
+            target.joinpath(path.name).write_bytes(path.read_bytes())
+        (target / JOURNAL_FILE).write_bytes(journal)
+        return DurableMonitor.open(target.parent, "m")
+
+    def test_cut_final_v2_line_recovers_the_acked_prefix(self, tmp_path):
+        directory, rounds = self.fed(tmp_path / "source", 6)
+        journal = (directory / JOURNAL_FILE).read_bytes()
+        start = journal.rstrip(b"\n").rfind(b"\n") + 1
+        end = len(journal) - 1  # the final newline
+        expected = oracle_answers(tmp_path, "oracle", rounds[:-1])
+        for cut in sorted({start, start + 1, *range(start, end, 7), end - 1}):
+            monitor = self.reopen(directory, tmp_path, journal[:cut], f"cut{cut}")
+            assert monitor.seq == len(rounds) - 1, cut
+            assert monitor.replay.dropped_lines == (cut > start), cut
+            assert answers(monitor) == expected, cut
+            monitor.close()
+        # Cutting only the newline leaves a whole line: nothing is lost.
+        monitor = self.reopen(directory, tmp_path, journal[:end], "whole")
+        assert monitor.seq == len(rounds) and monitor.replay.tail is None
+        monitor.close()
+
+    def test_flipped_byte_drops_the_tail(self, tmp_path):
+        directory, rounds = self.fed(tmp_path / "source", 6)
+        journal = (directory / JOURNAL_FILE).read_bytes()
+        lines = journal.splitlines(keepends=True)
+        bad = 3  # 0-based: lines 0..2 hold the acked prefix that survives
+        start = sum(len(line) for line in lines[:bad])
+        expected = oracle_answers(tmp_path, "oracle", rounds[:bad])
+        for offset in range(0, len(lines[bad]) - 1, 3):
+            flipped = bytearray(journal)
+            flipped[start + offset] ^= 0x01
+            monitor = self.reopen(directory, tmp_path, bytes(flipped), f"f{offset}")
+            assert monitor.seq == bad, offset
+            assert monitor.replay.dropped_lines == len(lines) - bad, offset
+            assert answers(monitor) == expected, offset
+            monitor.close()
+
+    def test_repeated_mapping_does_no_label_coding(self, tmp_path, monkeypatch):
+        calls = []
+        codes = StateCatalog.codes
+
+        def counted(catalog, labels):
+            calls.append(len(labels))
+            return codes(catalog, labels)
+
+        monkeypatch.setattr(StateCatalog, "codes", counted)
+        states = make_rounds(1)[0][0]
+        monitor = DurableMonitor.create(tmp_path, "m", networks=NETWORKS)
+        monitor.ingest(states, BASE)
+        monitor.ingest(dict(states), BASE + timedelta(hours=1))
+        batch = [(dict(states), BASE + timedelta(hours=hour)) for hour in (2, 3, 4)]
+        monitor.ingest_batch(batch)
+        assert calls == [len(NETWORKS)]
+        tracker = OnlineFenrir(networks=NETWORKS)
+        for hour in range(3):
+            tracker.ingest(dict(states), BASE + timedelta(hours=hour))
+        assert calls == [len(NETWORKS)] * 2
+        monitor.close()
+
+    def test_v2_replay_never_rekeys_or_reencodes(self, tmp_path, monkeypatch):
+        directory, rounds = self.fed(tmp_path, 20)
+        expected = answers(DurableMonitor.open(tmp_path, "m"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay of version 2 lines re-keyed a round")
+
+        monkeypatch.setattr(RoutingVector, "from_mapping", refuse)
+        monkeypatch.setattr(online_module, "labels_of", refuse)
+        monkeypatch.setattr(journal_module, "_canonical", refuse)
+        reopened = DurableMonitor.open(tmp_path, "m")
+        assert reopened.replay.replayed_records == len(rounds)
+        assert answers(reopened) == expected
 
 
 class TestBatchPartialFailure:
@@ -447,5 +594,5 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         directory, _ = scripted_monitor(Path(scratch))
-        JOURNAL_GOLDEN.write_bytes((directory / JOURNAL_FILE).read_bytes())
-    print(f"wrote {JOURNAL_GOLDEN}")
+        JOURNAL_V2_GOLDEN.write_bytes((directory / JOURNAL_FILE).read_bytes())
+    print(f"wrote {JOURNAL_V2_GOLDEN}")

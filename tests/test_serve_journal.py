@@ -247,7 +247,7 @@ class TestDurableMonitor:
             DurableMonitor.open(tmp_path, "svc")
 
     def test_keys_outside_the_networks_replay_unchanged(self, tmp_path):
-        """Keys a monitor was not created with are journaled, then ignored."""
+        """Keys a monitor was not created with are dropped before the journal."""
         rounds = [
             {"n1": "LAX", "n2": "LAX", "x9": "AMS"},
             {"n1": "LAX", "n2": "LAX", "x9": "OUTSIDE"},
@@ -283,10 +283,29 @@ class TestDurableMonitor:
         assert "OUTSIDE" not in monitor.tracker.catalog.labels
         monitor.close()
         journal = (tmp_path / "outside" / "svc" / JOURNAL_FILE).read_text()
-        assert '"x9":"AMS"' in journal  # the last round, journaled as sent
+        inside = (tmp_path / "inside" / "svc" / JOURNAL_FILE).read_text()
+        assert journal == inside  # the positional lines hold no outside key
+        assert "x9" not in journal
         reopened = DurableMonitor.open(tmp_path / "outside", "svc")
         assert reopened.replay.replayed_records == 1
         assert answers(reopened) == live
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            {"n1": "LAX", "n2": "LAX", "x9": 5},
+            {"n1": "LAX", "x9": ["AMS"]},  # as many keys as networks
+            {"n1": "LAX", "n2": "LAX", 7: "AMS"},
+            {"n1": "unknown", "n2": "LAX", "x9": None},
+        ],
+    )
+    def test_non_string_outside_keys_still_rejected(self, tmp_path, states):
+        monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"])
+        with pytest.raises(MonitorError, match="state labels"):
+            monitor.ingest(states, T0)
+        monitor.ingest({"n1": "unknown", "n2": "LAX", "x9": "AMS"}, T0)
+        assert monitor.seq == 1
+        monitor.close()
 
     def test_truncated_journal_recovers_prefix(self, tmp_path):
         monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"])
