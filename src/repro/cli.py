@@ -19,23 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core.compare import UnknownPolicy
-from .core.pipeline import Fenrir, FenrirConfig
-from .core.series import VectorSeries
-from .io.catalog import CATALOG
-from .io.formats import (
-    read_series_csv,
-    read_series_jsonl,
-    write_series_csv,
-    write_series_jsonl,
-)
-
+# The numeric stack loads inside the commands that use it, so that
+# ``repro serve --shards`` (a supervisor that only relays bytes) and
+# ``repro client`` start without numpy.
 if TYPE_CHECKING:
+    from .core.pipeline import FenrirConfig
+    from .core.series import VectorSeries
     from .serve import ServeClient
 
 __all__ = ["main", "build_parser"]
@@ -44,6 +39,8 @@ DEMOS = ("groot", "broot", "usc", "wikipedia", "google")
 
 
 def _load_series(path: Path) -> VectorSeries:
+    from .io.formats import read_series_csv, read_series_jsonl
+
     if path.suffix == ".jsonl":
         with path.open() as stream:
             return read_series_jsonl(stream)
@@ -54,6 +51,8 @@ def _load_series(path: Path) -> VectorSeries:
 
 
 def _save_series(series: VectorSeries, path: Path) -> None:
+    from .io.formats import write_series_csv, write_series_jsonl
+
     if path.suffix == ".jsonl":
         with path.open("w") as stream:
             write_series_jsonl(series, stream)
@@ -89,6 +88,9 @@ def _demo_series(name: str) -> VectorSeries:
 
 
 def _config_from(args: argparse.Namespace) -> FenrirConfig:
+    from .core.compare import UnknownPolicy
+    from .core.pipeline import FenrirConfig
+
     return FenrirConfig(
         interpolation_limit=0 if args.no_interpolate else args.interpolation_limit,
         unknown_policy=(
@@ -117,6 +119,8 @@ def _apply_vp_plan(series: VectorSeries, args: argparse.Namespace):
 
 
 def _run_pipeline(args: argparse.Namespace, series: VectorSeries):
+    from .core.pipeline import Fenrir
+
     series, weight_fn = _apply_vp_plan(series, args)
     return Fenrir(_config_from(args), weight_fn=weight_fn).run(series)
 
@@ -570,6 +574,25 @@ def _stdin_eof_event() -> "asyncio.Event":  # noqa: F821 (import in function)
     return event
 
 
+def _announce(lines: Sequence[str]) -> bool:
+    """Print ``lines`` to stdout; False when its reader has closed the pipe.
+
+    A closed pipe means the parent that spawned this server is gone, so
+    the server stops quietly rather than die on a ``BrokenPipeError``.
+    Stdout is pointed at the null device so that the interpreter's own
+    flush at exit does not fail on the broken pipe again.
+    """
+    try:
+        for line in lines:
+            print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return False
+    return True
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -632,13 +655,6 @@ async def _serve(args: argparse.Namespace) -> None:
         )
         await tier.start()
         children = tier.describe_processes()
-    # Machine-readable readiness: one line per cluster child (harnesses
-    # learn pids and shard addresses), then the listening line, which
-    # tests, the bench harness and the cluster supervisor parse to learn
-    # an OS-assigned port.
-    host, port = tier.address
-    for line in [*children, f"listening on {host}:{port}"]:
-        print(line, flush=True)
 
     async def dump_metrics_forever() -> None:
         while True:
@@ -650,12 +666,20 @@ async def _serve(args: argparse.Namespace) -> None:
 
     loop = asyncio.get_running_loop()
     dumper = None
-    if args.metrics_file is not None:
-        dumper = loop.create_task(dump_metrics_forever())
-    waiters = {loop.create_task(tier.serve_forever())}
-    if args.exit_on_stdin_close:
-        waiters.add(loop.create_task(_stdin_eof_event().wait()))
+    waiters: set[asyncio.Task] = set()
     try:
+        # Machine-readable readiness: one line per cluster child (harnesses
+        # learn pids and shard addresses), then the listening line, which
+        # tests, the bench harness and the cluster supervisor parse to
+        # learn an OS-assigned port. Whoever would read them may be gone.
+        host, port = tier.address
+        if not _announce([*children, f"listening on {host}:{port}"]):
+            return
+        if args.metrics_file is not None:
+            dumper = loop.create_task(dump_metrics_forever())
+        waiters.add(loop.create_task(tier.serve_forever()))
+        if args.exit_on_stdin_close:
+            waiters.add(loop.create_task(_stdin_eof_event().wait()))
         await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
     except asyncio.CancelledError:
         pass
@@ -1043,6 +1067,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "client":
         return _run_client(args)
     elif args.command == "catalog":
+        from .io.catalog import CATALOG
+
         for info in CATALOG:
             print(
                 f"{info.name:<20} {info.case_study:<24} start {info.start} "

@@ -32,6 +32,8 @@ See ``docs/serving.md`` for the wire protocol and durability model,
 and ``docs/cluster.md`` for the sharded tier.
 """
 
+from typing import TYPE_CHECKING
+
 from .aio import AsyncConnection, AsyncServeClient, ConnectionPool
 from .client import (
     BatchRejectedError,
@@ -45,13 +47,43 @@ from .cluster import (
     ClusterSupervisor,
     ReplicationFollower,
 )
-from .journal import JournalError, JournalRecord, JournalWriter, read_journal
 from .metrics import LatencyRecorder, ServerMetrics
-from .monitor import BatchResult, DurableMonitor, MonitorError, ReplayReport
 from .protocol import FrameError, FrameTooLarge, MAX_FRAME
 from .ring import HashRing
 from .router import ClusterState, ShardRouter
-from .server import FenrirServer, ServeConfig
+
+if TYPE_CHECKING:
+    from .journal import JournalError, JournalRecord, JournalWriter, read_journal
+    from .monitor import BatchResult, DurableMonitor, MonitorError, ReplayReport
+    from .server import FenrirServer, ServeConfig
+
+# The modules that hold monitor state import numpy and ``repro.core``.
+# The supervisor and router only relay bytes, so these names load on
+# first use and a ``repro serve --shards`` process never imports them.
+_LAZY = {
+    "JournalError": "journal",
+    "JournalRecord": "journal",
+    "JournalWriter": "journal",
+    "read_journal": "journal",
+    "BatchResult": "monitor",
+    "DurableMonitor": "monitor",
+    "MonitorError": "monitor",
+    "ReplayReport": "monitor",
+    "FenrirServer": "server",
+    "ServeConfig": "server",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AsyncConnection",

@@ -39,17 +39,18 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from . import protocol
 from .aio.connection import AsyncConnection, Dialer
 from .commands import AsyncCommands
-from .monitor import MonitorError
 from .protocol import ERR_BAD_REQUEST, FrameError, ServeClientError
 from .ring import DEFAULT_VNODES, HashRing, misplaced
 from .router import ClusterState, ShardRouter
-from .server import FenrirServer
+
+if TYPE_CHECKING:
+    from .server import FenrirServer
 
 __all__ = [
     "ClusterConfig",
@@ -61,6 +62,16 @@ __all__ = [
 _READY_PREFIX = "listening on "
 _SPAWN_TIMEOUT = 60.0
 _REQUEST_TIMEOUT = 30.0
+
+
+async def _kill(process: asyncio.subprocess.Process) -> None:
+    """SIGKILL ``process`` unless it already exited, and reap it."""
+    if process.returncode is None:
+        try:
+            process.kill()
+        except ProcessLookupError:
+            pass  # exited between the check and the signal
+    await process.wait()
 
 
 class ShardClient(AsyncCommands):
@@ -131,6 +142,10 @@ class ReplicationFollower:
         self._task = asyncio.get_running_loop().create_task(self.run())
 
     async def run(self) -> None:
+        # Imported here, not at module level: the supervisor imports this
+        # module and must not load numpy; a follower's process already has.
+        from .monitor import MonitorError
+
         while not self._stopped.is_set():
             try:
                 await self._sync_once()
@@ -187,6 +202,8 @@ class ReplicationFollower:
             await self._sync_monitor(name)
 
     async def _sync_monitor(self, name: str) -> None:
+        from .monitor import MonitorError
+
         runtime = self.server._monitors.get(name)
         if runtime is None:
             export = await self._client.handoff(name)
@@ -285,25 +302,41 @@ class ClusterSupervisor:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn every shard (and follower), rebalance, open the router."""
+        """Spawn every shard (and follower), rebalance, open the router.
+
+        All primaries start at once, then (with ``replicate``) all
+        followers, so a start takes about one child's start time. If any
+        child fails to report readiness, every child already started is
+        stopped before the error propagates.
+        """
         self.config.data_dir.mkdir(parents=True, exist_ok=True)
-        for shard_id in range(self.config.shards):
-            primary = await self._spawn(
-                shard_id, "primary", self._primary_dir(shard_id)
-            )
-            self._shards[shard_id] = _ShardPair(primary=primary)
-            self.state.set_address(shard_id, primary.address)
-            self._up_gauge(shard_id).set(1)
-        await self._rebalance_on_start()
-        if self.config.replicate:
-            for shard_id, pair in self._shards.items():
-                pair.follower = await self._spawn(
-                    shard_id,
-                    "follower",
-                    self._follower_dir(shard_id),
-                    follow=pair.primary.address,
+        shard_ids = range(self.config.shards)
+        primaries = await self._spawn_all(
+            (shard_id, "primary", self._primary_dir(shard_id), None)
+            for shard_id in shard_ids
+        )
+        for primary in primaries:
+            self._shards[primary.shard_id] = _ShardPair(primary=primary)
+            self.state.set_address(primary.shard_id, primary.address)
+            self._up_gauge(primary.shard_id).set(1)
+        try:
+            await self._rebalance_on_start()
+            if self.config.replicate:
+                followers = await self._spawn_all(
+                    (
+                        shard_id,
+                        "follower",
+                        self._follower_dir(shard_id),
+                        self._shards[shard_id].primary.address,
+                    )
+                    for shard_id in shard_ids
                 )
-        await self.router.start()
+                for follower in followers:
+                    self._shards[follower.shard_id].follower = follower
+            await self.router.start()
+        except BaseException:
+            await self._stop_children()
+            raise
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -339,10 +372,7 @@ class ClusterSupervisor:
             self._watch_task.cancel()
             self._watch_task = None
         await self.router.stop()
-        for pair in self._shards.values():
-            for child in (pair.follower, pair.primary):
-                if child is not None:
-                    await self._terminate(child)
+        await self._stop_children()
 
     # -- child process management --------------------------------------------
 
@@ -409,17 +439,18 @@ class ClusterSupervisor:
             line = await asyncio.wait_for(
                 process.stdout.readline(), _SPAWN_TIMEOUT  # type: ignore[union-attr]
             )
-        except asyncio.TimeoutError:
-            process.kill()
-            await process.wait()
-            raise RuntimeError(
-                f"shard {shard_id} {role} did not report readiness "
-                f"within {_SPAWN_TIMEOUT}s"
-            ) from None
+        except BaseException as exc:
+            # Timed out, or cancelled: leave no half-started child behind.
+            await _kill(process)
+            if isinstance(exc, asyncio.TimeoutError):
+                raise RuntimeError(
+                    f"shard {shard_id} {role} did not report readiness "
+                    f"within {_SPAWN_TIMEOUT}s"
+                ) from None
+            raise
         text = line.decode("utf-8", "replace").strip()
         if not text.startswith(_READY_PREFIX):
-            process.kill()
-            await process.wait()
+            await _kill(process)
             raise RuntimeError(
                 f"shard {shard_id} {role} failed to start "
                 f"(first line: {text!r})"
@@ -435,6 +466,38 @@ class ClusterSupervisor:
         child.waiter = asyncio.get_running_loop().create_task(process.wait())
         return child
 
+    async def _spawn_all(
+        self,
+        specs: Iterable[Tuple[int, str, Path, Optional[Tuple[str, int]]]],
+    ) -> List[_ShardProcess]:
+        """Run :meth:`_spawn` for every ``(shard, role, directory, follow)``
+        at once; on any failure, stop the ones that started and re-raise
+        the first failure in spec order."""
+        results = await asyncio.gather(
+            *(self._spawn(*spec) for spec in specs), return_exceptions=True
+        )
+        started = [r for r in results if isinstance(r, _ShardProcess)]
+        for result in results:
+            if isinstance(result, BaseException):
+                await self._terminate_all(started)
+                raise result
+        return started
+
+    async def _stop_children(self) -> None:
+        """Terminate every follower at once, then every primary at once.
+
+        Followers go first so that no primary stops while a follower's
+        sync connection to it is still open.
+        """
+        pairs = list(self._shards.values())
+        await self._terminate_all(
+            pair.follower for pair in pairs if pair.follower is not None
+        )
+        await self._terminate_all(pair.primary for pair in pairs)
+
+    async def _terminate_all(self, children: Iterable[_ShardProcess]) -> None:
+        await asyncio.gather(*(self._terminate(child) for child in children))
+
     async def _terminate(self, child: _ShardProcess) -> None:
         """Stop a child: close stdin (clean exit), escalate if needed."""
         process = child.process
@@ -447,12 +510,14 @@ class ClusterSupervisor:
             return
         except asyncio.TimeoutError:
             pass
-        process.terminate()
+        try:
+            process.terminate()
+        except ProcessLookupError:
+            pass
         try:
             await asyncio.wait_for(process.wait(), 5.0)
         except asyncio.TimeoutError:
-            process.kill()
-            await process.wait()
+            await _kill(process)
 
     # -- healing -------------------------------------------------------------
 

@@ -53,6 +53,7 @@ __all__ = [
     "read_frame",
     "read_frame_bytes",
     "serve_pipelined",
+    "Listener",
     "write_frame",
     "send_frame",
     "recv_frame",
@@ -639,6 +640,71 @@ async def serve_pipelined(
             await writer.wait_closed()
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass  # teardown during loop shutdown; the socket is closed anyway
+
+
+class Listener:
+    """A TCP listener running ``handler`` per connection, which closes
+    the connections still open when it closes.
+
+    Server and router both listen through it. Closing each socket lets
+    its connection loop end on EOF while the event loop still runs: a
+    handler left for the loop's own shutdown to cancel is logged as an
+    error by Python 3.11's stream server, and on 3.12
+    ``Server.wait_closed`` waits for every connection to end.
+    """
+
+    def __init__(
+        self,
+        handler: Callable[
+            [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
+        ],
+    ) -> None:
+        self._handler = handler
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._open: dict[asyncio.Task, asyncio.StreamWriter] = {}
+
+    async def start(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(self._serve, host, port)
+
+    @property
+    def listening(self) -> bool:
+        return self._server is not None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound (host, port) — useful when port 0 was requested."""
+        if self._server is None or not self._server.sockets:
+            raise RuntimeError("not listening")
+        host, port = self._server.sockets[0].getsockname()[:2]
+        return str(host), int(port)
+
+    async def serve_forever(self) -> None:
+        assert self._server is not None
+        async with self._server:
+            await self._server.serve_forever()
+
+    async def close(self) -> None:
+        """Stop accepting, close every open connection and give their
+        loops a second to end."""
+        if self._server is None:
+            return
+        self._server.close()
+        for writer in self._open.values():
+            writer.close()
+        if self._open:
+            await asyncio.wait(list(self._open), timeout=1.0)
+        await self._server.wait_closed()
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._open[task] = writer
+        try:
+            await self._handler(reader, writer)
+        finally:
+            del self._open[task]
 
 
 async def write_frame(

@@ -124,7 +124,7 @@ class ShardRouter:
         self.max_frame = max_frame
         self.max_inflight = max_inflight
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._listener = protocol.Listener(self._serve_client)
         self._dial = functools.partial(
             AsyncConnection.open, max_inflight=max_inflight, max_frame=max_frame
         )
@@ -146,28 +146,19 @@ class ShardRouter:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_client, self.host, self.port
-        )
+        await self._listener.start(self.host, self.port)
 
     @property
     def address(self) -> Tuple[str, int]:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("router is not listening")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return str(host), int(port)
+        return self._listener.address
 
     async def serve_forever(self) -> None:
-        if self._server is None:
+        if not self._listener.listening:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        await self._listener.serve_forever()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._listener.close()
 
     # -- shard connections ---------------------------------------------------
 

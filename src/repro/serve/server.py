@@ -117,7 +117,7 @@ class FenrirServer:
         self.metrics = ServerMetrics(registry=self.registry)
         self._monitors: dict[str, _MonitorRuntime] = {}
         self._failed: dict[str, str] = {}  # monitor name -> recovery error
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._listener = protocol.Listener(self._serve_client)
         # When this process is a replication follower, the cluster glue
         # (repro.serve.cluster) attaches the sync loop here so the
         # `promote` command can stop it and take writes.
@@ -196,32 +196,23 @@ class FenrirServer:
                 self.metrics.latency.observe(
                     "replay", monitor.replay.elapsed_seconds
                 )
-        self._server = await asyncio.start_server(
-            self._serve_client, self.config.host, self.config.port
-        )
+        await self._listener.start(self.config.host, self.config.port)
 
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port) — useful when port 0 was requested."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("server is not listening")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
+        return self._listener.address
 
     async def serve_forever(self) -> None:
-        if self._server is None:
+        if not self._listener.listening:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        await self._listener.serve_forever()
 
     async def stop(self) -> None:
         if self.follower is not None:
             await self.follower.stop()
             self.follower = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._listener.close()
         for runtime in self._monitors.values():
             if runtime.worker is not None:
                 runtime.worker.cancel()

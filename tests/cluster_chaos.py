@@ -7,7 +7,9 @@ owns exactly three concerns:
 
 * **process control** — spawn a real ``repro serve --shards N`` cluster
   as subprocesses, parse the readiness lines for every child's address
-  and pid, SIGKILL chosen victims, restart the whole tier;
+  and pid, SIGKILL chosen victims, restart the whole tier, and fail a
+  clean stop if any process of the tier wrote a ``Traceback`` to its
+  stderr (a log next to the data directory);
 * **resilient feeding** — push a deterministic round sequence through
   the router, surviving failovers by re-querying how many rounds the
   cluster actually applied and resuming from there (the durability
@@ -102,6 +104,8 @@ class ClusterHarness:
         self.snapshot_every = snapshot_every
         self.queue_size = queue_size
         self.ring = HashRing.for_cluster(shards)
+        #: The supervisor's stderr, which every child inherits, across restarts.
+        self.stderr_path = self.data_dir.with_name(self.data_dir.name + "-stderr.log")
         self.process: Optional[subprocess.Popen] = None
         self.address: Optional[Tuple[str, int]] = None
         #: (shard, role) -> (address, pid), parsed from readiness lines.
@@ -136,12 +140,14 @@ class ClusterHarness:
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        self.process = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
-        )
+        with self.stderr_path.open("ab") as stderr:
+            self.process = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                env=env,
+            )
         self.children = {}
         deadline = time.monotonic() + timeout
         assert self.process.stdout is not None
@@ -165,7 +171,10 @@ class ClusterHarness:
                 self.address = (host, int(port))
                 return self
 
-    def stop(self) -> None:
+    def stop(self, check_stderr: bool = True) -> None:
+        """Stop the tier; then, with ``check_stderr``, assert that no
+        process of it (this run or an earlier one over the same data
+        directory) wrote a traceback."""
         if self.process is None:
             return
         process, self.process = self.process, None
@@ -179,12 +188,19 @@ class ClusterHarness:
                 process.wait(timeout=15)
         if process.stdout is not None:
             process.stdout.close()
+        if check_stderr:
+            self.assert_no_traceback()
+
+    def assert_no_traceback(self) -> None:
+        text = self.stderr_path.read_text(errors="replace")
+        assert "Traceback" not in text, f"the cluster wrote a traceback:\n{text}"
 
     def __enter__(self) -> "ClusterHarness":
         return self.start()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        # A failing scenario's own error is the one to report.
+        self.stop(check_stderr=exc_type is None)
 
     def restart(self, timeout: float = 90.0) -> "ClusterHarness":
         """Stop (if running) and start again over the same data dir."""

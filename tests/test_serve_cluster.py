@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import shutil
 import socket
 import struct
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.serve import (
     ServeTimeout,
 )
 from repro.serve.aio import AsyncConnection
+from repro.serve.cluster import ClusterConfig, ClusterSupervisor, _ShardProcess
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
 from test_serve_aio import ShuffledResponder
@@ -526,6 +529,85 @@ class TestServeTimeout:
             assert "0.2" in str(caught.value)
         finally:
             listener.close()
+
+
+class TestSupervisorStart:
+    def test_every_spawn_of_a_role_is_in_flight_together(self, tmp_path):
+        """No spawn may return until all of its role have begun: a
+        supervisor that spawned one child after another would wait on
+        the first one forever (the guard timeout fails it instead)."""
+        shards = 3
+        events: list[tuple[str, str, int]] = []
+        everyone = {role: asyncio.Event() for role in ("primary", "follower")}
+
+        async def spawn(shard_id, role, directory, follow=None):
+            events.append(("begin", role, shard_id))
+            if sum(1 for _, r, _ in events if r == role) == shards:
+                everyone[role].set()
+            await asyncio.wait_for(everyone[role].wait(), 10.0)
+            if role == "follower":
+                assert follow == ("127.0.0.1", 7000 + shard_id)
+            events.append(("ready", role, shard_id))
+            return _ShardProcess(
+                shard_id=shard_id,
+                role=role,
+                directory=directory,
+                process=SimpleNamespace(returncode=0, pid=0),
+                address=("127.0.0.1", (7000 if role == "primary" else 8000) + shard_id),
+            )
+
+        async def no_rebalance() -> None:
+            pass
+
+        async def scenario() -> list[str]:
+            supervisor = ClusterSupervisor(
+                ClusterConfig(data_dir=tmp_path, shards=shards, port=0, replicate=True)
+            )
+            supervisor._spawn = spawn
+            supervisor._rebalance_on_start = no_rebalance
+            await supervisor.start()
+            try:
+                return supervisor.describe_processes()
+            finally:
+                await supervisor.stop()
+
+        lines = asyncio.run(scenario())
+        phases = [(kind, role) for kind, role, _ in events]
+        assert phases == (
+            [("begin", "primary")] * shards
+            + [("ready", "primary")] * shards
+            + [("begin", "follower")] * shards
+            + [("ready", "follower")] * shards
+        )
+        assert len(lines) == 2 * shards
+
+    def test_failed_spawn_stops_every_started_child(self, tmp_path, monkeypatch):
+        """Shard 1's directory is a regular file, so that child dies
+        before readiness: start() names it, and neither of the shards
+        that did start outlives the failure."""
+        data = tmp_path / "cluster"
+        data.mkdir()
+        (data / "shard-01").write_text("not a directory")
+        pids: list[int] = []
+        real_exec = asyncio.create_subprocess_exec
+
+        async def recording_exec(*argv, **kwargs):
+            process = await real_exec(*argv, **kwargs)
+            pids.append(process.pid)
+            return process
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", recording_exec)
+
+        async def scenario() -> None:
+            supervisor = ClusterSupervisor(ClusterConfig(data_dir=data, shards=3, port=0))
+            with pytest.raises(RuntimeError, match="^shard 1 primary "):
+                await supervisor.start()
+
+        asyncio.run(scenario())
+        assert len(pids) == 3
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 @pytest.mark.slow

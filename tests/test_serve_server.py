@@ -244,6 +244,30 @@ def endpoint(request, server):
         on_server_loop(router.stop())
 
 
+@pytest.mark.parametrize("tier", ["server", "router"])
+def test_stop_closes_open_client_connections(tmp_path, tier):
+    """Stopping a server or a router ends each open connection while
+    the event loop still runs: the client reads EOF, and no connection
+    task is left for the loop's shutdown to cancel."""
+    from repro.serve import protocol
+
+    async def scenario() -> None:
+        if tier == "server":
+            listener = FenrirServer(ServeConfig(data_dir=tmp_path, port=0))
+        else:
+            listener = ShardRouter(ClusterState(ring=HashRing.for_cluster(1)), port=0)
+        await listener.start()
+        reader, writer = await asyncio.open_connection(*listener.address)
+        await protocol.write_frame(writer, {"id": 1, "cmd": "list"})
+        await asyncio.wait_for(protocol.read_frame(reader), 10.0)
+        await asyncio.wait_for(listener.stop(), 10.0)
+        assert await asyncio.wait_for(reader.read(), 10.0) == b""
+        writer.close()
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+    asyncio.run(scenario())
+
+
 class TestFailurePaths:
     def raw_socket(self, server: ServerThread) -> socket.socket:
         return socket.create_connection(server.address, timeout=10)
@@ -720,6 +744,34 @@ def test_serve_import_loads_no_simulator():
     assert packages & simulators == set()
 
 
+def test_supervisor_import_loads_no_numpy():
+    """``repro serve --shards`` relays bytes: the CLI and the cluster
+    module load neither numpy nor ``repro.core``, while every public
+    name of ``repro.serve`` still imports (the state-holding ones on
+    first use)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    script = (
+        "import json, sys, repro.cli, repro.serve.cluster\n"
+        "before = sorted(sys.modules)\n"
+        "import repro.serve as serve\n"
+        "missing = [n for n in serve.__all__ if getattr(serve, n, None) is None]\n"
+        "print(json.dumps({'before': before, 'missing': missing}))\n"
+    )
+    report = json.loads(
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout
+    )
+    loaded = set(report["before"])
+    assert "numpy" not in loaded
+    assert not any(name.startswith("repro.core") for name in loaded)
+    assert report["missing"] == []
+
+
 def wait_for_port_line(process: subprocess.Popen) -> tuple[str, int]:
     line = process.stdout.readline().decode()
     assert line.startswith("listening on "), f"unexpected readiness line: {line!r}"
@@ -787,6 +839,50 @@ class TestServeRunner:
                 process.kill()
                 process.wait(timeout=10)
         assert "_uptime_seconds" in metrics.read_text()
+
+    @pytest.mark.parametrize(
+        "shards",
+        [(), pytest.param(("--shards", "2"), marks=pytest.mark.slow)],
+        ids=["server", "cluster"],
+    )
+    def test_closed_stdout_before_readiness_exits_quietly(self, tmp_path, shards):
+        """A server whose parent stopped reading before the readiness
+        lines ends by itself, with status 0 and no traceback, even while
+        its stdin stays open."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        try:
+            process = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro",
+                    "serve",
+                    "--port",
+                    "0",
+                    "--data-dir",
+                    str(tmp_path / "data"),
+                    "--exit-on-stdin-close",
+                    *shards,
+                ],
+                stdin=subprocess.PIPE,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        try:
+            assert process.wait(timeout=60) == 0
+            stderr = process.stderr.read().decode()
+            assert "Traceback" not in stderr
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stdin.close()
+            process.stderr.close()
 
 
 class TestKillAndReplay:
