@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     from .core.pipeline import FenrirConfig
     from .core.series import VectorSeries
-    from .serve import ServeClient
+    from .serve import FenrirServer, ServeClient
+    from .serve.cluster import ClusterSupervisor
 
 __all__ = ["main", "build_parser"]
 
@@ -603,18 +604,21 @@ def _run_serve(args: argparse.Namespace) -> int:
         print("--replicate requires --shards", file=sys.stderr)
         return 2
     try:
-        asyncio.run(_serve(args))
+        return asyncio.run(_serve(args))
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     return 0
 
 
-async def _serve(args: argparse.Namespace) -> None:
+async def _serve(args: argparse.Namespace) -> int:
     """Start one server (or, with ``--shards``, the cluster) and run it.
 
     Serves until the listener ends, stdin closes (with
     ``--exit-on-stdin-close``) or the task is cancelled, then writes a
-    final ``--metrics-file`` dump and stops the tier.
+    final ``--metrics-file`` dump and stops the tier. A tier that cannot
+    start (an unusable data directory, a taken port, a shard that dies
+    before readiness) is one ``repro serve: <cause>`` line on stderr and
+    exit status 1.
     """
     import asyncio
 
@@ -633,7 +637,8 @@ async def _serve(args: argparse.Namespace) -> None:
         from .serve import FenrirServer, ServeConfig
 
         tier = FenrirServer(ServeConfig(**shared))
-        await tier.start()
+        if not await _start(tier):
+            return 1
         if args.follow is not None:
             from .serve.cluster import ReplicationFollower
 
@@ -653,7 +658,8 @@ async def _serve(args: argparse.Namespace) -> None:
                 sync_interval=args.sync_interval,
             )
         )
-        await tier.start()
+        if not await _start(tier):
+            return 1
         children = tier.describe_processes()
 
     async def dump_metrics_forever() -> None:
@@ -674,7 +680,7 @@ async def _serve(args: argparse.Namespace) -> None:
         # learn an OS-assigned port. Whoever would read them may be gone.
         host, port = tier.address
         if not _announce([*children, f"listening on {host}:{port}"]):
-            return
+            return 0
         if args.metrics_file is not None:
             dumper = loop.create_task(dump_metrics_forever())
         waiters.add(loop.create_task(tier.serve_forever()))
@@ -691,6 +697,19 @@ async def _serve(args: argparse.Namespace) -> None:
             # Final dump so short-lived runs still leave a snapshot.
             write_metrics_file(args.metrics_file, tier.registry)
         await tier.stop()
+    return 0
+
+
+async def _start(tier: FenrirServer | ClusterSupervisor) -> bool:
+    """Start ``tier``; on failure print its cause to stderr, stop what
+    started, and return False."""
+    try:
+        await tier.start()
+    except (OSError, RuntimeError) as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        await tier.stop()
+        return False
+    return True
 
 
 def _run_vps(args: argparse.Namespace) -> int:

@@ -14,9 +14,10 @@ long-lived, queryable network service:
   monitors with bounded queues and explicit overload responses;
 * :mod:`~repro.serve.client` — the blocking client used by the CLI,
   tests, and load generator;
-* :mod:`~repro.serve.aio` — the asyncio client: pipelined connections
-  multiplexing many requests by correlation id behind a bounded pool,
-  with optional ring-aware direct-to-shard routing;
+* :mod:`~repro.serve.aio` — the asyncio client: one pipelined
+  connection per server multiplexing many requests by correlation id
+  under a bounded in-flight count, with optional ring-aware
+  direct-to-shard routing;
 * :mod:`~repro.serve.metrics` — counters and latency percentiles for
   the ``stats`` command, backed by the per-server
   :class:`repro.obs.MetricsRegistry` that the ``metrics`` command
@@ -34,7 +35,7 @@ and ``docs/cluster.md`` for the sharded tier.
 
 from typing import TYPE_CHECKING
 
-from .aio import AsyncConnection, AsyncServeClient, ConnectionPool
+from .aio import AsyncConnection, AsyncServeClient
 from .client import (
     BatchRejectedError,
     OverloadedError,
@@ -93,7 +94,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterState",
     "ClusterSupervisor",
-    "ConnectionPool",
     "DurableMonitor",
     "FenrirServer",
     "FrameError",

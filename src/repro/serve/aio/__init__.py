@@ -8,25 +8,23 @@ from one process. This package multiplexes instead:
 * :mod:`~repro.serve.aio.connection` — one pipelined connection: many
   logical requests in flight, responses correlated back to waiting
   futures by ``id`` in whatever order the server finishes them;
-* :mod:`~repro.serve.aio.pool` — a bounded pool of those connections
-  with FIFO admission and health-checked, jitter-backoff reconnects;
 * :mod:`~repro.serve.aio.client` — :class:`AsyncServeClient`, the
-  blocking client's command surface as coroutines, plus an optional
-  ring-aware mode that sends monitor commands straight to the owning
-  shard and falls back to the router when the ring drifts.
+  blocking client's command surface as coroutines over one such
+  connection per server, with a client-wide FIFO in-flight bound and
+  lazy re-dials, plus an optional ring-aware mode that sends monitor
+  commands straight to the owning shard and falls back to the router
+  when the ring drifts.
 
-See ``docs/async-client.md`` for pool sizing, backpressure semantics,
-and the ring-aware tradeoffs.
+See ``docs/async-client.md`` for backpressure semantics and the
+ring-aware tradeoffs.
 """
 
 from .client import AsyncServeClient
 from .connection import AsyncConnection, FrameRejected, RequestNotSent
-from .pool import ConnectionPool
 
 __all__ = [
     "AsyncConnection",
     "AsyncServeClient",
-    "ConnectionPool",
     "FrameRejected",
     "RequestNotSent",
 ]

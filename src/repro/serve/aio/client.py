@@ -1,12 +1,13 @@
-""":class:`AsyncServeClient`: the pooled, optionally ring-aware client.
+""":class:`AsyncServeClient`: one pipelined connection per server.
 
 The command surface is the blocking
 :class:`~repro.serve.client.ServeClient`'s, from the same definitions
-(:mod:`repro.serve.commands`), so callers port by adding ``await``;
-under the hood every call borrows a slot from a
-:class:`~repro.serve.aio.pool.ConnectionPool`, which means thousands of
-logical requests can be in flight from one process over a handful of
-sockets.
+(:mod:`repro.serve.commands`), so callers port by adding ``await``.
+Underneath, each server address has one lazily dialed
+:class:`~repro.serve.aio.connection.AsyncConnection` (through a
+:class:`~repro.serve.aio.connection.Dialer`), and one client-wide
+semaphore bounds the requests in flight: thousands of logical requests
+share one socket per server.
 
 Ring-aware mode (``ring_aware=True``) additionally learns the cluster
 shape from the ``topology`` command and sends monitor-scoped commands
@@ -28,9 +29,11 @@ from .. import protocol
 from ..commands import AsyncCommands
 from ..protocol import ERR_NO_SUCH_MONITOR, ServeTimeout
 from ..ring import HashRing
-from .pool import ConnectionPool
+from .connection import AsyncConnection, Dialer, RequestNotSent
 
 __all__ = ["AsyncServeClient"]
+
+Address = Tuple[str, int]
 
 
 class _Topology:
@@ -43,7 +46,7 @@ class _Topology:
             int(shard): (str(address[0]), int(address[1]))
             for shard, address in response.get("shards", {}).items()
         }
-        self.addresses: Dict[int, Tuple[str, int]] = shards
+        self.addresses: Dict[int, Address] = shards
         self.ring = HashRing(shards or [0], vnodes=int(response.get("vnodes", 1)))
         self.digest = str(response.get("ring_digest", ""))
         self.generation = int(response.get("generation", 0))
@@ -56,7 +59,7 @@ class AsyncServeClient(AsyncCommands):
 
     The command coroutines (``create``, ``ingest``, …, ``topology``)
     come from :class:`~repro.serve.commands.CommandMethods`, shared
-    with the blocking client; this class supplies the pooled,
+    with the blocking client; this class supplies the pipelined,
     optionally ring-aware :meth:`request`.
 
     Use as an async context manager::
@@ -71,49 +74,48 @@ class AsyncServeClient(AsyncCommands):
         host: str = "127.0.0.1",
         port: int = 7339,
         timeout: Optional[float] = 30.0,
-        max_connections: int = 4,
         max_inflight: int = 64,
         ring_aware: bool = False,
         topology_ttl: float = 5.0,
+        max_frame: int = protocol.MAX_FRAME,
+        max_connections: int = 1,
     ) -> None:
         """Configure the client; connections are dialed on first use.
 
         ``timeout`` bounds each dial and each request's slot wait and
         response wait (:class:`~repro.serve.protocol.ServeTimeout` on
-        expiry), as in the blocking client. ``max_connections ×
-        max_inflight`` is the hard cap on requests in flight; the
-        excess waits FIFO. ``ring_aware`` turns on direct-to-shard
-        routing against a router, refreshed every ``topology_ttl``
-        seconds.
+        expiry), as in the blocking client. ``max_inflight`` is the
+        hard cap on requests in flight across every server this client
+        talks to; the excess waits FIFO. ``ring_aware`` turns on
+        direct-to-shard routing against a router, refreshed every
+        ``topology_ttl`` seconds. ``max_frame`` caps each request and
+        response frame. ``max_connections`` is accepted for old callers
+        and must be 1: there is one connection per server.
         """
+        if max_connections != 1:
+            raise ValueError("max_connections must be 1 (one connection per server)")
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be at least 1")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_connections = max_connections
         self.max_inflight = max_inflight
         self.ring_aware = ring_aware
         self.topology_ttl = topology_ttl
-        self._pool = self._make_pool(host, port)
-        self._shard_pools: Dict[Tuple[str, int], ConnectionPool] = {}
+        self.max_frame = max_frame
+        self._slots = asyncio.Semaphore(max_inflight)
+        self._router = Dialer(self._dial)
+        self._shards: Dict[Address, Dialer] = {}
         self._topology: Optional[_Topology] = None
         self._topology_lock = asyncio.Lock()
-
-    def _make_pool(self, host: str, port: int) -> ConnectionPool:
-        return ConnectionPool(
-            host,
-            port,
-            max_connections=self.max_connections,
-            max_inflight=self.max_inflight,
-            connect_timeout=self.timeout,
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
     async def close(self) -> None:
-        await self._pool.close()
-        for pool in self._shard_pools.values():
-            await pool.close()
-        self._shard_pools.clear()
+        """Close every connection; a later request dials again."""
+        shards, self._shards = list(self._shards.values()), {}
+        for dialer in [self._router, *shards]:
+            await dialer.close()
 
     async def __aenter__(self) -> "AsyncServeClient":
         return self
@@ -132,7 +134,57 @@ class AsyncServeClient(AsyncCommands):
             and isinstance(monitor, str)
         ):
             return await self._request_ring_aware(command, monitor, fields)
-        return await self._pool.request(command, self.timeout, **fields)
+        return await self._routed(command, fields)
+
+    async def _routed(self, command: str, fields: Mapping[str, object]) -> dict:
+        return await self._send(self._router, (self.host, self.port), command, fields)
+
+    async def _send(
+        self,
+        dialer: Dialer,
+        address: Address,
+        command: str,
+        fields: Mapping[str, object],
+    ) -> dict:
+        """One request on ``address``'s connection, under an in-flight slot.
+
+        ``timeout`` bounds the slot wait and the response wait
+        separately: a client at its in-flight cap is backpressure, not
+        a dead server. A request whose frame provably never reached
+        the server (:class:`RequestNotSent`: the connection died
+        between requests) is resent once on a fresh connection; a
+        failure after the send is never retried here, because the
+        request may already have been applied.
+        """
+        try:
+            await asyncio.wait_for(self._slots.acquire(), self.timeout)
+        except asyncio.TimeoutError as exc:
+            raise ServeTimeout(
+                f"no free request slot for {command!r} within {self.timeout}s "
+                f"({self.max_inflight} in flight)"
+            ) from exc
+        try:
+            connection = await dialer.connect(address)
+            try:
+                return await connection.request(command, self.timeout, **fields)
+            except RequestNotSent:
+                connection = await dialer.connect(address)
+                return await connection.request(command, self.timeout, **fields)
+        finally:
+            self._slots.release()
+
+    async def _dial(self, host: str, port: int) -> AsyncConnection:
+        """One connect attempt; a server that is down fails at once."""
+        try:
+            return await AsyncConnection.open(
+                host,
+                port,
+                connect_timeout=self.timeout,
+                max_inflight=self.max_inflight,
+                max_frame=self.max_frame,
+            )
+        except OSError as exc:
+            raise ConnectionError(f"could not reach {host}:{port}: {exc}") from exc
 
     async def _request_ring_aware(
         self, command: str, monitor: str, fields: Mapping[str, object]
@@ -153,31 +205,24 @@ class AsyncServeClient(AsyncCommands):
         """
         topology = await self._current_topology()
         if topology is None or not topology.router:
-            return await self._pool.request(command, self.timeout, **fields)
-        shard = topology.ring.owner(monitor)
-        address = topology.addresses.get(shard)
+            return await self._routed(command, fields)
+        address = topology.addresses.get(topology.ring.owner(monitor))
         if address is None:
-            return await self._pool.request(command, self.timeout, **fields)
-        pool = self._shard_pool(address)
+            return await self._routed(command, fields)
+        dialer = self._shards.get(address)
+        if dialer is None:
+            dialer = self._shards[address] = Dialer(self._dial)
         try:
-            return await pool.request(command, self.timeout, **fields)
+            return await self._send(dialer, address, command, fields)
         except (ConnectionError, ServeTimeout):
             self._topology = None
-            return await self._pool.request(command, self.timeout, **fields)
+            return await self._routed(command, fields)
         except protocol.ServeClientError as exc:
             if exc.code == ERR_NO_SUCH_MONITOR:
                 refreshed = await self._refresh_topology()
                 if refreshed is not None and refreshed.digest != topology.digest:
-                    return await self._pool.request(
-                        command, self.timeout, **fields
-                    )
+                    return await self._routed(command, fields)
             raise
-
-    def _shard_pool(self, address: Tuple[str, int]) -> ConnectionPool:
-        pool = self._shard_pools.get(address)
-        if pool is None:
-            pool = self._shard_pools[address] = self._make_pool(*address)
-        return pool
 
     # -- topology cache ------------------------------------------------------
 
@@ -202,7 +247,7 @@ class AsyncServeClient(AsyncCommands):
             ):
                 return cached
             try:
-                response = await self._pool.request("topology", self.timeout)
+                response = await self._routed("topology", {})
             except (ConnectionError, ServeTimeout, protocol.ServeClientError):
                 # No topology is not an error: fall back to routed mode
                 # until the tier answers again.

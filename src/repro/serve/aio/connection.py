@@ -47,7 +47,8 @@ class RequestNotSent(ConnectionError):
 
     Raised when the write itself fails — the server cannot have seen
     any byte of the request, so resending on a fresh connection is
-    always safe (the pool does exactly that, once). Contrast with a
+    always safe (:class:`~repro.serve.aio.AsyncServeClient` does exactly
+    that, once). Contrast with a
     plain :class:`ConnectionError` after a successful write: the
     request's fate is unknown and an automatic retry could
     double-apply.
@@ -153,7 +154,8 @@ class AsyncConnection:
         if self._closed is not None:
             raise RequestNotSent(f"connection is closed: {self._closed}")
         if len(self._pending) >= self.max_inflight:
-            # The pool never lets this happen; direct users get a loud
+            # AsyncServeClient's in-flight bound never lets this happen
+            # (its cap is this connection's); direct users get a loud
             # error rather than silent unbounded queueing.
             raise RuntimeError(
                 f"connection already has {len(self._pending)} requests in "

@@ -34,7 +34,6 @@ orphan shards holding journal locks — the pipe's EOF retires them.
 from __future__ import annotations
 
 import asyncio
-import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -43,8 +42,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from . import protocol
-from .aio.connection import AsyncConnection, Dialer
-from .commands import AsyncCommands
+from .aio.client import AsyncServeClient
 from .protocol import ERR_BAD_REQUEST, FrameError, ServeClientError
 from .ring import DEFAULT_VNODES, HashRing, misplaced
 from .router import ClusterState, ShardRouter
@@ -56,12 +54,10 @@ __all__ = [
     "ClusterConfig",
     "ClusterSupervisor",
     "ReplicationFollower",
-    "ShardClient",
 ]
 
 _READY_PREFIX = "listening on "
 _SPAWN_TIMEOUT = 60.0
-_REQUEST_TIMEOUT = 30.0
 
 
 async def _kill(process: asyncio.subprocess.Process) -> None:
@@ -72,43 +68,6 @@ async def _kill(process: asyncio.subprocess.Process) -> None:
         except ProcessLookupError:
             pass  # exited between the check and the signal
     await process.wait()
-
-
-class ShardClient(AsyncCommands):
-    """The client command methods over one lazily dialed shard connection.
-
-    Used by the replication follower (many small requests per sync) and
-    by the supervisor's rebalance and promote calls. ``timeout`` bounds
-    the connect and each response; :meth:`close` drops the connection
-    after a failure so the next request re-dials.
-    """
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        timeout: float = _REQUEST_TIMEOUT,
-        max_frame: int = protocol.MAX_FRAME,
-    ) -> None:
-        self.address = address
-        self.timeout = timeout
-        self._dialer = Dialer(
-            functools.partial(
-                AsyncConnection.open, connect_timeout=timeout, max_frame=max_frame
-            )
-        )
-
-    async def request(self, command: str, **fields: object) -> dict:
-        connection = await self._dialer.connect(self.address)
-        return await connection.request(command, self.timeout, **fields)
-
-    async def close(self) -> None:
-        await self._dialer.close()
-
-    async def __aenter__(self) -> "ShardClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
 
 
 class ReplicationFollower:
@@ -135,7 +94,7 @@ class ReplicationFollower:
         self.primary = primary
         self.interval = interval
         self._stopped = asyncio.Event()
-        self._client = ShardClient(primary, max_frame=server.config.max_frame)
+        self._client = AsyncServeClient(*primary, max_frame=server.config.max_frame)
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -448,6 +407,17 @@ class ClusterSupervisor:
                     f"within {_SPAWN_TIMEOUT}s"
                 ) from None
             raise
+        if not line:
+            # Stdout closed before readiness: the child is exiting (its
+            # own stderr line says why); report how it ended.
+            try:
+                await asyncio.wait_for(process.wait(), 5.0)
+            except asyncio.TimeoutError:
+                await _kill(process)
+            raise RuntimeError(
+                f"shard {shard_id} {role} exited with status "
+                f"{process.returncode} before reporting readiness"
+            )
         text = line.decode("utf-8", "replace").strip()
         if not text.startswith(_READY_PREFIX):
             await _kill(process)
@@ -567,8 +537,8 @@ class ClusterSupervisor:
         follower = pair.follower
         assert follower is not None
         try:
-            async with ShardClient(
-                follower.address, 10.0, self.config.max_frame
+            async with AsyncServeClient(
+                *follower.address, timeout=10.0, max_frame=self.config.max_frame
             ) as client:
                 await client.promote()
         except (ConnectionError, OSError, FrameError, ServeClientError):
@@ -617,8 +587,10 @@ class ClusterSupervisor:
         """
         # A move ships a whole monitor's state: allow it the spawn timeout.
         shards = {
-            shard_id: ShardClient(
-                pair.primary.address, _SPAWN_TIMEOUT, self.config.max_frame
+            shard_id: AsyncServeClient(
+                *pair.primary.address,
+                timeout=_SPAWN_TIMEOUT,
+                max_frame=self.config.max_frame,
             )
             for shard_id, pair in self._shards.items()
         }

@@ -9,10 +9,11 @@ Three layers, matching the tentpole's risk surface:
 * **server pipelining** — deterministic out-of-order completion and
   the per-connection in-flight cap's explicit ``overloaded`` answer,
   driven through a gated ``_dispatch`` so nothing depends on timing;
-* **pool & retry** — bounded concurrency, FIFO admission, reconnect
-  after a server restart, and the blocking client's one safe resend
-  on a stale socket; plus the slow-marked SIGKILL-under-concurrent-
-  load chaos test asserting byte-equality with the oracle.
+* **client & retry** — the client-wide in-flight bound with FIFO
+  admission, reconnect after a server restart, and the blocking
+  client's one safe resend on a stale socket; plus the slow-marked
+  SIGKILL-under-concurrent-load chaos test asserting byte-equality
+  with the oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
-from repro.serve.aio import AsyncConnection, ConnectionPool, RequestNotSent
+from repro.serve.aio import AsyncConnection, RequestNotSent
 from repro.serve.aio.connection import Dialer
 from repro.serve.protocol import ServeTimeout, check_response
 from cluster_chaos import (
@@ -68,8 +69,7 @@ class ShuffledResponder:
 
     Collects ``expect`` requests, then writes their responses in
     ``order`` (indices into arrival order), echoing each request's
-    ``id`` and ``marker``. ``topology`` frames (the pool's health
-    check) are answered immediately and don't count toward ``expect``.
+    ``id`` and ``marker``.
     """
 
     def __init__(self, expect: int, order: list[int]) -> None:
@@ -103,11 +103,6 @@ class ShuffledResponder:
                 request = await protocol.read_frame(reader)
                 if request is None:
                     return
-                if request.get("cmd") == "topology":
-                    await protocol.write_frame(
-                        writer, {"id": request.get("id"), "ok": True}
-                    )
-                    continue
                 held.append(request)
             for index in self.order:
                 request = held[index]
@@ -136,7 +131,7 @@ class TestCorrelationProperty:
             async with ShuffledResponder(expect=12, order=list(order)) as fake:
                 host, port = fake.address
                 async with AsyncServeClient(
-                    host, port, timeout=10.0, max_connections=1, max_inflight=16
+                    host, port, timeout=10.0, max_inflight=16
                 ) as client:
                     responses = await asyncio.gather(
                         *(
@@ -155,18 +150,21 @@ class TestCorrelationProperty:
 # -- server pipelining -------------------------------------------------------
 
 
-def gate_dispatch(server: FenrirServer) -> asyncio.Event:
+def gate_dispatch(server: FenrirServer, seen: list | None = None) -> asyncio.Event:
     """Replace ``_dispatch`` so ``cmd=wait`` blocks on the returned event.
 
     Everything else passes through, which lets a test hold one request
     in flight for as long as it needs — deterministically — while
-    later frames on the same connection are read and answered.
+    later frames on the same connection are read and answered. Each
+    ``wait`` request's ``marker`` is appended to ``seen`` on arrival.
     """
     release = asyncio.Event()
     original = server._dispatch
 
     async def gated(request: dict) -> dict:
         if request.get("cmd") == "wait":
+            if seen is not None:
+                seen.append(request.get("marker"))
             await release.wait()
             return {"id": request.get("id"), "ok": True, "waited": True}
         return await original(request)
@@ -275,7 +273,23 @@ class TestServerPipelining:
         run(main())
 
 
-# -- pool behaviour ----------------------------------------------------------
+# -- connection and client behaviour ----------------------------------------
+
+
+class TestAsyncConnection:
+    def test_request_not_sent_when_connection_already_dead(self, tmp_path):
+        async def main() -> None:
+            server = await start_server(tmp_path)
+            try:
+                host, port = server.address
+                connection = await AsyncConnection.open(host, port)
+                await connection.close()
+                with pytest.raises(RequestNotSent):
+                    connection.submit("stats")
+            finally:
+                await server.stop()
+
+        run(main())
 
 
 class TestDialer:
@@ -310,32 +324,30 @@ class TestDialer:
         assert run(main()) == [1, 2, 3]
 
 
-class TestConnectionPool:
+class TestAsyncServeClient:
     def test_bounded_inflight_and_fifo_completion(self, tmp_path):
         async def main() -> None:
             server = await start_server(tmp_path)
-            release = gate_dispatch(server)
+            seen: list[int] = []
+            release = gate_dispatch(server, seen)
             try:
                 host, port = server.address
-                pool = ConnectionPool(
-                    host, port, max_connections=1, max_inflight=2,
-                    health_check=False,
-                )
-                try:
+                async with AsyncServeClient(
+                    host, port, timeout=10.0, max_inflight=2
+                ) as client:
                     tasks = [
-                        asyncio.ensure_future(pool.request("wait", 10.0))
-                        for _ in range(4)
+                        asyncio.ensure_future(client.request("wait", marker=i))
+                        for i in range(4)
                     ]
                     await asyncio.sleep(0.1)
-                    # Two hold slots; two wait FIFO on the semaphore.
-                    assert pool.in_flight == 2
+                    # Two hold slots and reached the server; two wait
+                    # FIFO in the client.
+                    assert seen == [0, 1]
                     assert not any(task.done() for task in tasks)
                     release.set()
                     responses = await asyncio.gather(*tasks)
                     assert all(r["waited"] for r in responses)
-                    assert pool.in_flight == 0
-                finally:
-                    await pool.close()
+                    assert seen == [0, 1, 2, 3]
             finally:
                 await server.stop()
 
@@ -345,38 +357,43 @@ class TestConnectionPool:
         async def main() -> None:
             server = await start_server(tmp_path)
             host, port = server.address
-            pool = ConnectionPool(host, port, max_connections=1)
+            client = AsyncServeClient(host, port, timeout=5.0)
             try:
-                first = await pool.request("stats", 5.0)
+                first = await client.stats()
                 assert first["ok"] is True
                 await server.stop()
                 server = FenrirServer(
                     ServeConfig(data_dir=tmp_path / "data", host=host, port=port)
                 )
                 await server.start()
-                # The pooled connection died with the old server; the
-                # next request health-checks and re-dials transparently.
-                second = await pool.request("stats", 5.0)
+                # The connection died with the old server; the next
+                # request re-dials transparently.
+                second = await client.stats()
                 assert second["ok"] is True
             finally:
-                await pool.close()
+                await client.close()
                 await server.stop()
 
         run(main())
 
-    def test_request_not_sent_when_connection_already_dead(self, tmp_path):
+    def test_a_server_that_is_down_fails_the_dial_at_once(self, tmp_path):
         async def main() -> None:
             server = await start_server(tmp_path)
-            try:
-                host, port = server.address
-                connection = await AsyncConnection.open(host, port)
-                await connection.close()
-                with pytest.raises(RequestNotSent):
-                    connection.submit("stats")
-            finally:
-                await server.stop()
+            host, port = server.address
+            await server.stop()
+            async with AsyncServeClient(host, port, timeout=5.0) as client:
+                started = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    await client.stats()
+                # One refused connect, no retry loop with backoff.
+                assert time.monotonic() - started < 0.3
 
         run(main())
+
+    def test_only_one_connection_per_server(self):
+        AsyncServeClient(max_connections=1)
+        with pytest.raises(ValueError):
+            AsyncServeClient(max_connections=2)
 
 
 # -- ring-aware client -------------------------------------------------------
@@ -401,9 +418,11 @@ class TestRingAware:
                         T0,
                     )
                     assert (await client.query("mon"))["rounds"] == 1
-                    # No shard pools were dialed: a non-router topology
-                    # means the main pool *is* the direct path.
-                    assert client._shard_pools == {}
+                    # A non-router topology means the server's own
+                    # connection *is* the direct path: nothing else was
+                    # dialed.
+                    stats = await client.stats()
+                    assert stats["counters"]["connections_accepted"] == 1
             finally:
                 await server.stop()
 
@@ -466,7 +485,7 @@ class TestBlockingClientRetry:
 class TestKillAShardUnderAsyncLoad:
     def test_pool_fallback_matches_oracle(self, tmp_path):
         """SIGKILL the victim's owning shard while four monitor streams
-        are being fed concurrently through one async client; the pool's
+        are being fed concurrently through one async client; the client's
         reconnect plus resume-from-applied-count must land every
         monitor byte-equal to its uninterrupted oracle.
         """
@@ -537,7 +556,7 @@ class TestKillAShardUnderAsyncLoad:
 
             async def feed_all() -> list[int]:
                 async with AsyncServeClient(
-                    host, port, timeout=10.0, max_connections=2, max_inflight=32
+                    host, port, timeout=10.0, max_inflight=32
                 ) as client:
                     return await asyncio.gather(
                         *(feed_stream(client, name) for name in monitors)

@@ -44,7 +44,7 @@ from repro.serve.cluster import ClusterConfig, ClusterSupervisor, _ShardProcess
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
 from test_serve_aio import ShuffledResponder
-from test_serve_server import ServerThread, T0, connect
+from test_serve_server import ServerThread, T0, connect, run_failing_serve
 
 NETWORKS = ["n1", "n2", "n3", "n4"]
 
@@ -295,7 +295,7 @@ class TestShardRouter:
         total = sum(len(rounds) for rounds in monitors.values())
 
         async def drive(address) -> tuple[int, dict, dict]:
-            async with AsyncServeClient(*address, max_connections=1) as client:
+            async with AsyncServeClient(*address) as client:
                 for name in monitors:
                     await client.create(name, NETWORKS)
                 acked = await asyncio.gather(
@@ -312,7 +312,7 @@ class TestShardRouter:
             return sum(map(len, acked)), stats, timelines
 
         async def reread(address) -> tuple[dict, dict]:
-            async with AsyncServeClient(*address, max_connections=1) as client:
+            async with AsyncServeClient(*address) as client:
                 rounds = {
                     name: (await client.query(name))["rounds"] for name in monitors
                 }
@@ -407,6 +407,44 @@ class TestShardRouter:
             assert recovered["rounds"] == 3
             feed(client, name, rounds[3:])
             assert client.query(name)["rounds"] == 6
+
+
+class TestRingAwareClient:
+    def test_direct_to_owner_until_the_owner_goes_down(self, tier):
+        """With a cached topology, monitor-scoped commands go straight to
+        the owning shard and never touch the router; once the owner is
+        down, the next request falls back to the router."""
+        ring = HashRing.for_cluster(2)
+        names = [f"svc-{i}" for i in range(8)]
+        assert {ring.owner(name) for name in names} == {0, 1}
+        routed = tier.router.registry.counter("cluster_requests_total")
+        rounds = generate_rounds(NETWORKS, 3, seed=9)
+
+        async def main() -> None:
+            async with AsyncServeClient(
+                *tier.address, timeout=5.0, ring_aware=True, topology_ttl=3600
+            ) as client:
+                await client.create(names[0], NETWORKS)  # fetches topology
+                before = routed.value
+                for name in names[1:]:
+                    await client.create(name, NETWORKS)
+                for name in names:
+                    await client.ingest_many(name, rounds)
+                    assert (await client.query(name))["rounds"] == 3
+                assert routed.value == before
+                victim = names[0]
+                tier.stop_shard(ring.owner(victim))
+                with pytest.raises(ServeClientError):
+                    await client.query(victim)
+                assert routed.value > before
+
+        asyncio.run(main())
+        # The direct creates landed on the ring owner.
+        survivor = 1 - ring.owner(names[0])
+        with ServeClient(*tier.shard_address(survivor)) as direct:
+            assert direct.list_monitors() == sorted(
+                n for n in names if ring.owner(n) == survivor
+            )
 
 
 def exchange(address: tuple[str, int], payloads: list[bytes]) -> list[bytes]:
@@ -608,6 +646,26 @@ class TestSupervisorStart:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+@pytest.mark.slow
+class TestSupervisorStartFailure:
+    def test_dead_shard_is_one_line_per_process_and_exit_1(self, tmp_path):
+        """Shard 1's directory is a regular file: the shard and the
+        supervisor each print one cause line, with no traceback."""
+        data = tmp_path / "cluster"
+        data.mkdir()
+        (data / "shard-01").write_text("not a directory")
+        result = run_failing_serve(data, "--shards", "2")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert all(line.startswith("repro serve: ") for line in lines)
+        assert any("shard-01" in line for line in lines)
+        assert lines[-1] == (
+            "repro serve: shard 1 primary exited with status 1 "
+            "before reporting readiness"
+        )
 
 
 @pytest.mark.slow

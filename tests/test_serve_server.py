@@ -772,6 +772,43 @@ def test_supervisor_import_loads_no_numpy():
     assert report["missing"] == []
 
 
+def run_failing_serve(data_dir: Path, *extra: str) -> subprocess.CompletedProcess:
+    """``repro serve`` over ``data_dir`` with stdin closed, to completion."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--port",
+            "0",
+            "--data-dir",
+            str(data_dir),
+            "--exit-on-stdin-close",
+            *extra,
+        ],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_startup_failure_is_one_line_and_exit_1(tmp_path):
+    """A data directory that is a regular file stops the server before
+    it listens: one ``repro serve: <cause>`` line, no traceback."""
+    data_dir = tmp_path / "data"
+    data_dir.write_text("not a directory")
+    result = run_failing_serve(data_dir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("repro serve: ")
+    assert str(data_dir) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def wait_for_port_line(process: subprocess.Popen) -> tuple[str, int]:
     line = process.stdout.readline().decode()
     assert line.startswith("listening on "), f"unexpected readiness line: {line!r}"

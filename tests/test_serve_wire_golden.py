@@ -204,12 +204,7 @@ def run_async(address: tuple[str, int]) -> list[str]:
     commands = []
 
     async def drive() -> None:
-        async with AsyncServeClient(port=relay.port, max_connections=1) as client:
-            # The pool's dial-time health check would spend correlation
-            # id 1 on a ``topology`` probe; without it both clients
-            # number the session's requests from 1 and their frames can
-            # be compared byte for byte.
-            client._pool.health_check = False
+        async with AsyncServeClient(port=relay.port) as client:
             steps = session()
             result = None
             while True:
