@@ -60,6 +60,17 @@ same call a replication follower uses), and an explicit
 discards the segments. Segments whose seq is at or below the base's
 are compaction leftovers and are skipped, so a crash at any point in
 the checkpoint/compact sequence still converges.
+
+A delta segment is one canonical JSON document with its CRC32 spliced
+in as the last field, the same scheme as a version 2 line, so the
+reader checks it on the raw bytes too (:func:`_check_spliced_crc`).
+
+With ``fsync`` on, a checkpoint is as durable as an append: every temp
+file is fsynced before its ``os.replace``, and the directory after it,
+so the segment or snapshot is on stable storage before the journal
+reset empties the journal; the reset fsyncs the directory as well, so
+later appends land in the file that survives. With ``fsync`` off these
+paths make no extra syscall.
 """
 
 from __future__ import annotations
@@ -150,17 +161,6 @@ def _splice_crc(body: str) -> str:
     return f'{body[:-1]},"crc":"{crc:08x}"}}'
 
 
-def _with_crc(document: dict) -> str:
-    body = _canonical(document)
-    if len(body) > 2:
-        # Splice the checksum into the canonical encoding instead of
-        # re-serializing the whole document a second time; the checker
-        # pops "crc" and re-canonicalizes, so field order is free.
-        return _splice_crc(body)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return _canonical({**document, "crc": f"{crc:08x}"})
-
-
 def labels_json(labels: list[str]) -> str:
     """The ``labels`` array of a version 2 line."""
     return json.dumps(labels, separators=(",", ":"))
@@ -196,8 +196,8 @@ def record_line(record: "JournalRecord", fragment: Optional[str] = None) -> str:
 def ref_record_line(seq: int, time: datetime, ref: int) -> str:
     """A dedup reference line: same round as full record ``ref``.
 
-    The composed bytes match :func:`_with_crc` of
-    ``{"ref": ref, "seq": seq, "time": ...}`` (canonical key order
+    The composed bytes match :func:`_splice_crc` of the canonical
+    encoding of ``{"ref": ref, "seq": seq, "time": ...}`` (key order
     ``ref`` < ``seq`` < ``time``), so the version 1 checker reads it.
     The round is *not* repeated — the reader materializes it from the
     referenced full record.
@@ -221,8 +221,14 @@ _CRC_FIELD = b',"crc":"'
 _CRC_TAIL = len(b',"crc":"00000000"}')
 
 
-def _read_v2(line: bytes) -> JournalRecord:
-    """Check a version 2 line's CRC on its raw bytes, then parse it."""
+def _check_spliced_crc(line: bytes) -> None:
+    """Check the CRC that :func:`_splice_crc` put in ``line``'s last field.
+
+    The CRC covers the bytes before ``,"crc":`` followed by ``}``, so
+    this reads the raw bytes and never re-encodes JSON. Version 2 lines
+    and delta segments are checked here; version 1 and ``ref`` lines go
+    through :func:`_check_crc`.
+    """
     body = len(line) - _CRC_TAIL
     if body < 0 or line[body : body + len(_CRC_FIELD)] != _CRC_FIELD:
         raise ValueError("record missing crc")
@@ -230,6 +236,11 @@ def _read_v2(line: bytes) -> JournalRecord:
     stored = line[body + len(_CRC_FIELD) : -2]
     if stored != b"%08x" % crc or line[-2:] != b'"}':
         raise ValueError(f"crc mismatch: {stored!r} != {crc:08x}")
+
+
+def _read_v2(line: bytes) -> JournalRecord:
+    """Check a version 2 line's CRC on its raw bytes, then parse it."""
+    _check_spliced_crc(line)
     document = json.loads(line)
     labels = document["labels"]
     if type(labels) is not list:
@@ -306,7 +317,10 @@ class JournalWriter:
 
         The live stream is swapped only after the empty file has
         replaced the journal, so a failed reset leaves the old journal
-        and its stream in use and later appends still land.
+        and its stream in use and later appends still land. With
+        ``fsync`` the directory is fsynced after the swap: the appends
+        that follow are fsynced into the new file, which must be the
+        one a power loss leaves under the journal's name.
         """
         temp = self.path.with_suffix(".tmp")
         stream = temp.open("w", encoding="utf-8")
@@ -317,6 +331,8 @@ class JournalWriter:
             raise
         self._stream.close()
         self._stream = stream
+        if self.fsync:
+            _fsync_directory(self.path.parent)
 
     def close(self) -> None:
         self._stream.close()
@@ -395,19 +411,42 @@ def read_journal(
     return records, tail
 
 
-def write_snapshot(directory: Path, seq: int, state: dict) -> None:
-    """Atomically checkpoint ``state`` as the truth up to ``seq``."""
+def _write_file(path: Path, text: str, fsync: bool) -> None:
+    """Write ``text`` to ``path``; with ``fsync``, to stable storage."""
+    with path.open("w", encoding="utf-8") as out:
+        out.write(text)
+        if fsync:
+            out.flush()
+            os.fsync(out.fileno())
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames and creations in ``directory`` durable."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+def write_snapshot(directory: Path, seq: int, state: dict, fsync: bool = False) -> None:
+    """Atomically checkpoint ``state`` as the truth up to ``seq``.
+
+    With ``fsync`` both files reach stable storage before their
+    replaces, and the directory after them.
+    """
     directory = Path(directory)
     document = {"type": "fenrir-snapshot", "seq": seq, "state": state}
     body = json.dumps(document, sort_keys=True, separators=(",", ":"))
     sha256 = hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     snapshot_temp = directory / (SNAPSHOT_FILE + ".tmp")
-    snapshot_temp.write_text(body + "\n", encoding="utf-8")
+    _write_file(snapshot_temp, body + "\n", fsync)
     manifest_temp = directory / (MANIFEST_FILE + ".tmp")
-    manifest_temp.write_text(
+    _write_file(
+        manifest_temp,
         json.dumps({"files": {SNAPSHOT_FILE: sha256}, "seq": seq}, indent=2) + "\n",
-        encoding="utf-8",
+        fsync,
     )
     # Snapshot first. A crash between the two replaces leaves the new
     # snapshot paired with the previous manifest; the reader detects the
@@ -415,9 +454,11 @@ def write_snapshot(directory: Path, seq: int, state: dict) -> None:
     # written, self-describing) snapshot, so both partial orders recover.
     os.replace(snapshot_temp, directory / SNAPSHOT_FILE)
     os.replace(manifest_temp, directory / MANIFEST_FILE)
+    if fsync:
+        _fsync_directory(directory)
 
 
-def write_delta(directory: Path, seq: int, delta: dict) -> Path:
+def write_delta(directory: Path, seq: int, delta: dict, fsync: bool = False) -> Path:
     """Atomically persist one incremental checkpoint segment.
 
     The segment carries the ``OnlineFenrir.to_state(updates_after=...)``
@@ -426,13 +467,17 @@ def write_delta(directory: Path, seq: int, delta: dict) -> Path:
     ``os.replace`` so a crash mid-write leaves no visible segment at
     all — and because the journal is only reset *after* the replace,
     a missing segment just means those rounds replay from the journal.
+    With ``fsync`` the segment reaches stable storage before its
+    replace, and the directory after it.
     """
     directory = Path(directory)
     path = directory / f"delta-{seq:012d}.json"
-    body = _with_crc({"type": "fenrir-delta", "seq": seq, "delta": delta})
+    body = _splice_crc(_canonical({"type": "fenrir-delta", "seq": seq, "delta": delta}))
     temp = directory / (path.name + ".tmp")
-    temp.write_text(body + "\n", encoding="utf-8")
+    _write_file(temp, body + "\n", fsync)
     os.replace(temp, path)
+    if fsync:
+        _fsync_directory(directory)
     return path
 
 
@@ -447,9 +492,10 @@ def read_deltas(directory: Path) -> list[tuple[int, dict]]:
     directory = Path(directory)
     segments: list[tuple[int, dict]] = []
     for path in sorted(directory.glob(_DELTA_GLOB)):
-        body = path.read_text(encoding="utf-8").rstrip("\n")
+        body = path.read_bytes().rstrip(b"\n")
         try:
-            document = _check_crc(json.loads(body))
+            _check_spliced_crc(body)
+            document = json.loads(body)
             if document.get("type") != "fenrir-delta":
                 raise ValueError(f"not a delta segment: {document.get('type')!r}")
             segments.append((int(document["seq"]), document["delta"]))

@@ -235,7 +235,7 @@ class DurableMonitor:
         directory.mkdir(parents=True)
         # Checkpoint the empty tracker immediately: a monitor that was
         # created but never ingested still reopens with its config.
-        write_snapshot(directory, 0, tracker.to_state())
+        write_snapshot(directory, 0, tracker.to_state(), fsync=fsync)
         monitor = cls(
             name=name,
             directory=directory,
@@ -375,7 +375,7 @@ class DurableMonitor:
         # crash in between cannot resurrect them over the new base.
         (directory / JOURNAL_FILE).unlink(missing_ok=True)
         discard_deltas(directory)
-        write_snapshot(directory, seq, dict(state))
+        write_snapshot(directory, seq, dict(state), fsync=fsync)
         return cls(
             name=name,
             directory=directory,
@@ -407,7 +407,7 @@ class DurableMonitor:
             commit = self.tracker.stage_delta(delta)
         except (ValueError, KeyError, TypeError) as exc:
             raise MonitorError(f"unapplyable delta: {exc}") from exc
-        write_delta(self.directory, seq, delta)
+        write_delta(self.directory, seq, delta, fsync=self.fsync)
         commit()
         self.seq = seq
         self._mark_checkpoint()
@@ -470,10 +470,12 @@ class DurableMonitor:
             self._dedup_bytes_counter.inc(saved)
 
     def _reset_journal(self) -> None:
-        self._journal.reset()
         # References never cross a reset: the next record must be full.
+        # Forget the target first, so that a reset which fails after its
+        # swap cannot leave a reference into the replaced journal.
         self._last_full_seq = None
         self._last_full_labels = None
+        self._journal.reset()
 
     # -- operations ----------------------------------------------------------
 
@@ -546,8 +548,7 @@ class DurableMonitor:
 
         A failed cadence checkpoint does not fail the call: the rounds
         are already durable in the journal, so the failure is counted
-        (``serve_checkpoint_failures_total``) and the next commit
-        retries it.
+        (:meth:`try_checkpoint`) and the next commit retries it.
         """
         with span("serve.ingest_batch", monitor=self.name, rounds=len(rounds)):
             last = self.tracker.last_time
@@ -587,16 +588,7 @@ class DurableMonitor:
             self.seq += len(accepted)
             self._since_snapshot += len(accepted)
             if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
-                try:
-                    self.checkpoint()
-                except OSError:
-                    if self.registry is not None:
-                        self.registry.counter(
-                            "serve_checkpoint_failures_total",
-                            labels={"monitor": self.name},
-                            help="Cadence checkpoints that failed (retried "
-                            "on the next commit)",
-                        ).inc()
+                self.try_checkpoint()
             return BatchResult(tuple(updates), *rejection)
 
     def checkpoint(self) -> int:
@@ -604,17 +596,41 @@ class DurableMonitor:
 
         Writes a delta segment (O(rounds since last checkpoint) bytes,
         independent of total history) and resets the journal. This is
-        what the ``snapshot_every`` cadence calls; an explicit
-        :meth:`snapshot` compacts the chain back into one base file.
+        what the ``snapshot_every`` cadence and a graceful server stop
+        call; an explicit :meth:`snapshot` compacts the chain back into
+        one base file. With no round since the last checkpoint it writes
+        nothing: a segment at an unchanged seq would replace the one
+        already there.
         """
+        if not self._since_snapshot:
+            return self.seq
         delta = self.tracker.to_state(
             updates_after=self._checkpoint_updates,
             exemplars_after=self._checkpoint_exemplars,
         )
-        write_delta(self.directory, self.seq, delta)
+        write_delta(self.directory, self.seq, delta, fsync=self.fsync)
         self._mark_checkpoint()
         self._reset_journal()
         return self.seq
+
+    def try_checkpoint(self) -> None:
+        """:meth:`checkpoint`, with an ``OSError`` counted, not raised.
+
+        The rounds it would cover are already durable in the journal, so
+        a failed checkpoint loses nothing: they replay on the next open,
+        and the next cadence checkpoint retries. The failure is counted
+        in ``serve_checkpoint_failures_total{monitor}``.
+        """
+        try:
+            self.checkpoint()
+        except OSError:
+            if self.registry is not None:
+                self.registry.counter(
+                    "serve_checkpoint_failures_total",
+                    labels={"monitor": self.name},
+                    help="Checkpoints that failed; their rounds stay in the "
+                    "journal (a cadence checkpoint retries on the next commit)",
+                ).inc()
 
     def snapshot(self) -> int:
         """Full checkpoint + compaction; returns the sequence captured.
@@ -625,7 +641,9 @@ class DurableMonitor:
         new base's and are skipped at read time, leftover journal
         entries likewise.
         """
-        write_snapshot(self.directory, self.seq, self.tracker.to_state())
+        write_snapshot(
+            self.directory, self.seq, self.tracker.to_state(), fsync=self.fsync
+        )
         self._mark_checkpoint()
         discard_deltas(self.directory)
         self._reset_journal()

@@ -685,9 +685,24 @@ class Listener:
 
     async def close(self) -> None:
         """Stop accepting, close every open connection and give their
-        loops a second to end."""
+        loops a second to end.
+
+        A connection the loop has accepted but not yet wrapped in a
+        transport would attach to an already closed ``Server`` (an
+        ``AssertionError`` on transport creation, which asyncio's debug
+        mode logs). So the listening sockets stop being read first, and
+        the accepts already taken get the loop turns they need to start
+        their handlers before the server closes: one to create the
+        transport, one for ``connection_made`` to create the handler
+        task, one for that task to register in ``_open``.
+        """
         if self._server is None:
             return
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        for _turn in range(3):
+            await asyncio.sleep(0)
         self._server.close()
         for writer in self._open.values():
             writer.close()

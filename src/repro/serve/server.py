@@ -209,13 +209,32 @@ class FenrirServer:
         await self._listener.serve_forever()
 
     async def stop(self) -> None:
+        """Stop serving, then checkpoint and close every monitor.
+
+        The order matters: the listener closes first, so no request
+        arrives; the writer tasks are cancelled and awaited, so no
+        ``ingest_batch`` is mid-apply; then each monitor checkpoints the
+        rounds since its last checkpoint (a delta segment, bounded by
+        ``snapshot_every``; none when no round is new) and closes its
+        journal. The next start then opens every monitor from its
+        checkpoint chain instead of replaying the journal. A checkpoint
+        that fails is counted (:meth:`DurableMonitor.try_checkpoint`)
+        and its rounds replay from the journal instead.
+        """
         if self.follower is not None:
             await self.follower.stop()
             self.follower = None
         await self._listener.close()
+        workers = [
+            runtime.worker
+            for runtime in self._monitors.values()
+            if runtime.worker is not None
+        ]
+        for worker in workers:
+            worker.cancel()
+        await asyncio.gather(*workers, return_exceptions=True)
         for runtime in self._monitors.values():
-            if runtime.worker is not None:
-                runtime.worker.cancel()
+            runtime.monitor.try_checkpoint()
             runtime.monitor.close()
 
     def _register(self, monitor: DurableMonitor) -> _MonitorRuntime:

@@ -461,7 +461,8 @@ class TestBlockingClientRetry:
                 # Swap in a socket that dies on the *send* — the frame
                 # provably never left, so the client must reconnect and
                 # resend rather than surface the reset.
-                client._sock = _DeadSocket(fail_on="send")
+                real, client._sock = client._sock, _DeadSocket(fail_on="send")
+                real.close()
                 assert client.stats()["ok"] is True
 
     def test_recv_phase_reset_is_not_retried(self, tmp_path):
@@ -470,7 +471,8 @@ class TestBlockingClientRetry:
         ) as running:
             host, port = running.address
             with ServeClient(host, port, timeout=5.0) as client:
-                client._sock = _DeadSocket(fail_on="recv")
+                real, client._sock = client._sock, _DeadSocket(fail_on="recv")
+                real.close()
                 # After a successful send the request's fate is unknown:
                 # a transparent retry could double-apply, so the error
                 # surfaces.

@@ -507,7 +507,7 @@ class TestIncrementalCheckpoints:
         primary.ingest_batch(rounds[:3])
         real_write = monitor_module.write_delta
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             monkeypatch.setattr(monitor_module, "write_delta", real_write)
             raise OSError(errno.ENOSPC, "No space left on device")
 

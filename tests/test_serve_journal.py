@@ -6,7 +6,9 @@ import errno
 import io
 import json
 import os
+import stat
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.io.formats import (
     recover_series_jsonl,
     write_series_jsonl,
 )
+from repro.serve import journal as journal_module
 from repro.serve.journal import (
     JOURNAL_FILE,
     JournalError,
@@ -379,6 +382,148 @@ class TestDurableMonitor:
         final = DurableMonitor.open(tmp_path, "svc")
         assert final.replay.skipped_records == 0
         assert len(final.tracker.updates) == 2
+
+
+def feed_rounds(monitor: DurableMonitor, count: int) -> None:
+    sites = ["LAX", "AMS", "FRA", "LAX", "NRT"]
+    for index in range(count):
+        site = sites[index % len(sites)]
+        monitor.ingest({"n1": site, "n2": "LAX"}, T0 + timedelta(hours=index))
+
+
+class TestDeltaSegments:
+    """Delta segments are checked on their raw bytes, like version 2 lines."""
+
+    def chain(self, tmp_path) -> dict:
+        monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], snapshot_every=4)
+        feed_rounds(monitor, 14)  # three segments and two journal lines
+        expected = monitor.tracker.to_state()
+        monitor.close()
+        return expected
+
+    def test_chain_opens_without_reencoding(self, tmp_path, monkeypatch):
+        expected = self.chain(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("opening a delta chain re-encoded JSON")
+
+        monkeypatch.setattr(journal_module, "_canonical", refuse)
+        reopened = DurableMonitor.open(tmp_path, "svc")
+        assert reopened.replay.snapshot_seq == 12
+        assert reopened.replay.replayed_records == 2
+        assert reopened.tracker.to_state() == expected
+        reopened.close()
+
+    @pytest.mark.parametrize("where", ["start", "middle", "crc"])
+    def test_flipped_byte_raises(self, tmp_path, where):
+        self.chain(tmp_path)
+        segment = sorted((tmp_path / "svc").glob("delta-*.json"))[1]
+        body = bytearray(segment.read_bytes())
+        index = {"start": 2, "middle": len(body) // 2, "crc": len(body) - 5}[where]
+        body[index] ^= 0x01
+        segment.write_bytes(bytes(body))
+        with pytest.raises(JournalError, match="corrupt delta segment"):
+            DurableMonitor.open(tmp_path, "svc")
+
+    def test_segment_is_canonical_with_the_crc_spliced_last(self, tmp_path):
+        """The writer's bytes satisfy the version 1 checker too: the raw
+        check reads exactly what the canonical one would."""
+        self.chain(tmp_path)
+        for segment in sorted((tmp_path / "svc").glob("delta-*.json")):
+            line = segment.read_text(encoding="utf-8").rstrip("\n")
+            document = json.loads(line)
+            assert list(document)[-1] == "crc"
+            body = {key: value for key, value in document.items() if key != "crc"}
+            assert line == journal_module._splice_crc(journal_module._canonical(body))
+            journal_module._check_crc(document)
+
+
+def record_durability_calls(monkeypatch, root: Path) -> list[tuple]:
+    """Record every ``os.fsync`` and ``os.replace``, in order.
+
+    An fsync is named by the file under ``root`` it was called on (its
+    path relative to ``root``), or ``"<dir>"`` for a directory.
+    """
+    calls: list[tuple] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(descriptor):
+        info = os.fstat(descriptor)
+        target = "<dir>"
+        if not stat.S_ISDIR(info.st_mode):
+            target = next(
+                str(path.relative_to(root))
+                for path in root.rglob("*")
+                if path.stat().st_ino == info.st_ino
+            )
+        calls.append(("fsync", target))
+        real_fsync(descriptor)
+
+    def replace(source, destination):
+        calls.append(("replace", Path(source).name, Path(destination).name))
+        real_replace(source, destination)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+def durable_checkpoint_calls(segment: str, fsync: bool) -> list[tuple]:
+    """The calls a checkpoint writing ``segment`` makes, journal reset last."""
+    calls = [
+        ("fsync", f"{segment}.tmp"),
+        ("replace", f"{segment}.tmp", segment),
+        ("fsync", "<dir>"),
+        ("replace", "journal.tmp", JOURNAL_FILE),
+        ("fsync", "<dir>"),
+    ]
+    return calls if fsync else [call for call in calls if call[0] != "fsync"]
+
+
+class TestFsyncCheckpoints:
+    """With ``fsync``, a checkpoint is on stable storage before the
+    journal reset; without it, no checkpoint path fsyncs."""
+
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_checkpoint(self, tmp_path, monkeypatch, fsync):
+        monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], fsync=fsync)
+        feed_rounds(monitor, 3)
+        calls = record_durability_calls(monkeypatch, tmp_path / "svc")
+        monitor.checkpoint()
+        monitor.close()
+        assert calls == durable_checkpoint_calls("delta-000000000003.json", fsync)
+
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_snapshot(self, tmp_path, monkeypatch, fsync):
+        monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], fsync=fsync)
+        feed_rounds(monitor, 3)
+        calls = record_durability_calls(monkeypatch, tmp_path / "svc")
+        monitor.snapshot()
+        monitor.close()
+        expected = [
+            ("fsync", "snapshot.json.tmp"),
+            ("fsync", "MANIFEST.json.tmp"),
+            ("replace", "snapshot.json.tmp", "snapshot.json"),
+            ("replace", "MANIFEST.json.tmp", "MANIFEST.json"),
+            ("fsync", "<dir>"),
+            ("replace", "journal.tmp", JOURNAL_FILE),
+            ("fsync", "<dir>"),
+        ]
+        if not fsync:
+            expected = [call for call in expected if call[0] != "fsync"]
+        assert calls == expected
+
+    def test_checkpoint_without_new_rounds_writes_nothing(self, tmp_path, monkeypatch):
+        monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], fsync=True)
+        feed_rounds(monitor, 3)
+        monitor.checkpoint()
+        segment = tmp_path / "svc" / "delta-000000000003.json"
+        written = segment.read_bytes()
+        calls = record_durability_calls(monkeypatch, tmp_path / "svc")
+        assert monitor.checkpoint() == 3
+        monitor.close()
+        assert calls == []
+        assert segment.read_bytes() == written
 
 
 class TestSeriesJsonlRecovery:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import socket
 import struct
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from repro.serve.protocol import (
     FrameError,
     FrameTooLarge,
+    Listener,
     decode_payload,
     encode_frame,
     error_response,
@@ -47,3 +50,40 @@ class TestFrames:
             "message": "queue full",
             "queue_depth": 3,
         }
+
+
+class TestListenerClose:
+    def test_close_serves_out_an_accept_already_taken(self):
+        """A connection accepted in the loop turn before ``close`` still
+        gets its transport and handler, and the handler is closed before
+        ``close`` returns; closing the ``Server`` first made the
+        transport's creation fail (logged under asyncio debug mode)."""
+
+        async def scenario() -> tuple[list[str], list[dict]]:
+            loop = asyncio.get_running_loop()
+            errors: list[dict] = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            handled: list[str] = []
+
+            async def handler(reader, writer) -> None:
+                handled.append("start")
+                await reader.read()  # until close() closes the connection
+                handled.append("end")
+
+            listener = Listener(handler)
+            await listener.start("127.0.0.1", 0)
+            client = socket.create_connection(listener.address)
+            try:
+                # The first turn's select sees the connection, and the
+                # accept runs after this coroutine's step; the second
+                # turn runs close() before that accept's transport exists.
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                await listener.close()
+                return handled, errors
+            finally:
+                client.close()
+
+        handled, errors = asyncio.run(scenario(), debug=True)
+        assert handled == ["start", "end"]
+        assert errors == []

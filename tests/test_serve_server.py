@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.online import OnlineFenrir
+from repro.obs import render_prometheus
 from repro.serve import (
     BatchRejectedError,
     FenrirServer,
@@ -39,6 +40,8 @@ from repro.serve.monitor import DurableMonitor
 from repro.serve.protocol import recv_frame, send_frame
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
+from cluster_chaos import canonical, generate_rounds, oracle_state
+from test_serve_journal import durable_checkpoint_calls, record_durability_calls
 
 T0 = datetime(2025, 1, 1)
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -209,11 +212,126 @@ class TestCommands:
                 assert client.timeline("svc")["segments"] == expected
                 stats = client.stats()
                 assert stats["counters"]["monitors_recovered"] == 1
+                # The graceful stop checkpointed both rounds, so the
+                # restart opened the monitor from its checkpoint chain.
                 replay = stats["monitors"]["svc"]["replay"]
-                assert replay["replayed_records"] == 2
+                assert replay["snapshot_seq"] == 2
+                assert replay["replayed_records"] == 0
                 # Stream continues exactly where it stopped.
                 client.ingest("svc", {"x": "L", "y": "L"}, T0 + timedelta(2))
                 assert client.query("svc")["rounds"] == 3
+
+    def test_server_replays_a_journal_left_without_a_stop(self, tmp_path):
+        """A monitor closed without the server's stop path (as after a
+        kill) still recovers by replaying its journal."""
+        data_dir = tmp_path / "data"
+        monitor = DurableMonitor.create(data_dir, "svc", networks=["x", "y"])
+        monitor.ingest({"x": "L", "y": "L"}, T0)
+        monitor.ingest({"x": "A", "y": "A"}, T0 + timedelta(1))
+        expected = [
+            {"mode_id": mode_id, "start": start.isoformat(), "end": end.isoformat()}
+            for mode_id, start, end in monitor.tracker.mode_timeline()
+        ]
+        monitor.close()
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                replay = client.stats()["monitors"]["svc"]["replay"]
+                assert replay["snapshot_seq"] == 0
+                assert replay["replayed_records"] == 2
+                assert client.timeline("svc")["segments"] == expected
+
+
+class TestStopCheckpoint:
+    """A graceful stop checkpoints every monitor with new rounds, so the
+    next start opens it from its checkpoint chain and replays nothing."""
+
+    NETWORKS = [f"n{index}" for index in range(6)]
+
+    def rounds(self, count: int, seed: int = 5) -> list:
+        return generate_rounds(self.NETWORKS, count, seed=seed)
+
+    def test_restart_replays_nothing_and_matches_the_oracle(self, tmp_path):
+        data_dir = tmp_path / "data"
+        rounds = self.rounds(130)
+        fed, later = rounds[:80], rounds[80:]
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                client.create("svc", self.NETWORKS)
+                client.ingest_many("svc", fed, batch_size=32)
+        oracle = OnlineFenrir(networks=self.NETWORKS)
+        for states, when in fed:
+            oracle.ingest(states, when)
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                replay = client.stats()["monitors"]["svc"]["replay"]
+                assert replay["snapshot_seq"] == client.query("svc")["seq"] == 80
+                assert replay["replayed_records"] == 0
+                state = client.handoff("svc")["state"]
+                assert canonical(state) == canonical(oracle.to_state())
+                updates = client.ingest_many("svc", later, batch_size=16)
+        expected = [oracle.ingest(states, when).to_document() for states, when in later]
+        assert updates == json.loads(json.dumps(expected))
+
+    def test_second_stop_without_new_rounds_changes_no_file(self, tmp_path):
+        data_dir = tmp_path / "data"
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                client.create("svc", self.NETWORKS)
+                client.ingest_many("svc", self.rounds(40), batch_size=16)
+
+        def files() -> dict[str, bytes]:
+            return {
+                path.name: path.read_bytes()
+                for path in sorted((data_dir / "svc").iterdir())
+            }
+
+        stopped = files()
+        assert "delta-000000000040.json" in stopped
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                assert client.query("svc")["rounds"] == 40
+        assert files() == stopped
+
+    def test_failed_stop_checkpoint_is_counted_and_replays(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        rounds = self.rounds(30)
+        real_write = monitor_module.write_delta
+
+        def write_delta(directory, *args, **kwargs):
+            if Path(directory).name == "bad":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(directory, *args, **kwargs)
+
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as running:
+            with connect(running) as client:
+                for name in ("bad", "good"):
+                    client.create(name, self.NETWORKS)
+                    client.ingest_many(name, rounds, batch_size=16)
+            monkeypatch.setattr(monitor_module, "write_delta", write_delta)
+        for runtime in running.server._monitors.values():
+            assert runtime.monitor._journal._stream.closed
+        exposition = render_prometheus(running.server.registry)
+        assert 'serve_checkpoint_failures_total{monitor="bad"} 1' in exposition
+        assert 'serve_checkpoint_failures_total{monitor="good"}' not in exposition
+        expected = canonical(oracle_state(self.NETWORKS, rounds))
+        for name, replayed in (("bad", 30), ("good", 0)):
+            reopened = DurableMonitor.open(data_dir, name)
+            assert reopened.replay.replayed_records == replayed
+            assert canonical(reopened.tracker.to_state()) == expected
+            reopened.close()
+
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_stop_checkpoint_is_durable_before_the_reset(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        data_dir = tmp_path / "data"
+        config = ServeConfig(data_dir=data_dir, port=0, fsync=fsync)
+        with ServerThread(config) as running:
+            with connect(running) as client:
+                client.create("svc", self.NETWORKS)
+                client.ingest_many("svc", self.rounds(5), batch_size=16)
+            calls = record_durability_calls(monkeypatch, data_dir / "svc")
+        assert calls == durable_checkpoint_calls("delta-000000000005.json", fsync)
 
 
 @pytest.fixture(params=["direct", "routed"])
