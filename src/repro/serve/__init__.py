@@ -6,8 +6,8 @@ in-memory :class:`~repro.core.online.OnlineFenrir` answer to it into a
 long-lived, queryable network service:
 
 * :mod:`~repro.serve.protocol` — length-prefixed JSON frames over TCP;
-* :mod:`~repro.serve.journal` — write-ahead journal + checksummed
-  snapshots so acknowledged ingests survive a kill;
+* :mod:`~repro.serve.journal` — write-ahead journal + CRC-checked
+  checkpoints so acknowledged ingests survive a kill;
 * :mod:`~repro.serve.monitor` — one durable OnlineFenrir per watched
   service;
 * :mod:`~repro.serve.server` — the asyncio server multiplexing many

@@ -543,7 +543,6 @@ class ClusterSupervisor:
                 await client.promote()
         except (ConnectionError, OSError, FrameError, ServeClientError):
             return False
-        dead_primary_dir = pair.primary.directory
         follower.role = "primary"
         pair.primary = follower
         pair.follower = None

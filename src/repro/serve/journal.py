@@ -3,9 +3,9 @@
 Durability model (per monitor directory)::
 
     <data_dir>/<monitor>/
-        journal.jsonl    append-only ingest log since the last snapshot
-        snapshot.json    full OnlineFenrir.to_state() checkpoint
-        MANIFEST.json    sha256 of snapshot.json (the bundle idiom)
+        journal.jsonl         append-only ingest log since the last checkpoint
+        snapshot.json         base OnlineFenrir.to_state() checkpoint
+        delta-<seq>.json      incremental checkpoints newer than the base
 
 Every acknowledged ingest is first appended to the journal — one JSON
 line carrying a monotonically increasing sequence number and a CRC32
@@ -34,7 +34,8 @@ Recurring rounds can be journaled as *dedup reference records*
 (``repro.vps``'s ingest-dedup mode): when a round's labels equal those
 of the most recent fully journaled one, the line
 ``{"ref": <full seq>, "seq": ..., "time": ..., "crc": ...}`` is
-written instead of repeating them. :func:`read_journal` expands
+written instead of repeating them. Its CRC is spliced in last, as on a
+version 2 line, and checked on the raw bytes. :func:`read_journal` expands
 references while scanning — it only ever needs the last full record,
 because a valid writer always refs the most recent full line in the
 same journal (the reference chain never crosses a journal reset).
@@ -43,13 +44,10 @@ on-disk encoding is compact. A reference that does not point at the
 last full record is treated like any other corrupt line: the valid
 prefix is kept and the tail is dropped.
 
-Snapshots are written atomically (temp file + ``os.replace``) together
-with a checksum manifest; the journal is then reset. A crash between
-the two leaves journal entries at or below the snapshot's sequence
-number, which replay skips — both orders of partial completion
-converge to the same state.
-
-Periodic checkpoints are *incremental*: instead of re-serializing the
+Checkpoints are written atomically (temp file + ``os.replace``), then
+the journal is reset; replay skips journal entries at or below the
+checkpoint's seq, so a crash between the two converges. Periodic
+checkpoints are *incremental*: instead of re-serializing the
 whole tracker history every ``snapshot_every`` rounds (O(rounds²)
 cumulative bytes), :func:`write_delta` persists only the updates since
 the previous checkpoint as a ``delta-<seq>.json`` segment.
@@ -61,13 +59,16 @@ discards the segments. Segments whose seq is at or below the base's
 are compaction leftovers and are skipped, so a crash at any point in
 the checkpoint/compact sequence still converges.
 
-A delta segment is one canonical JSON document with its CRC32 spliced
-in as the last field, the same scheme as a version 2 line, so the
-reader checks it on the raw bytes too (:func:`_check_spliced_crc`).
+Base and segment have one format, a canonical JSON document with its
+CRC32 spliced in last as on a version 2 line: :func:`_write_checkpoint`
+writes both and :func:`_read_checkpoint` checks both on their raw
+bytes. A base from before this format has a sha256 in ``MANIFEST.json``
+instead; :func:`_read_manifest_snapshot` still opens it, and the next
+base write removes the manifest.
 
 With ``fsync`` on, a checkpoint is as durable as an append: every temp
 file is fsynced before its ``os.replace``, and the directory after it,
-so the segment or snapshot is on stable storage before the journal
+so the segment or base is on stable storage before the journal
 reset empties the journal; the reset fsyncs the directory as well, so
 later appends land in the file that survives. With ``fsync`` off these
 paths make no extra syscall.
@@ -75,7 +76,6 @@ paths make no extra syscall.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zlib
@@ -106,8 +106,15 @@ __all__ = [
 
 JOURNAL_FILE = "journal.jsonl"
 SNAPSHOT_FILE = "snapshot.json"
-MANIFEST_FILE = "MANIFEST.json"
+MANIFEST_FILE = "MANIFEST.json"  # sha256 of a base in the earlier format
 _DELTA_GLOB = "delta-*.json"
+# Each checkpoint type: what an error calls it, and its payload field.
+_CHECKPOINTS = {
+    "fenrir-snapshot": ("snapshot", "state"),
+    "fenrir-delta": ("delta segment", "delta"),
+}
+# How a base from before the CRC format ends: no ``crc`` after ``type``.
+_LEGACY_SNAPSHOT_END = b',"type":"fenrir-snapshot"}'
 
 
 class JournalError(ValueError):
@@ -131,15 +138,6 @@ class JournalRecord:
     def __post_init__(self) -> None:
         if (self.states is None) == (self.labels is None):
             raise ValueError("a journal record carries one of states and labels")
-
-    @classmethod
-    def from_document(cls, document: dict) -> "JournalRecord":
-        """A record from a parsed version 1 line."""
-        return cls(
-            seq=int(document["seq"]),
-            time=datetime.fromisoformat(document["time"]),
-            states=dict(document["states"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,10 @@ def record_line(record: "JournalRecord", fragment: Optional[str] = None) -> str:
 def ref_record_line(seq: int, time: datetime, ref: int) -> str:
     """A dedup reference line: same round as full record ``ref``.
 
-    The composed bytes match :func:`_splice_crc` of the canonical
+    The composed bytes are :func:`_splice_crc` of the canonical
     encoding of ``{"ref": ref, "seq": seq, "time": ...}`` (key order
-    ``ref`` < ``seq`` < ``time``), so the version 1 checker reads it.
+    ``ref`` < ``seq`` < ``time``), as every reference line ever
+    written was, so the reader checks it on its raw bytes.
     The round is *not* repeated — the reader materializes it from the
     referenced full record.
     """
@@ -206,6 +205,8 @@ def ref_record_line(seq: int, time: datetime, ref: int) -> str:
 
 
 def _check_crc(obj: dict) -> dict:
+    """Check a version 1 line's CRC by re-encoding it canonically: the
+    earliest writer put ``crc`` first, so not every one is spliced last."""
     crc = obj.pop("crc", None)
     if crc is None:
         raise ValueError("record missing crc")
@@ -216,7 +217,8 @@ def _check_crc(obj: dict) -> dict:
     return obj
 
 
-_V2_PREFIX = b'{"v":2,'
+# Version 2 and ``ref`` lines carry their CRC spliced in last.
+_SPLICED_PREFIXES = (b'{"v":2,', b'{"ref":')
 _CRC_FIELD = b',"crc":"'
 _CRC_TAIL = len(b',"crc":"00000000"}')
 
@@ -225,9 +227,9 @@ def _check_spliced_crc(line: bytes) -> None:
     """Check the CRC that :func:`_splice_crc` put in ``line``'s last field.
 
     The CRC covers the bytes before ``,"crc":`` followed by ``}``, so
-    this reads the raw bytes and never re-encodes JSON. Version 2 lines
-    and delta segments are checked here; version 1 and ``ref`` lines go
-    through :func:`_check_crc`.
+    this reads the raw bytes and never re-encodes JSON. Version 2 lines,
+    ``ref`` lines and checkpoint files are checked here; version 1 lines
+    go through :func:`_check_crc`.
     """
     body = len(line) - _CRC_TAIL
     if body < 0 or line[body : body + len(_CRC_FIELD)] != _CRC_FIELD:
@@ -236,20 +238,6 @@ def _check_spliced_crc(line: bytes) -> None:
     stored = line[body + len(_CRC_FIELD) : -2]
     if stored != b"%08x" % crc or line[-2:] != b'"}':
         raise ValueError(f"crc mismatch: {stored!r} != {crc:08x}")
-
-
-def _read_v2(line: bytes) -> JournalRecord:
-    """Check a version 2 line's CRC on its raw bytes, then parse it."""
-    _check_spliced_crc(line)
-    document = json.loads(line)
-    labels = document["labels"]
-    if type(labels) is not list:
-        raise ValueError("version 2 labels must be a list")
-    return JournalRecord(
-        seq=int(document["seq"]),
-        time=datetime.fromisoformat(document["time"]),
-        labels=labels,
-    )
 
 
 class JournalWriter:
@@ -373,25 +361,31 @@ def read_journal(
             if not stripped:
                 continue
             try:
-                if stripped.startswith(_V2_PREFIX):
-                    record = last_full = _read_v2(stripped)
-                else:
+                if stripped.startswith(_SPLICED_PREFIXES):
+                    _check_spliced_crc(stripped)
+                    document = json.loads(stripped)
+                else:  # a version 1 line
                     document = _check_crc(json.loads(stripped))
-                    if "ref" in document:
-                        ref = document["ref"]
-                        if last_full is None or ref != last_full.seq:
-                            raise ValueError(
-                                f"dangling dedup reference: {ref!r} does not "
-                                "name the most recent full record"
-                            )
-                        record = JournalRecord(
-                            seq=int(document["seq"]),
-                            time=datetime.fromisoformat(document["time"]),
-                            states=last_full.states,
-                            labels=last_full.labels,
+                seq = int(document["seq"])
+                time = datetime.fromisoformat(document["time"])
+                if "ref" in document:
+                    ref = document["ref"]
+                    if last_full is None or ref != last_full.seq:
+                        raise ValueError(
+                            f"dangling dedup reference: {ref!r} does not "
+                            "name the most recent full record"
                         )
-                    else:
-                        record = last_full = JournalRecord.from_document(document)
+                    record = JournalRecord(
+                        seq, time, last_full.states, last_full.labels
+                    )
+                elif "labels" in document:
+                    labels = document["labels"]
+                    if type(labels) is not list:
+                        raise ValueError("version 2 labels must be a list")
+                    record = last_full = JournalRecord(seq, time, labels=labels)
+                else:
+                    states = dict(document["states"])
+                    record = last_full = JournalRecord(seq, time, states=states)
                 if record.seq <= after_seq:
                     continue  # already folded into the snapshot
                 if record.seq != expected + 1:
@@ -411,15 +405,6 @@ def read_journal(
     return records, tail
 
 
-def _write_file(path: Path, text: str, fsync: bool) -> None:
-    """Write ``text`` to ``path``; with ``fsync``, to stable storage."""
-    with path.open("w", encoding="utf-8") as out:
-        out.write(text)
-        if fsync:
-            out.flush()
-            os.fsync(out.fileno())
-
-
 def _fsync_directory(directory: Path) -> None:
     """Make the renames and creations in ``directory`` durable."""
     descriptor = os.open(directory, os.O_RDONLY)
@@ -429,33 +414,51 @@ def _fsync_directory(directory: Path) -> None:
         os.close(descriptor)
 
 
-def write_snapshot(directory: Path, seq: int, state: dict, fsync: bool = False) -> None:
-    """Atomically checkpoint ``state`` as the truth up to ``seq``.
+def _write_checkpoint(path: Path, document: dict, fsync: bool) -> None:
+    """Atomically write ``document`` to ``path`` with its CRC spliced last.
 
-    With ``fsync`` both files reach stable storage before their
-    replaces, and the directory after them.
+    With ``fsync`` the temp file reaches stable storage before it
+    replaces ``path``, and the directory after that.
+    """
+    temp = path.with_name(path.name + ".tmp")
+    with temp.open("w", encoding="utf-8") as out:
+        out.write(_splice_crc(_canonical(document)) + "\n")
+        if fsync:
+            out.flush()
+            os.fsync(out.fileno())
+    os.replace(temp, path)
+    if fsync:
+        _fsync_directory(path.parent)
+
+
+def _read_checkpoint(path: Path, body: bytes, kind: str) -> tuple[int, dict]:
+    """(seq, payload) of the checkpoint file ``path`` holding ``body``.
+
+    ``kind`` is the ``type`` the document must carry. The CRC is
+    checked on the raw bytes before anything is parsed; any failure
+    raises :class:`JournalError`.
+    """
+    label, payload = _CHECKPOINTS[kind]
+    try:
+        _check_spliced_crc(body)
+        document = json.loads(body)
+        if document.get("type") != kind:
+            raise ValueError(f"not a {label}: {document.get('type')!r}")
+        return int(document["seq"]), document[payload]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise JournalError(f"corrupt {label} {path}: {exc}") from exc
+
+
+def write_snapshot(directory: Path, seq: int, state: dict, fsync: bool = False) -> None:
+    """Atomically checkpoint ``state`` as the base, the truth up to ``seq``.
+
+    A ``MANIFEST.json`` left by the earlier base format is removed once
+    the new base has replaced the old one.
     """
     directory = Path(directory)
     document = {"type": "fenrir-snapshot", "seq": seq, "state": state}
-    body = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    sha256 = hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-    snapshot_temp = directory / (SNAPSHOT_FILE + ".tmp")
-    _write_file(snapshot_temp, body + "\n", fsync)
-    manifest_temp = directory / (MANIFEST_FILE + ".tmp")
-    _write_file(
-        manifest_temp,
-        json.dumps({"files": {SNAPSHOT_FILE: sha256}, "seq": seq}, indent=2) + "\n",
-        fsync,
-    )
-    # Snapshot first. A crash between the two replaces leaves the new
-    # snapshot paired with the previous manifest; the reader detects the
-    # stale manifest by its recorded seq and trusts the (atomically
-    # written, self-describing) snapshot, so both partial orders recover.
-    os.replace(snapshot_temp, directory / SNAPSHOT_FILE)
-    os.replace(manifest_temp, directory / MANIFEST_FILE)
-    if fsync:
-        _fsync_directory(directory)
+    _write_checkpoint(directory / SNAPSHOT_FILE, document, fsync)
+    (directory / MANIFEST_FILE).unlink(missing_ok=True)
 
 
 def write_delta(directory: Path, seq: int, delta: dict, fsync: bool = False) -> Path:
@@ -463,21 +466,11 @@ def write_delta(directory: Path, seq: int, delta: dict, fsync: bool = False) -> 
 
     The segment carries the ``OnlineFenrir.to_state(updates_after=...)``
     delta document plus the journal sequence number it is the truth up
-    to, CRC-protected like a journal line. It is written with temp +
-    ``os.replace`` so a crash mid-write leaves no visible segment at
-    all — and because the journal is only reset *after* the replace,
-    a missing segment just means those rounds replay from the journal.
-    With ``fsync`` the segment reaches stable storage before its
-    replace, and the directory after it.
+    to. The journal is reset only *after* the replace, so a missing
+    segment just means those rounds replay from the journal.
     """
-    directory = Path(directory)
-    path = directory / f"delta-{seq:012d}.json"
-    body = _splice_crc(_canonical({"type": "fenrir-delta", "seq": seq, "delta": delta}))
-    temp = directory / (path.name + ".tmp")
-    _write_file(temp, body + "\n", fsync)
-    os.replace(temp, path)
-    if fsync:
-        _fsync_directory(directory)
+    path = Path(directory) / f"delta-{seq:012d}.json"
+    _write_checkpoint(path, {"type": "fenrir-delta", "seq": seq, "delta": delta}, fsync)
     return path
 
 
@@ -489,18 +482,10 @@ def read_deltas(directory: Path) -> list[tuple[int, dict]]:
     same rounds was reset, so there is no redundant copy to fall back
     on and recovery cannot silently skip it.
     """
-    directory = Path(directory)
-    segments: list[tuple[int, dict]] = []
-    for path in sorted(directory.glob(_DELTA_GLOB)):
-        body = path.read_bytes().rstrip(b"\n")
-        try:
-            _check_spliced_crc(body)
-            document = json.loads(body)
-            if document.get("type") != "fenrir-delta":
-                raise ValueError(f"not a delta segment: {document.get('type')!r}")
-            segments.append((int(document["seq"]), document["delta"]))
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-            raise JournalError(f"corrupt delta segment {path.name}: {exc}") from exc
+    segments = [
+        _read_checkpoint(path, path.read_bytes().rstrip(b"\n"), "fenrir-delta")
+        for path in sorted(Path(directory).glob(_DELTA_GLOB))
+    ]
     segments.sort(key=lambda pair: pair[0])
     return segments
 
@@ -518,26 +503,36 @@ def read_snapshot(directory: Path) -> tuple[int, dict]:
     """Load and verify the base snapshot; returns (seq, state).
 
     Delta segments newer than ``seq`` (:func:`read_deltas`) are not
-    folded in: the caller applies them to the restored tracker.
+    folded in: the caller applies them to the restored tracker. Raises
+    :class:`JournalError` on a missing or corrupt base. Only a base
+    ending as the earlier format did goes to the manifest rule; any
+    other bytes get the CRC check, so damage cannot route a current
+    base around it.
+    """
+    path = Path(directory) / SNAPSHOT_FILE
+    if not path.exists():
+        raise JournalError(f"no snapshot in {directory}")
+    body = path.read_bytes().rstrip(b"\n")
+    if body.endswith(_LEGACY_SNAPSHOT_END):
+        return _read_manifest_snapshot(Path(directory), body)
+    return _read_checkpoint(path, body, "fenrir-snapshot")
+
+
+def _read_manifest_snapshot(directory: Path, body: bytes) -> tuple[int, dict]:
+    """Read a base written before the CRC format, checked by its manifest.
 
     The manifest checksum is enforced only when the manifest records
     the same seq as the snapshot document: a manifest for a *different*
-    seq is the leftover of a crash between :func:`write_snapshot`'s two
-    atomic replaces, and the self-describing snapshot (which parsed
-    intact) is the truth. Raises :class:`JournalError` on a same-seq
-    checksum mismatch or an unparseable snapshot — corruption that
-    cannot be partially recovered the way a journal tail can.
+    seq is the leftover of a crash between the old writer's two atomic
+    replaces, and the self-describing snapshot (which parsed intact) is
+    the truth. Raises :class:`JournalError` on a same-seq checksum
+    mismatch or an unparseable snapshot.
     """
-    directory = Path(directory)
-    snapshot_path = directory / SNAPSHOT_FILE
+    import hashlib
+
     manifest_path = directory / MANIFEST_FILE
-    if not snapshot_path.exists():
-        raise JournalError(f"no snapshot in {directory}")
-    body = snapshot_path.read_text(encoding="utf-8").rstrip("\n")
-    try:
+    try:  # the ``type`` field is the one read_snapshot matched
         document = json.loads(body)
-        if document.get("type") != "fenrir-snapshot":
-            raise ValueError(f"not a snapshot: {document.get('type')!r}")
         seq, state = int(document["seq"]), document["state"]
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise JournalError(f"corrupt snapshot in {directory}: {exc}") from exc
@@ -549,7 +544,7 @@ def read_snapshot(directory: Path) -> tuple[int, dict]:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise JournalError(f"unreadable manifest in {directory}") from exc
         if manifest_seq == seq:
-            actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            actual = hashlib.sha256(body).hexdigest()
             if actual != expected:
                 raise JournalError(f"snapshot checksum mismatch in {directory}")
     return seq, state

@@ -32,6 +32,7 @@ from .journal import (
     JournalRecord,
     JournalTail,
     JournalWriter,
+    _fsync_directory,
     discard_deltas,
     labels_json,
     read_deltas,
@@ -233,6 +234,8 @@ class DurableMonitor:
             weights=None if weights is None else np.asarray(weights, dtype=np.float64),
         )
         directory.mkdir(parents=True)
+        if fsync:  # the new directory's entry must survive a power loss
+            _fsync_directory(directory.parent)
         # Checkpoint the empty tracker immediately: a monitor that was
         # created but never ingested still reopens with its config.
         write_snapshot(directory, 0, tracker.to_state(), fsync=fsync)
@@ -370,6 +373,8 @@ class DurableMonitor:
             raise MonitorError(f"uninstallable state: {exc}") from exc
         directory = Path(data_dir) / name
         directory.mkdir(parents=True, exist_ok=True)
+        if fsync:
+            _fsync_directory(directory.parent)
         # A previous incarnation's journal/deltas describe history this
         # install supersedes; drop them before the snapshot lands so a
         # crash in between cannot resurrect them over the new base.

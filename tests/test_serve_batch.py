@@ -104,6 +104,7 @@ class TestBatchEquivalence:
         assert list(result.updates) == expected
         assert batch_monitor.seq == len(rounds)
         assert batch_monitor.tracker.to_state() == oracle.to_state()
+        batch_monitor.close()
 
         # The recorded journal of single ingests, batches and dedup
         # references replays to a tracker fed the same rounds one by one.
@@ -155,6 +156,7 @@ class TestBatchEquivalence:
             oracle.ingest(states, when)
         assert monitor.tracker.to_state() == oracle.to_state()
         assert monitor.seq == len(rounds)
+        monitor.close()
 
     def test_empty_batch(self, tmp_path):
         monitor = DurableMonitor.create(tmp_path, "m", networks=NETWORKS)
@@ -162,6 +164,7 @@ class TestBatchEquivalence:
         assert result.accepted == 0
         assert result.error_index is None
         assert monitor.seq == 0
+        monitor.close()
 
 
 def answers(monitor):
@@ -290,7 +293,9 @@ class TestPositionalJournal:
 
     def test_v2_replay_never_rekeys_or_reencodes(self, tmp_path, monkeypatch):
         directory, rounds = self.fed(tmp_path, 20)
-        expected = answers(DurableMonitor.open(tmp_path, "m"))
+        monitor = DurableMonitor.open(tmp_path, "m")
+        expected = answers(monitor)
+        monitor.close()
 
         def refuse(*args, **kwargs):
             raise AssertionError("replay of version 2 lines re-keyed a round")
@@ -301,6 +306,7 @@ class TestPositionalJournal:
         reopened = DurableMonitor.open(tmp_path, "m")
         assert reopened.replay.replayed_records == len(rounds)
         assert answers(reopened) == expected
+        reopened.close()
 
 
 class TestBatchPartialFailure:
@@ -328,6 +334,7 @@ class TestBatchPartialFailure:
         assert result.error_index == 4
         assert result.error_kind == "out_of_order"
         assert "move forward in time" in result.error
+        monitor.close()
 
     def test_first_record_older_than_monitor(self, tmp_path):
         rounds = make_rounds(5)
@@ -337,6 +344,7 @@ class TestBatchPartialFailure:
         assert result.accepted == 0
         assert result.error_index == 0
         assert result.error_kind == "out_of_order"
+        monitor.close()
 
     def test_prefix_before_failure_is_applied_and_durable(self, tmp_path):
         rounds = make_rounds(8)
@@ -363,6 +371,7 @@ class TestIncrementalCheckpoints:
         monitor.ingest_batch(make_rounds(10, start=35))
         deltas = sorted((tmp_path / "m").glob("delta-*.json"))
         assert len(deltas) == 2
+        monitor.close()
 
     def test_checkpoint_cost_does_not_grow_with_history(self, tmp_path):
         """The delta written after a long history is no bigger than one

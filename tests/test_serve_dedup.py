@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.online import OnlineFenrir
 from repro.serve import ServeClient, ServeClientError, ServeConfig
+from repro.serve import journal as journal_module
 from repro.serve.journal import JOURNAL_FILE, read_journal, ref_record_line
 from repro.serve.monitor import OPTIONS_FILE, DurableMonitor
 from repro.vps import VPPlan
@@ -200,6 +201,25 @@ class TestJournalResets:
         assert document["ref"] == 6 and document["seq"] == 7
         assert len(document["crc"]) == 8
 
+    def test_refs_are_checked_on_their_raw_bytes(self, tmp_path, monkeypatch):
+        monitor = DurableMonitor.create(tmp_path, "svc", NETWORKS, dedup=True)
+        self.feed(monitor, 6)
+        monitor.close()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay of a ref line re-encoded JSON")
+
+        monkeypatch.setattr(journal_module, "_canonical", refuse)
+        path = tmp_path / "svc" / JOURNAL_FILE
+        records, tail = read_journal(path)
+        assert tail is None and [r.seq for r in records] == [1, 2, 3, 4, 5, 6]
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[-1].startswith(b'{"ref":')
+        lines[-1] = lines[-1].replace(b'"seq":6', b'"seq":7')
+        path.write_bytes(b"".join(lines))
+        records, tail = read_journal(path)
+        assert len(records) == 5 and "crc mismatch" in tail.reason
+
 
 class TestWireCommands:
     def plan_document(self) -> dict:
@@ -306,6 +326,7 @@ class TestKillMidDedupIngest:
             if process.poll() is None:
                 process.kill()
             process.wait(timeout=10)
+            process.stdout.close()
 
         assert len(acked) >= 100, "kill landed before enough rounds were acked"
 
@@ -328,6 +349,7 @@ class TestKillMidDedupIngest:
             except subprocess.TimeoutExpired:
                 restarted.kill()
                 restarted.wait(timeout=10)
+            restarted.stdout.close()
 
         assert stats["mode"] == "on"  # dedup mode survived the crash
         assert summary["rounds"] >= len(acked)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import json
 import os
+import shutil
 import stat
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -31,6 +33,7 @@ from repro.serve.journal import (
 from repro.serve.monitor import DurableMonitor, MonitorError
 
 T0 = datetime(2025, 1, 1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def record(seq: int, site: str = "LAX") -> JournalRecord:
@@ -136,6 +139,23 @@ class TestJournal:
         assert path.read_text().count("\n") == 1
 
 
+def write_legacy_snapshot(directory: Path, seq: int, state: dict) -> None:
+    """A base as the writer before the CRC format left it: canonical
+    JSON with no ``crc``, and its sha256 in ``MANIFEST.json``."""
+    document = {"type": "fenrir-snapshot", "seq": seq, "state": state}
+    body = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    (directory / "snapshot.json").write_text(body + "\n")
+    sha256 = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    manifest = {"files": {"snapshot.json": sha256}, "seq": seq}
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def one_round_state() -> dict:
+    tracker = OnlineFenrir(networks=["a", "b"])
+    tracker.ingest({"a": "X", "b": "Y"}, T0)
+    return tracker.to_state()
+
+
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         tracker = OnlineFenrir(networks=["a", "b"])
@@ -146,25 +166,60 @@ class TestSnapshot:
         restored = OnlineFenrir.from_state(state)
         assert restored.num_modes == 1
 
+    def test_base_is_canonical_with_the_crc_spliced_last(self, tmp_path):
+        """One file, in the delta segment's format: no manifest."""
+        write_snapshot(tmp_path, 7, one_round_state())
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["snapshot.json"]
+        line = (tmp_path / "snapshot.json").read_text(encoding="utf-8")
+        assert line.endswith("}\n") and line.count("\n") == 1
+        document = json.loads(line)
+        assert list(document)[-1] == "crc"
+        body = {key: value for key, value in document.items() if key != "crc"}
+        assert body == {"seq": 7, "state": one_round_state(), "type": "fenrir-snapshot"}
+        assert line[:-1] == journal_module._splice_crc(journal_module._canonical(body))
+
     def test_tampered_snapshot_detected(self, tmp_path):
         tracker = OnlineFenrir(networks=["a"])
         write_snapshot(tmp_path, 0, tracker.to_state())
         snapshot = tmp_path / "snapshot.json"
         snapshot.write_text(snapshot.read_text().replace('"a"', '"b"', 1))
-        with pytest.raises(JournalError, match="checksum"):
+        with pytest.raises(JournalError, match="corrupt snapshot"):
             read_snapshot(tmp_path)
+
+    def test_cut_base_raises(self, tmp_path):
+        write_snapshot(tmp_path, 7, one_round_state())
+        snapshot = tmp_path / "snapshot.json"
+        data = snapshot.read_bytes()
+        # Every cut short of the trailing newline loses document bytes.
+        offsets = [*range(0, len(data) - 1, 13), len(data) - 2]
+        for offset in offsets:
+            snapshot.write_bytes(data[:offset])
+            with pytest.raises(JournalError):
+                read_snapshot(tmp_path)
+
+    def test_flipped_byte_raises(self, tmp_path):
+        write_snapshot(tmp_path, 7, one_round_state())
+        snapshot = tmp_path / "snapshot.json"
+        data = snapshot.read_bytes()
+        for offset in [*range(0, len(data), 5), len(data) - 1]:
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            snapshot.write_bytes(bytes(flipped))
+            with pytest.raises(JournalError):
+                read_snapshot(tmp_path)
 
     def test_missing_snapshot_raises(self, tmp_path):
         with pytest.raises(JournalError, match="no snapshot"):
             read_snapshot(tmp_path)
 
     def test_stale_manifest_from_interrupted_checkpoint(self, tmp_path):
+        """A legacy base: the old writer replaced the snapshot, then the
+        manifest, so a crash between them left a manifest for an older seq."""
         tracker = OnlineFenrir(networks=["a"])
-        write_snapshot(tmp_path, 1, tracker.to_state())
+        write_legacy_snapshot(tmp_path, 1, tracker.to_state())
         stale_manifest = (tmp_path / "MANIFEST.json").read_text()
         tracker.ingest({"a": "X"}, T0)
-        write_snapshot(tmp_path, 2, tracker.to_state())
-        # Crash between the two replaces: new snapshot, previous manifest.
+        write_legacy_snapshot(tmp_path, 2, tracker.to_state())
         (tmp_path / "MANIFEST.json").write_text(stale_manifest)
         seq, state = read_snapshot(tmp_path)
         assert seq == 2
@@ -172,10 +227,112 @@ class TestSnapshot:
 
     def test_unreadable_manifest_raises(self, tmp_path):
         tracker = OnlineFenrir(networks=["a"])
-        write_snapshot(tmp_path, 0, tracker.to_state())
+        write_legacy_snapshot(tmp_path, 0, tracker.to_state())
         (tmp_path / "MANIFEST.json").write_text("{ not json")
         with pytest.raises(JournalError, match="manifest"):
             read_snapshot(tmp_path)
+
+    def test_tampered_legacy_snapshot_detected(self, tmp_path):
+        tracker = OnlineFenrir(networks=["a"])
+        write_legacy_snapshot(tmp_path, 0, tracker.to_state())
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(snapshot.read_text().replace('"a"', '"b"', 1))
+        with pytest.raises(JournalError, match="checksum"):
+            read_snapshot(tmp_path)
+
+    def test_manifest_never_vouches_for_a_base_with_a_crc(self, tmp_path):
+        """A same-seq manifest beside a damaged current base changes nothing."""
+        write_snapshot(tmp_path, 7, one_round_state())
+        snapshot = tmp_path / "snapshot.json"
+        damaged = snapshot.read_bytes().replace(b'"crc"', b'"crd"')
+        snapshot.write_bytes(damaged)
+        body = damaged.rstrip(b"\n")
+        sha256 = hashlib.sha256(body).hexdigest()
+        manifest = {"files": {"snapshot.json": sha256}, "seq": 7}
+        (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(JournalError, match="corrupt snapshot"):
+            read_snapshot(tmp_path)
+
+
+class TestLegacyMonitor:
+    """A monitor directory recorded by the writer before the CRC base
+    format, ``tests/golden/legacy_monitor/svc``: a base with its
+    ``MANIFEST.json``, two delta segments, and a dedup journal tail of
+    version 2 and ``ref`` lines. ``tests/golden/legacy_monitor.jsonl``
+    holds what that writer's reader answered for it: ``describe()``
+    (sorted keys), then ``to_state()``. Both are frozen; never
+    regenerate them."""
+
+    def copy(self, tmp_path) -> Path:
+        shutil.copytree(GOLDEN / "legacy_monitor", tmp_path / "data")
+        return tmp_path / "data"
+
+    def answers(self, monitor: DurableMonitor) -> str:
+        return (
+            json.dumps(monitor.describe(), sort_keys=True)
+            + "\n"
+            + json.dumps(monitor.tracker.to_state())
+            + "\n"
+        )
+
+    def test_fixture_holds_every_legacy_file(self):
+        directory = GOLDEN / "legacy_monitor" / "svc"
+        names = sorted(path.name for path in directory.iterdir())
+        assert names == [
+            "MANIFEST.json",
+            "delta-000000000009.json",
+            "delta-000000000013.json",
+            JOURNAL_FILE,
+            "options.json",
+            "snapshot.json",
+        ]
+        journal = (directory / JOURNAL_FILE).read_bytes().splitlines()
+        assert journal[0].startswith(b'{"v":2,') and journal[-1].startswith(b'{"ref":')
+
+    def test_the_legacy_writer_oracle_matches_the_fixture(self, tmp_path):
+        directory = GOLDEN / "legacy_monitor" / "svc"
+        document = json.loads((directory / "snapshot.json").read_text())
+        write_legacy_snapshot(tmp_path, document["seq"], document["state"])
+        for name in ("snapshot.json", "MANIFEST.json"):
+            assert (tmp_path / name).read_bytes() == (directory / name).read_bytes()
+
+    def test_opens_to_the_recorded_answers(self, tmp_path):
+        data_dir = self.copy(tmp_path)
+        monitor = DurableMonitor.open(data_dir, "svc")
+        assert monitor.replay.snapshot_seq == 13
+        assert monitor.replay.replayed_records == 3
+        assert self.answers(monitor) == (GOLDEN / "legacy_monitor.jsonl").read_text()
+        monitor.close()
+
+    def test_stale_manifest_copy_opens_to_the_recorded_answers(self, tmp_path):
+        data_dir = self.copy(tmp_path)
+        stale = {"files": {"snapshot.json": "0" * 64}, "seq": 4}
+        (data_dir / "svc" / "MANIFEST.json").write_text(json.dumps(stale, indent=2))
+        monitor = DurableMonitor.open(data_dir, "svc")
+        assert self.answers(monitor) == (GOLDEN / "legacy_monitor.jsonl").read_text()
+        monitor.close()
+
+    def test_tampered_legacy_base_raises(self, tmp_path):
+        data_dir = self.copy(tmp_path)
+        snapshot = data_dir / "svc" / "snapshot.json"
+        snapshot.write_bytes(snapshot.read_bytes().replace(b'"LAX"', b'"LAY"', 1))
+        with pytest.raises(JournalError, match="checksum"):
+            DurableMonitor.open(data_dir, "svc")
+
+    def test_first_base_write_removes_the_manifest(self, tmp_path):
+        data_dir = self.copy(tmp_path)
+        monitor = DurableMonitor.open(data_dir, "svc")
+        live = self.answers(monitor)
+        monitor.snapshot()
+        monitor.close()
+        directory = data_dir / "svc"
+        assert not (directory / "MANIFEST.json").exists()
+        assert not list(directory.glob("delta-*.json"))
+        base = (directory / "snapshot.json").read_text()
+        assert base.endswith('"}\n') and base[-19:-11] == ',"crc":"'
+        reopened = DurableMonitor.open(data_dir, "svc")
+        assert self.answers(reopened) == live
+        reopened.close()
 
 
 class TestDurableMonitor:
@@ -195,6 +352,7 @@ class TestDurableMonitor:
         for index, site in enumerate(["LAX", "LAX", "AMS", "LAX"]):
             oracle.ingest({"n1": site, "n2": site}, T0 + timedelta(hours=index))
         assert reopened.tracker.mode_timeline() == oracle.mode_timeline()
+        reopened.close()
 
     def test_snapshot_then_journal_replay(self, tmp_path):
         monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"])
@@ -206,6 +364,7 @@ class TestDurableMonitor:
         assert reopened.replay.snapshot_seq == 2
         assert reopened.replay.replayed_records == 2
         assert len(reopened.tracker.updates) == 4
+        reopened.close()
 
     def test_auto_snapshot_every(self, tmp_path):
         monitor = DurableMonitor.create(
@@ -216,6 +375,7 @@ class TestDurableMonitor:
         reopened = DurableMonitor.open(tmp_path, "svc")
         assert reopened.replay.snapshot_seq == 2
         assert reopened.replay.replayed_records == 1
+        reopened.close()
 
     def test_compaction_leftover_segments_are_skipped(self, tmp_path):
         monitor = DurableMonitor.create(
@@ -237,6 +397,7 @@ class TestDurableMonitor:
         reopened = DurableMonitor.open(tmp_path, "svc")
         assert reopened.replay.snapshot_seq == 4
         assert reopened.tracker.to_state() == expected
+        reopened.close()
 
     def test_broken_delta_chain_raises(self, tmp_path):
         monitor = DurableMonitor.create(
@@ -285,6 +446,7 @@ class TestDurableMonitor:
         assert live == answers(oracle)
         assert "OUTSIDE" not in monitor.tracker.catalog.labels
         monitor.close()
+        oracle.close()
         journal = (tmp_path / "outside" / "svc" / JOURNAL_FILE).read_text()
         inside = (tmp_path / "inside" / "svc" / JOURNAL_FILE).read_text()
         assert journal == inside  # the positional lines hold no outside key
@@ -292,6 +454,7 @@ class TestDurableMonitor:
         reopened = DurableMonitor.open(tmp_path / "outside", "svc")
         assert reopened.replay.replayed_records == 1
         assert answers(reopened) == live
+        reopened.close()
 
     @pytest.mark.parametrize(
         "states",
@@ -326,6 +489,7 @@ class TestDurableMonitor:
         final = DurableMonitor.open(tmp_path, "svc")
         assert final.seq == 3
         assert len(final.tracker.updates) == 3
+        final.close()
 
     def test_duplicate_create_rejected(self, tmp_path):
         DurableMonitor.create(tmp_path, "svc", ["n1"]).close()
@@ -356,7 +520,9 @@ class TestDurableMonitor:
         monitor.close()
         records, tail = read_journal(tmp_path / "svc" / JOURNAL_FILE)
         assert [r.seq for r in records] == [1] and tail is None
-        assert DurableMonitor.open(tmp_path, "svc").seq == 1
+        reopened = DurableMonitor.open(tmp_path, "svc")
+        assert reopened.seq == 1
+        reopened.close()
 
     def test_unapplyable_record_skipped_on_open(self, tmp_path):
         monitor = DurableMonitor.create(tmp_path, "svc", ["n1"])
@@ -382,6 +548,7 @@ class TestDurableMonitor:
         final = DurableMonitor.open(tmp_path, "svc")
         assert final.replay.skipped_records == 0
         assert len(final.tracker.updates) == 2
+        final.close()
 
 
 def feed_rounds(monitor: DurableMonitor, count: int) -> None:
@@ -442,20 +609,18 @@ def record_durability_calls(monkeypatch, root: Path) -> list[tuple]:
     """Record every ``os.fsync`` and ``os.replace``, in order.
 
     An fsync is named by the file under ``root`` it was called on (its
-    path relative to ``root``), or ``"<dir>"`` for a directory.
+    path relative to ``root``); a directory is ``"<dir>"`` for ``root``
+    itself and ``"<dir NAME>"`` below it.
     """
     calls: list[tuple] = []
     real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(descriptor):
-        info = os.fstat(descriptor)
-        target = "<dir>"
-        if not stat.S_ISDIR(info.st_mode):
-            target = next(
-                str(path.relative_to(root))
-                for path in root.rglob("*")
-                if path.stat().st_ino == info.st_ino
-            )
+        inode = os.fstat(descriptor).st_ino
+        path = next(p for p in (root, *root.rglob("*")) if p.stat().st_ino == inode)
+        target = str(path.relative_to(root))
+        if stat.S_ISDIR(path.stat().st_mode):
+            target = "<dir>" if path == root else f"<dir {target}>"
         calls.append(("fsync", target))
         real_fsync(descriptor)
 
@@ -500,18 +665,33 @@ class TestFsyncCheckpoints:
         calls = record_durability_calls(monkeypatch, tmp_path / "svc")
         monitor.snapshot()
         monitor.close()
-        expected = [
-            ("fsync", "snapshot.json.tmp"),
-            ("fsync", "MANIFEST.json.tmp"),
+        assert calls == durable_checkpoint_calls("snapshot.json", fsync)
+
+    @staticmethod
+    def new_base_calls(fsync: bool) -> list[tuple]:
+        """A new monitor directory: the data directory's fsync, then the base."""
+        calls = [
+            ("fsync", "<dir>"),
+            ("fsync", "svc/snapshot.json.tmp"),
             ("replace", "snapshot.json.tmp", "snapshot.json"),
-            ("replace", "MANIFEST.json.tmp", "MANIFEST.json"),
-            ("fsync", "<dir>"),
-            ("replace", "journal.tmp", JOURNAL_FILE),
-            ("fsync", "<dir>"),
+            ("fsync", "<dir svc>"),
         ]
-        if not fsync:
-            expected = [call for call in expected if call[0] != "fsync"]
-        assert calls == expected
+        return calls if fsync else [call for call in calls if call[0] != "fsync"]
+
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_create(self, tmp_path, monkeypatch, fsync):
+        calls = record_durability_calls(monkeypatch, tmp_path)
+        DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], fsync=fsync).close()
+        assert calls == self.new_base_calls(fsync)
+
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_install(self, tmp_path, monkeypatch, fsync):
+        tracker = OnlineFenrir(networks=["n1", "n2"])
+        tracker.ingest({"n1": "LAX", "n2": "AMS"}, T0)
+        calls = record_durability_calls(monkeypatch, tmp_path)
+        state = tracker.to_state()
+        DurableMonitor.install(tmp_path, "svc", 1, state, fsync=fsync).close()
+        assert calls == self.new_base_calls(fsync)
 
     def test_checkpoint_without_new_rounds_writes_nothing(self, tmp_path, monkeypatch):
         monitor = DurableMonitor.create(tmp_path, "svc", ["n1", "n2"], fsync=True)

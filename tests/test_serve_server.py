@@ -585,6 +585,32 @@ class TestFailurePaths:
                 assert stats["counters"]["monitors_failed"] == 1
                 assert "bad" in stats["failed_monitors"]
 
+    @pytest.mark.parametrize("damage", ["cut", "flip"])
+    def test_damaged_base_fails_only_its_monitor(self, tmp_path, damage):
+        """A base that fails its CRC check is a failed monitor, not a
+        failed server."""
+        data_dir = tmp_path / "data"
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as first:
+            with connect(first) as client:
+                for name in ("good", "bad"):
+                    client.create(name, ["x", "y"])
+                    client.ingest(name, {"x": "L", "y": "A"}, T0)
+                    client.snapshot(name)
+        base = data_dir / "bad" / "snapshot.json"
+        data = bytearray(base.read_bytes())
+        if damage == "cut":
+            del data[len(data) // 2 :]
+        else:
+            data[len(data) // 2] ^= 0x01
+        base.write_bytes(bytes(data))
+        with ServerThread(ServeConfig(data_dir=data_dir, port=0)) as second:
+            with connect(second) as client:
+                assert client.list_monitors() == ["good"]
+                assert client.query("good")["rounds"] == 1
+                failed = client.stats()["failed_monitors"]
+                assert list(failed) == ["bad"]
+                assert "corrupt snapshot" in failed["bad"]
+
     def test_slow_reader_backpressures_only_itself(self, server):
         """A client that never reads responses cannot wedge others."""
         with connect(server) as active:
@@ -934,6 +960,12 @@ def wait_for_port_line(process: subprocess.Popen) -> tuple[str, int]:
     return host, int(port)
 
 
+def close_pipes(process: subprocess.Popen) -> None:
+    """Close the test's ends of an exited ``serve_subprocess``'s pipes."""
+    process.stdin.close()
+    process.stdout.close()
+
+
 def serve_subprocess(
     data_dir: Path, snapshot_every: int = 0, extra: tuple[str, ...] = ()
 ) -> subprocess.Popen:
@@ -993,6 +1025,7 @@ class TestServeRunner:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+            close_pipes(process)
         assert "_uptime_seconds" in metrics.read_text()
 
     @pytest.mark.parametrize(
@@ -1077,6 +1110,7 @@ class TestKillAndReplay:
             if process.poll() is None:
                 process.kill()
             process.wait(timeout=10)
+            close_pipes(process)
 
         assert len(acked) >= 100, "kill landed before enough rounds were acked"
 
@@ -1102,6 +1136,7 @@ class TestKillAndReplay:
             except subprocess.TimeoutExpired:
                 restarted.kill()
                 restarted.wait(timeout=10)
+            close_pipes(restarted)
 
         # Every acknowledged round survived; the server may additionally
         # have journaled rounds whose acks never reached the client.
@@ -1155,6 +1190,7 @@ class TestKillAndReplay:
             if process.poll() is None:
                 process.kill()
             process.wait(timeout=10)
+            close_pipes(process)
 
         assert len(acked) >= 5 * batch_size, "kill landed too early"
 
@@ -1175,6 +1211,7 @@ class TestKillAndReplay:
             except subprocess.TimeoutExpired:
                 restarted.kill()
                 restarted.wait(timeout=10)
+            close_pipes(restarted)
 
         # Acked prefix applied; the journal may carry an unacked tail
         # (the killed batch's group commit landed but its ack did not).
