@@ -12,12 +12,14 @@ long-lived, queryable network service:
   service;
 * :mod:`~repro.serve.server` — the asyncio server multiplexing many
   monitors with bounded queues and explicit overload responses;
-* :mod:`~repro.serve.client` — the blocking client used by the CLI,
-  tests, and load generator;
-* :mod:`~repro.serve.aio` — the asyncio client: one pipelined
-  connection per server multiplexing many requests by correlation id
-  under a bounded in-flight count, with optional ring-aware
-  direct-to-shard routing;
+* :mod:`~repro.serve.aio` — the client: one pipelined connection per
+  server multiplexing many requests by correlation id under a bounded
+  in-flight count, with optional ring-aware direct-to-shard routing;
+* :mod:`~repro.serve.commands` — every wire command as one client
+  coroutine;
+* :mod:`~repro.serve.client` — the blocking client used by the CLI and
+  tests, which runs the async client's coroutines to completion on a
+  private event loop;
 * :mod:`~repro.serve.metrics` — counters and latency percentiles for
   the ``stats`` command, backed by the per-server
   :class:`repro.obs.MetricsRegistry` that the ``metrics`` command

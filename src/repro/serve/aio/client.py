@@ -1,9 +1,9 @@
 """:class:`AsyncServeClient`: one pipelined connection per server.
 
-The command surface is the blocking
-:class:`~repro.serve.client.ServeClient`'s, from the same definitions
-(:mod:`repro.serve.commands`), so callers port by adding ``await``.
-Underneath, each server address has one lazily dialed
+The command coroutines are :mod:`repro.serve.commands`'s; the blocking
+:class:`~repro.serve.client.ServeClient` runs this client's coroutines
+to completion, so callers port by adding ``await``. Underneath, each
+server address has one lazily dialed
 :class:`~repro.serve.aio.connection.AsyncConnection` (through a
 :class:`~repro.serve.aio.connection.Dialer`), and one client-wide
 semaphore bounds the requests in flight: thousands of logical requests
@@ -26,7 +26,7 @@ import time
 from typing import Dict, Mapping, Optional, Tuple
 
 from .. import protocol
-from ..commands import AsyncCommands
+from ..commands import CommandMethods
 from ..protocol import ERR_NO_SUCH_MONITOR, ServeTimeout
 from ..ring import HashRing
 from .connection import AsyncConnection, Dialer, RequestNotSent
@@ -54,13 +54,12 @@ class _Topology:
         self.fetched = fetched
 
 
-class AsyncServeClient(AsyncCommands):
+class AsyncServeClient(CommandMethods):
     """Async client for one server or a cluster router.
 
     The command coroutines (``create``, ``ingest``, …, ``topology``)
-    come from :class:`~repro.serve.commands.CommandMethods`, shared
-    with the blocking client; this class supplies the pipelined,
-    optionally ring-aware :meth:`request`.
+    come from :class:`~repro.serve.commands.CommandMethods`; this class
+    supplies the pipelined, optionally ring-aware :meth:`request`.
 
     Use as an async context manager::
 
@@ -84,13 +83,13 @@ class AsyncServeClient(AsyncCommands):
 
         ``timeout`` bounds each dial and each request's slot wait and
         response wait (:class:`~repro.serve.protocol.ServeTimeout` on
-        expiry), as in the blocking client. ``max_inflight`` is the
-        hard cap on requests in flight across every server this client
-        talks to; the excess waits FIFO. ``ring_aware`` turns on
-        direct-to-shard routing against a router, refreshed every
-        ``topology_ttl`` seconds. ``max_frame`` caps each request and
-        response frame. ``max_connections`` is accepted for old callers
-        and must be 1: there is one connection per server.
+        expiry). ``max_inflight`` is the hard cap on requests in flight
+        across every server this client talks to; the excess waits FIFO.
+        ``ring_aware`` turns on direct-to-shard routing against a
+        router, refreshed every ``topology_ttl`` seconds. ``max_frame``
+        caps each request and response frame. ``max_connections`` is
+        accepted for old callers and must be 1: there is one connection
+        per server.
         """
         if max_connections != 1:
             raise ValueError("max_connections must be 1 (one connection per server)")
@@ -111,6 +110,10 @@ class AsyncServeClient(AsyncCommands):
 
     # -- lifecycle -----------------------------------------------------------
 
+    async def connect(self) -> None:
+        """Dial the server now rather than on the first request."""
+        await self._router.connect((self.host, self.port))
+
     async def close(self) -> None:
         """Close every connection; a later request dials again."""
         shards, self._shards = list(self._shards.values()), {}
@@ -126,7 +129,13 @@ class AsyncServeClient(AsyncCommands):
     # -- request plumbing ----------------------------------------------------
 
     async def request(self, command: str, **fields: object) -> dict:
-        """Send one command; same exception mapping as the blocking client."""
+        """Send one command and return its ``ok`` response.
+
+        An error response raises :class:`~repro.serve.protocol.ServeClientError`
+        (:class:`~repro.serve.protocol.OverloadedError` for explicit
+        backpressure, so callers can tell "retry later" from "you sent
+        garbage").
+        """
         monitor = fields.get("monitor")
         if (
             self.ring_aware
@@ -174,7 +183,12 @@ class AsyncServeClient(AsyncCommands):
             self._slots.release()
 
     async def _dial(self, host: str, port: int) -> AsyncConnection:
-        """One connect attempt; a server that is down fails at once."""
+        """One connect attempt; a server that is down fails at once.
+
+        A refused or reset dial keeps its own :class:`ConnectionError`
+        type and a slow one raises :class:`ServeTimeout`; any other
+        :class:`OSError` becomes a :class:`ConnectionError`.
+        """
         try:
             return await AsyncConnection.open(
                 host,
@@ -183,6 +197,8 @@ class AsyncServeClient(AsyncCommands):
                 max_inflight=self.max_inflight,
                 max_frame=self.max_frame,
             )
+        except (ConnectionError, ServeTimeout):
+            raise
         except OSError as exc:
             raise ConnectionError(f"could not reach {host}:{port}: {exc}") from exc
 

@@ -9,12 +9,12 @@ server finished them. ``N`` logical requests therefore share one
 socket, one reader, and one TCP round-trip pipeline instead of ``N``
 connections.
 
-A timed-out request does **not** poison the connection the way it does
-the blocking client's: the late response still carries its id, is
-matched to the (by then cancelled) future, and is dropped — every
-other request keeps its pairing. Only a transport failure kills the
-connection, and then every pending future fails promptly with
-:class:`ConnectionError` so callers can retry against a fresh one.
+A timed-out request does **not** poison the connection: it gives back
+its in-flight slot, its late response carries an id no longer pending
+and is dropped, and every other request keeps its pairing. Only a
+transport failure kills the connection, and then every pending future
+fails promptly with :class:`ConnectionError` so callers can retry
+against a fresh one.
 
 The reader never parses a response just to route it: the server writes
 ``id`` first, so an anchored match on the raw bytes finds the waiting
@@ -107,7 +107,11 @@ class AsyncConnection:
     @property
     def healthy(self) -> bool:
         """True while the transport and its reader task are alive."""
-        return self._closed is None and not self._reader_task.done()
+        return (
+            self._closed is None
+            and not self._reader_task.done()
+            and not self._writer.is_closing()
+        )
 
     @property
     def in_flight(self) -> int:
@@ -129,9 +133,10 @@ class AsyncConnection:
 
         The future resolves to the *raw* response document; pass it
         through :func:`~repro.serve.protocol.check_response` to get the
-        blocking client's exception mapping. Raises
-        :class:`RequestNotSent` if the connection is already dead — the
-        frame provably never left, so resending elsewhere is safe.
+        clients' exception mapping. Raises
+        :class:`RequestNotSent` if the connection is already dead or the
+        send fails at once — the frame provably never left, so resending
+        elsewhere is safe.
         """
         request_id = self._ids.next()
         message = {"cmd": command, "id": request_id, **fields}
@@ -151,8 +156,8 @@ class AsyncConnection:
         return self._send(request_id, protocol.frame_bytes(payload), raw=True)
 
     def _send(self, request_id: int, frame: bytes, raw: bool = False) -> asyncio.Future:
-        if self._closed is not None:
-            raise RequestNotSent(f"connection is closed: {self._closed}")
+        if not self.healthy:
+            raise RequestNotSent(f"connection is closed: {self._closed or 'closing'}")
         if len(self._pending) >= self.max_inflight:
             # AsyncServeClient's in-flight bound never lets this happen
             # (its cap is this connection's); direct users get a loud
@@ -161,13 +166,14 @@ class AsyncConnection:
                 f"connection already has {len(self._pending)} requests in "
                 f"flight (cap {self.max_inflight})"
             )
+        self._writer.write(frame)
+        if self._writer.is_closing():
+            # A transport closes itself inside write() only when its
+            # immediate send into an empty buffer fails: not one byte
+            # of this frame left.
+            raise RequestNotSent("send failed: the connection was lost")
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = (future, raw)
-        try:
-            self._writer.write(frame)
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(request_id, None)
-            raise RequestNotSent(f"send failed: {exc}") from exc
         return future
 
     async def drain(self) -> None:
@@ -180,31 +186,34 @@ class AsyncConnection:
         """Send one command; resolve when *its* response arrives.
 
         Many callers may be inside this method concurrently — that is
-        the point. Error responses raise the same exceptions as the
-        blocking client (via :func:`~repro.serve.protocol.check_response`);
+        the point. Error responses raise the clients' exceptions (via
+        :func:`~repro.serve.protocol.check_response`);
         ``timeout`` bounds the wait for this request's response only
         and raises :class:`~repro.serve.protocol.ServeTimeout` without
-        disturbing the other requests in flight — their correlation ids
-        keep every other pairing intact, unlike the blocking client,
-        which must burn its connection on timeout.
+        disturbing the other requests in flight: their correlation ids
+        keep every other pairing intact. A request that ends without
+        its response (timeout, cancellation) gives back its in-flight
+        slot, and a late answer is dropped as an unknown id.
         """
-        future = self.submit(command, **fields)
+        request_id = self._ids.next()
+        message = {"cmd": command, "id": request_id, **fields}
+        future = self._send(request_id, protocol.encode_frame(message, self.max_frame))
         try:
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            # The frame was handed to the transport before the failure:
-            # its fate is unknown, so this is NOT RequestNotSent and
-            # must not be auto-retried.
-            raise ConnectionError(f"connection lost during send: {exc}") from exc
-        try:
-            if timeout is None:
-                response = await future
-            else:
+            try:
+                await self._writer.drain()
+            except (ConnectionError, OSError) as exc:
+                # The frame was handed to the transport before the
+                # failure: its fate is unknown, so this is NOT
+                # RequestNotSent and must not be auto-retried.
+                raise ConnectionError(f"connection lost during send: {exc}") from exc
+            try:
                 response = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError as exc:
-            raise ServeTimeout(
-                f"no response to {command!r} within {timeout}s"
-            ) from exc
+            except asyncio.TimeoutError as exc:
+                raise ServeTimeout(
+                    f"no response to {command!r} within {timeout}s"
+                ) from exc
+        finally:
+            self._pending.pop(request_id, None)
         return check_response(response)
 
     # -- reader task ---------------------------------------------------------

@@ -1,26 +1,32 @@
 """Blocking client for the ``repro serve`` wire protocol.
 
-A thin convenience layer over one TCP connection: requests are
-numbered, sent as length-prefixed JSON frames, and answered in order.
-Blocking sockets keep the client trivially usable from the CLI, tests,
-and thread-per-client load generators; the server side is where the
-concurrency lives.
+:class:`ServeClient` is :class:`~repro.serve.aio.AsyncServeClient` run
+to completion: it owns one private event loop and one async client, and
+each method runs the async client's command coroutine on that loop
+until it finishes. So both clients share one transport
+(:class:`~repro.serve.aio.connection.AsyncConnection`) and one
+definition of each command (:mod:`repro.serve.commands`); this module
+adds only the blocking call, for the CLI, tests and scripts.
+
+A client serves one thread at a time; threads that talk at once each
+open their own. Inside a running event loop, use ``AsyncServeClient``:
+a blocking call there raises :class:`RuntimeError`.
 """
 
 from __future__ import annotations
 
-import socket
-from typing import Optional
+import asyncio
+import functools
+import threading
+from typing import Any, Callable, Concatenate, Coroutine, Optional, ParamSpec, TypeVar
 
 from . import protocol
-from .commands import BlockingCommands
+from .aio.client import AsyncServeClient
 from .protocol import (
     BatchRejectedError,
     OverloadedError,
-    RequestIds,
     ServeClientError,
     ServeTimeout,
-    check_response,
 )
 
 __all__ = [
@@ -31,13 +37,40 @@ __all__ = [
     "ServeClient",
 ]
 
+P = ParamSpec("P")
+T = TypeVar("T")
 
-class ServeClient(BlockingCommands):
+
+def _in_running_loop() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+def _blocking(
+    command: Callable[Concatenate[AsyncServeClient, P], Coroutine[Any, Any, T]],
+) -> Callable[Concatenate["ServeClient", P], T]:
+    """``command`` as a method that runs it on the client's own loop."""
+
+    @functools.wraps(command)
+    def call(self: ServeClient, *args: P.args, **kwargs: P.kwargs) -> T:
+        if _in_running_loop():
+            raise RuntimeError(
+                f"ServeClient.{command.__name__} blocks, so it cannot run "
+                "inside a running event loop; use AsyncServeClient there"
+            )
+        return self._loop.run_until_complete(command(self._client, *args, **kwargs))
+
+    return call
+
+
+class ServeClient:
     """One connection to a Fenrir server; use as a context manager.
 
-    The command methods (``create``, ``ingest``, …, ``topology``) come
-    from :class:`~repro.serve.commands.CommandMethods`; this class
-    supplies only the transport, :meth:`request`.
+    Every method is the :class:`~repro.serve.aio.AsyncServeClient`
+    method of the same name and signature, minus the ``await``.
     """
 
     def __init__(
@@ -45,40 +78,53 @@ class ServeClient(BlockingCommands):
         host: str = "127.0.0.1",
         port: int = 7339,
         timeout: Optional[float] = 30.0,
-        connect_timeout: Optional[float] = None,
         max_frame: int = protocol.MAX_FRAME,
     ) -> None:
         """Connect to ``host:port``.
 
-        ``timeout`` bounds every subsequent socket read/write (None =
-        block forever — only sensible in debugging); ``connect_timeout``
-        bounds the initial connect and defaults to ``timeout``. Both
-        raise :class:`ServeTimeout` on expiry.
+        ``timeout`` bounds the dial and each request (None = block
+        forever — only sensible in debugging) and raises
+        :class:`ServeTimeout` on expiry; ``max_frame`` caps each request
+        and response frame.
         """
-        self.max_frame = max_frame
-        self.timeout = timeout
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout if connect_timeout is not None else timeout
-        self._ids = RequestIds()
-        self._sock = self._connect()
-
-    def _connect(self) -> socket.socket:
+        self.timeout = timeout
+        self.max_frame = max_frame
+        self._client = AsyncServeClient(
+            host, port, timeout=timeout, max_frame=max_frame
+        )
+        self._loop = asyncio.new_event_loop()
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
-            )
-        except socket.timeout as exc:
-            raise ServeTimeout(
-                f"connecting to {self.host}:{self.port} exceeded "
-                f"{self.connect_timeout}s"
-            ) from exc
-        sock.settimeout(self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+            self._connect()
+        except BaseException:
+            self._loop.close()
+            raise
+
+    _connect = _blocking(AsyncServeClient.connect)
+    _close = _blocking(AsyncServeClient.close)
 
     def close(self) -> None:
-        self._sock.close()
+        """Close the connection and the event loop; idempotent."""
+        if self._loop.is_closed():
+            return
+        try:
+            self._close()
+        finally:
+            self._loop.close()
+
+    def __del__(self) -> None:
+        # Collected while open: close as close() would. The collecting
+        # thread may be running a loop of its own, where this client's
+        # loop cannot run, so close on a helper thread then.
+        if not hasattr(self, "_loop") or self._loop.is_closed():
+            return
+        if not _in_running_loop():
+            self.close()
+            return
+        closer = threading.Thread(target=self.close)
+        closer.start()
+        closer.join()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -86,40 +132,22 @@ class ServeClient(BlockingCommands):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- request plumbing ----------------------------------------------------
-
-    def request(self, command: str, **fields: object) -> dict:
-        """Send one command and return its ``ok`` response.
-
-        Error responses raise :class:`ServeClientError`
-        (:class:`OverloadedError` for explicit backpressure, so callers
-        can distinguish "retry later" from "you sent garbage").
-
-        A connection that died *between* requests — a pooled client
-        reused after the server restarted, a NAT timeout — fails at
-        send time with ``ECONNRESET``/``EPIPE``. The server cannot have
-        seen any of the request, so one transparent reconnect-and-resend
-        is always safe; a failure after the send phase is not retried
-        (the request may have been applied).
-        """
-        message = {"cmd": command, "id": self._ids.next(), **fields}
-        try:
-            protocol.send_frame(self._sock, message, self.max_frame)
-        except (ConnectionResetError, BrokenPipeError):
-            # Stale socket: reconnect once and resend. The frame never
-            # reached the server (sendall raised), so this cannot
-            # double-apply.
-            self._sock.close()
-            self._sock = self._connect()
-            protocol.send_frame(self._sock, message, self.max_frame)
-        try:
-            response = protocol.recv_frame(self._sock, self.max_frame)
-        except socket.timeout as exc:
-            # The stream position is now unknowable (a late response
-            # would be mistaken for the next request's answer); close so
-            # any further use fails fast instead of desynchronizing.
-            self._sock.close()
-            raise ServeTimeout(
-                f"no response to {command!r} within {self.timeout}s"
-            ) from exc
-        return check_response(response)
+    request = _blocking(AsyncServeClient.request)
+    create = _blocking(AsyncServeClient.create)
+    ingest = _blocking(AsyncServeClient.ingest)
+    ingest_batch = _blocking(AsyncServeClient.ingest_batch)
+    ingest_many = _blocking(AsyncServeClient.ingest_many)
+    query = _blocking(AsyncServeClient.query)
+    timeline = _blocking(AsyncServeClient.timeline)
+    stats = _blocking(AsyncServeClient.stats)
+    metrics = _blocking(AsyncServeClient.metrics)
+    snapshot = _blocking(AsyncServeClient.snapshot)
+    list_monitors = _blocking(AsyncServeClient.list_monitors)
+    vps = _blocking(AsyncServeClient.vps)
+    dedup = _blocking(AsyncServeClient.dedup)
+    classify = _blocking(AsyncServeClient.classify)
+    handoff = _blocking(AsyncServeClient.handoff)
+    install = _blocking(AsyncServeClient.install)
+    retire = _blocking(AsyncServeClient.retire)
+    promote = _blocking(AsyncServeClient.promote)
+    topology = _blocking(AsyncServeClient.topology)

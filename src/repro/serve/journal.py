@@ -525,8 +525,13 @@ def _read_manifest_snapshot(directory: Path, body: bytes) -> tuple[int, dict]:
     the same seq as the snapshot document: a manifest for a *different*
     seq is the leftover of a crash between the old writer's two atomic
     replaces, and the self-describing snapshot (which parsed intact) is
-    the truth. Raises :class:`JournalError` on a same-seq checksum
-    mismatch or an unparseable snapshot.
+    the truth. The old writer replaced the snapshot first, so it left no
+    manifest at all only after a crash inside a monitor's first write:
+    ``create``'s empty seq-0 checkpoint, or an ``install`` that was
+    never acknowledged. So a base without a manifest opens only when it
+    is that empty checkpoint. Raises :class:`JournalError` on a same-seq
+    checksum mismatch, any other base without a manifest, or an
+    unparseable snapshot.
     """
     import hashlib
 
@@ -536,7 +541,13 @@ def _read_manifest_snapshot(directory: Path, body: bytes) -> tuple[int, dict]:
         seq, state = int(document["seq"]), document["state"]
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise JournalError(f"corrupt snapshot in {directory}: {exc}") from exc
-    if manifest_path.exists():
+    if not manifest_path.exists():
+        empty = isinstance(state, dict) and not (
+            state.get("updates") or state.get("exemplars")
+        )
+        if seq != 0 or not empty:
+            raise JournalError(f"snapshot without its manifest in {directory}")
+    else:
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             expected = manifest["files"][SNAPSHOT_FILE]

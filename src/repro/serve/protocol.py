@@ -21,7 +21,6 @@ import asyncio
 import enum
 import json
 import re
-import socket
 import struct
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Mapping, NamedTuple, Optional, TypeVar
@@ -55,8 +54,6 @@ __all__ = [
     "serve_pipelined",
     "Listener",
     "write_frame",
-    "send_frame",
-    "recv_frame",
     "error_response",
     "ERR_BAD_FRAME",
     "ERR_BAD_REQUEST",
@@ -355,10 +352,9 @@ class FrameRejected(ConnectionError):
 
 # -- client-side error surface ------------------------------------------------
 #
-# Both clients — the blocking ServeClient and the asyncio
-# AsyncServeClient — map error responses to the same exception types
-# and allocate correlation ids the same way, so those pieces live here
-# rather than being copied into each client module.
+# What a client raises, plus the correlation-id allocator and the
+# response check that the client connection (repro.serve.aio.connection)
+# uses. Callers import the exceptions from here or from repro.serve.
 
 
 class ServeClientError(RuntimeError):
@@ -373,13 +369,12 @@ class ServeClientError(RuntimeError):
 class ServeTimeout(OSError):
     """The server (or the route to it) stopped answering in time.
 
-    Raised when connecting exceeds ``connect_timeout`` or a request
-    exceeds ``timeout``. Distinct from :class:`ServeClientError`: no
-    response was received at all, so the request's fate is unknown —
-    behind a router this usually means the owning shard is dead and a
-    restart or failover is in progress. The connection is closed (a
-    late response would desynchronize the request/response pairing);
-    reconnect before retrying.
+    Raised when connecting or a request exceeds the client's
+    ``timeout``. Distinct from :class:`ServeClientError`: no response
+    was received at all, so the request's fate is unknown — behind a
+    router this usually means the owning shard is dead and a restart or
+    failover is in progress. The connection stays open: a late response
+    is dropped by its id.
     """
 
 
@@ -728,27 +723,3 @@ async def write_frame(
     writer.write(encode_frame(message, max_frame))
     await writer.drain()
 
-
-# -- blocking sockets (client side) ------------------------------------------
-
-
-def send_frame(sock: socket.socket, message: dict, max_frame: int = MAX_FRAME) -> None:
-    sock.sendall(encode_frame(message, max_frame))
-
-
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
-            raise FrameError("connection closed mid frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket, max_frame: int = MAX_FRAME) -> dict:
-    (length,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size))
-    if length > max_frame:
-        raise FrameTooLarge(f"declared frame of {length} bytes exceeds {max_frame}")
-    return decode_payload(_recv_exactly(sock, length))

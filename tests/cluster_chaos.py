@@ -227,8 +227,9 @@ class ClusterHarness:
         assert self.process is not None
         self.process.kill()
         self.process.wait(timeout=15)
-        if self.process.stdout is not None:
-            self.process.stdout.close()
+        for pipe in (self.process.stdin, self.process.stdout):
+            if pipe is not None:
+                pipe.close()
         self.process = None
         deadline = time.monotonic() + 30.0
         pids = [pid for _address, pid in self.children.values()]

@@ -10,8 +10,9 @@ Three layers, matching the tentpole's risk surface:
   the per-connection in-flight cap's explicit ``overloaded`` answer,
   driven through a gated ``_dispatch`` so nothing depends on timing;
 * **client & retry** — the client-wide in-flight bound with FIFO
-  admission, reconnect after a server restart, and the blocking
-  client's one safe resend on a stale socket; plus the slow-marked
+  admission, in-flight slots given back by timed-out requests,
+  reconnect after a server restart, and the one safe resend of a frame
+  that never left, driven through the blocking client; plus the slow-marked
   SIGKILL-under-concurrent-load chaos test asserting byte-equality
   with the oracle.
 """
@@ -19,6 +20,8 @@ Three layers, matching the tentpole's risk surface:
 from __future__ import annotations
 
 import asyncio
+import socket
+import struct
 import threading
 import time
 from datetime import datetime, timedelta
@@ -44,7 +47,7 @@ from cluster_chaos import (
     generate_rounds,
     oracle_state,
 )
-from test_serve_server import ServerThread
+from test_serve_server import ServerThread, recv_frame, send_frame
 
 T0 = datetime(2025, 1, 1)
 NETWORKS = [f"10.0.{i}.0/24" for i in range(6)]
@@ -390,6 +393,27 @@ class TestAsyncServeClient:
 
         run(main())
 
+    def test_timed_out_requests_give_back_their_slots(self):
+        # A listener that accepts (in its backlog) but never answers.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        async def main() -> None:
+            host, port = listener.getsockname()[:2]
+            async with AsyncServeClient(
+                host, port, timeout=0.1, max_inflight=2
+            ) as client:
+                for _attempt in range(4):
+                    with pytest.raises(ServeTimeout):
+                        await client.stats()
+                connection = client._router._connection
+                assert connection is not None and connection.healthy
+                assert connection.in_flight == 0
+
+        try:
+            run(main())
+        finally:
+            listener.close()
+
     def test_only_one_connection_per_server(self):
         AsyncServeClient(max_connections=1)
         with pytest.raises(ValueError):
@@ -429,55 +453,145 @@ class TestRingAware:
         run(main())
 
 
-# -- blocking client stale-socket retry --------------------------------------
+# -- the blocking client ------------------------------------------------------
 
 
-class _DeadSocket:
-    """A socket whose peer reset while it sat in a pool, distilled."""
+class FrameCounter:
+    """A listener that answers each frame ``ok`` and counts frames.
 
-    def __init__(self, fail_on: str) -> None:
-        self.fail_on = fail_on
+    ``frames[i]`` is the number of frames read on the i-th accepted
+    connection. It never hangs up on its own (a client's half-close
+    goes unanswered), unless ``reset`` is set: then it resets each
+    connection right after reading its first frame.
+    """
 
-    def sendall(self, data: bytes) -> None:
-        if self.fail_on == "send":
-            raise ConnectionResetError("peer reset while idle")
+    def __init__(self, reset: bool = False) -> None:
+        self.reset = reset
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()[:2]
+        self.frames: list[int] = []
+        self._connections: list[socket.socket] = []
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
 
-    def recv(self, count: int) -> bytes:
-        raise ConnectionResetError("peer reset after send")
+    def _accept(self) -> None:
+        while True:
+            try:
+                connection, _ = self.listener.accept()
+            except OSError:
+                return
+            self._connections.append(connection)
+            self.frames.append(0)
+            serve = threading.Thread(
+                target=self._serve, args=(connection, len(self.frames) - 1)
+            )
+            serve.start()
+            self._threads.append(serve)
 
-    def close(self) -> None:
-        pass
+    def _serve(self, connection: socket.socket, index: int) -> None:
+        try:
+            while True:
+                request = recv_frame(connection)
+                self.frames[index] += 1
+                if self.reset:
+                    linger = struct.pack("ii", 1, 0)
+                    connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                    connection.close()
+                    return
+                send_frame(connection, {"id": request["id"], "ok": True})
+        except OSError:
+            pass
+
+    def __enter__(self) -> "FrameCounter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+        for connection in self._connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            connection.close()
+        for thread in self._threads:
+            thread.join(timeout=10)
+
+
+def live_socket(client: ServeClient) -> socket.socket:
+    """The socket under a blocking client's open connection."""
+    connection = client._client._router._connection
+    assert connection is not None and connection.healthy
+    return connection._writer.get_extra_info("socket")
 
 
 class TestBlockingClientRetry:
-    def test_send_phase_reset_reconnects_and_resends(self, tmp_path):
-        # Server on a thread loop so the blocking client can talk to it.
-        with ServerThread(
-            ServeConfig(data_dir=tmp_path / "data", port=0)
-        ) as running:
-            host, port = running.address
-            with ServeClient(host, port, timeout=5.0) as client:
+    def test_send_phase_reset_reconnects_and_resends(self):
+        with FrameCounter() as server:
+            with ServeClient(*server.address, timeout=5.0) as client:
                 assert client.stats()["ok"] is True
-                # Swap in a socket that dies on the *send* — the frame
-                # provably never left, so the client must reconnect and
-                # resend rather than surface the reset.
-                real, client._sock = client._sock, _DeadSocket(fail_on="send")
-                real.close()
+                # Kill the live connection between requests: its socket
+                # can no longer send, so the next frame provably never
+                # leaves, and the client must re-dial and resend it
+                # rather than surface the failure.
+                live_socket(client).shutdown(socket.SHUT_WR)
                 assert client.stats()["ok"] is True
+            assert server.frames == [1, 1]
 
-    def test_recv_phase_reset_is_not_retried(self, tmp_path):
-        with ServerThread(
-            ServeConfig(data_dir=tmp_path / "data", port=0)
-        ) as running:
-            host, port = running.address
-            with ServeClient(host, port, timeout=5.0) as client:
-                real, client._sock = client._sock, _DeadSocket(fail_on="recv")
-                real.close()
+    def test_recv_phase_reset_is_not_retried(self):
+        with FrameCounter(reset=True) as server:
+            with ServeClient(*server.address, timeout=5.0) as client:
                 # After a successful send the request's fate is unknown:
                 # a transparent retry could double-apply, so the error
                 # surfaces.
-                with pytest.raises(ConnectionResetError):
+                with pytest.raises(ConnectionError):
                     client.stats()
+            assert server.frames == [1]
+
+
+class TestBlockingClient:
+    def test_threads_each_with_their_own_client(self, tmp_path):
+        rounds = 20
+        start = threading.Barrier(2)
+        failures: list[BaseException] = []
+
+        def feed(host: str, port: int, monitor: str) -> None:
+            try:
+                with ServeClient(host, port, timeout=10.0) as client:
+                    client.create(monitor, NETWORKS)
+                    start.wait(timeout=10)
+                    for index in range(rounds):
+                        states = {name: ("up", "down")[index % 2] for name in NETWORKS}
+                        client.ingest(monitor, states, T0 + timedelta(minutes=index))
+            except BaseException as exc:  # surfaced on the main thread
+                failures.append(exc)
+
+        with ServerThread(ServeConfig(data_dir=tmp_path / "data", port=0)) as running:
+            host, port = running.address
+            threads = [
+                threading.Thread(target=feed, args=(host, port, f"mon-{n}"))
+                for n in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert failures == []
+            with ServeClient(host, port, timeout=10.0) as client:
+                for n in range(2):
+                    assert client.query(f"mon-{n}")["rounds"] == rounds
+
+    def test_a_call_inside_a_running_loop_raises(self):
+        with FrameCounter() as server:
+            with ServeClient(*server.address, timeout=5.0) as client:
+
+                async def inside() -> None:
+                    with pytest.raises(RuntimeError, match="AsyncServeClient"):
+                        client.stats()
+
+                run(inside())
+                assert client.stats()["ok"] is True
+            assert server.frames == [1]
 
 
 # -- chaos: SIGKILL a shard under concurrent async load ----------------------

@@ -44,7 +44,14 @@ from repro.serve.cluster import ClusterConfig, ClusterSupervisor, _ShardProcess
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
 from test_serve_aio import ShuffledResponder
-from test_serve_server import ServerThread, T0, connect, run_failing_serve
+from test_serve_server import (
+    ServerThread,
+    T0,
+    connect,
+    recv_frame,
+    run_failing_serve,
+    send_frame,
+)
 
 NETWORKS = ["n1", "n2", "n3", "n4"]
 
@@ -373,8 +380,6 @@ class TestShardRouter:
         # regex will not match and the parse fallback must route it.
         host, port = tier.address
         with socket.create_connection((host, port), timeout=10) as sock:
-            from repro.serve.protocol import recv_frame, send_frame
-
             send_frame(
                 sock,
                 {"networks": NETWORKS, "monitor": "odd", "id": 1, "cmd": "create"},
@@ -560,7 +565,7 @@ class TestServeTimeout:
         listener.listen(1)
         host, port = listener.getsockname()
         try:
-            client = ServeClient(host, port, timeout=0.2, connect_timeout=5.0)
+            client = ServeClient(host, port, timeout=0.2)
             assert client.timeout == 0.2
             with pytest.raises(ServeTimeout) as caught:
                 client.request("stats")

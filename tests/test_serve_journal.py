@@ -319,6 +319,31 @@ class TestLegacyMonitor:
         with pytest.raises(JournalError, match="checksum"):
             DurableMonitor.open(data_dir, "svc")
 
+    def test_tampered_copy_without_its_manifest_raises(self, tmp_path):
+        data_dir = self.copy(tmp_path)
+        directory = data_dir / "svc"
+        (directory / "MANIFEST.json").unlink()
+        snapshot = directory / "snapshot.json"
+        tampered = snapshot.read_bytes().replace(b"[3,4,5,3,4]", b"[3,4,5,3,3]", 1)
+        assert tampered != snapshot.read_bytes()
+        snapshot.write_bytes(tampered)
+        with pytest.raises(JournalError, match="without its manifest"):
+            DurableMonitor.open(data_dir, "svc")
+
+    def test_empty_first_base_without_its_manifest_opens(self, tmp_path):
+        # What the old writer left after a crash between its two
+        # replaces in ``create``: the empty seq-0 base and no manifest.
+        networks = ["n0", "n1"]
+        monitor = DurableMonitor.create(tmp_path, "svc", networks=networks)
+        monitor.close()
+        directory = tmp_path / "svc"
+        empty = OnlineFenrir(networks=networks).to_state()
+        write_legacy_snapshot(directory, 0, empty)
+        (directory / "MANIFEST.json").unlink()
+        reopened = DurableMonitor.open(tmp_path, "svc")
+        assert reopened.tracker.to_state() == empty
+        reopened.close()
+
     def test_first_base_write_removes_the_manifest(self, tmp_path):
         data_dir = self.copy(tmp_path)
         monitor = DurableMonitor.open(data_dir, "svc")

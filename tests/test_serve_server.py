@@ -37,7 +37,7 @@ from repro.serve import (
 from repro.serve import monitor as monitor_module
 from repro.serve.journal import JournalWriter
 from repro.serve.monitor import DurableMonitor
-from repro.serve.protocol import recv_frame, send_frame
+from repro.serve.protocol import decode_payload, encode_frame
 from repro.serve.ring import HashRing
 from repro.serve.router import ClusterState, ShardRouter
 from cluster_chaos import canonical, generate_rounds, oracle_state
@@ -105,6 +105,29 @@ def server(request, tmp_path):
     config = ServeConfig(data_dir=tmp_path / "data", port=0, **overrides)
     with ServerThread(config) as running:
         yield running
+
+
+# -- raw frames over a blocking socket, for the malformed-input tests --------
+
+
+def send_frame(sock: socket.socket, message: dict) -> None:
+    sock.sendall(encode_frame(message))
+
+
+def recv_exactly(sock: socket.socket, count: int) -> bytes:
+    chunks = []
+    while count:
+        chunk = sock.recv(count)
+        if not chunk:
+            raise ConnectionError("connection closed mid frame")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> dict:
+    (length,) = struct.unpack(">I", recv_exactly(sock, 4))
+    return decode_payload(recv_exactly(sock, length))
 
 
 def connect(server: ServerThread, **kwargs) -> ServeClient:

@@ -6,8 +6,9 @@ parametrized straight off the table, hold the layers to it:
 * the server has exactly one handler per command;
 * every command has a router policy, and the router answers itself
   exactly the commands whose policy says so;
-* both clients inherit each command method from the one shared
-  definition, and those methods send only spec commands;
+* each command method is defined once, for the async client, and the
+  blocking client exposes it with the same signature; those methods
+  send only spec commands;
 * the command table in ``docs/serving.md`` is the table rendered from
   the spec;
 * each field type is enforced, missing required fields are named,
@@ -19,13 +20,14 @@ Re-render the docs table after changing the spec:
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.serve import AsyncServeClient, ServeClient, ServeClientError, ServeConfig
-from repro.serve.commands import BlockingCommands, CommandMethods
+from repro.serve.commands import CommandMethods
 from repro.serve.protocol import (
     BOOL,
     COMMAND_SPECS,
@@ -123,19 +125,29 @@ def test_router_answers_exactly_its_own_commands():
 
 @pytest.mark.parametrize("name", [*map(method_name, COMMANDS), "ingest_many"])
 def test_both_clients_share_one_method_per_command(name):
-    shared = vars(CommandMethods)[name]
-    for client in (ServeClient, AsyncServeClient):
-        assert name not in vars(client)
-        assert inspect.getattr_static(client, name) is shared
+    assert name not in vars(AsyncServeClient)
+    assert inspect.iscoroutinefunction(vars(CommandMethods)[name])
+    blocking, awaited = getattr(ServeClient, name), getattr(AsyncServeClient, name)
+    assert inspect.signature(blocking) == inspect.signature(awaited)
 
 
-class Recorder(BlockingCommands):
+def test_blocking_client_exposes_every_command_method():
+    methods = {
+        name
+        for name, value in vars(CommandMethods).items()
+        if inspect.iscoroutinefunction(value)
+    }
+    assert "request" in methods
+    assert methods <= set(vars(ServeClient))
+
+
+class Recorder(CommandMethods):
     """A transport that records each command and answers a stock ``ok``."""
 
     def __init__(self) -> None:
         self.sent: list[str] = []
 
-    def request(self, command: str, **fields: object) -> dict:
+    async def request(self, command: str, **fields: object) -> dict:
         self.sent.append(command)
         stock = {"seq": 1, "state": {}, "results": [], "failed": None}
         return {"ok": True, "text": "", "monitors": [], **stock}
@@ -143,14 +155,18 @@ class Recorder(BlockingCommands):
 
 def test_client_methods_send_only_spec_commands():
     recorder = Recorder()
-    steps = session()
-    result = None
-    while True:
-        try:
-            method, args, kwargs = steps.send(result)
-        except StopIteration:
-            break
-        result = getattr(recorder, method)(*args, **kwargs)
+
+    async def drive() -> None:
+        steps = session()
+        result = None
+        while True:
+            try:
+                method, args, kwargs = steps.send(result)
+            except StopIteration:
+                break
+            result = await getattr(recorder, method)(*args, **kwargs)
+
+    asyncio.run(drive())
     assert set(recorder.sent) - {"bogus"} == set(COMMANDS)
 
 
