@@ -25,21 +25,19 @@ for per-file AST passes or :class:`~repro.lint.base.CrossFileRule` for
 whole-project consistency checks, register with
 :func:`~repro.lint.base.register`, and the engine picks the rule up.
 Findings can be suppressed line-by-line with ``# fenlint:
-disable=<rule>`` or grandfathered in a committed JSON baseline.
+disable=<rule>``; the gate is zero findings.
 
 Entry points: ``repro lint`` and ``python -m repro.lint``. See
 ``docs/static-analysis.md`` for the rule catalog and operator guide.
 """
 
 from .base import ALL_RULES, CrossFileRule, Rule, SourceFile, all_rules, register
-from .baseline import Baseline
 from .engine import LintResult, lint_files, lint_paths
 from .findings import Finding
 from .report import render_github, render_json, render_text
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "CrossFileRule",
     "Finding",
     "LintResult",

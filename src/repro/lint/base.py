@@ -130,15 +130,11 @@ class SourceFile:
 class Rule:
     """Base class for per-file AST rules."""
 
-    #: kebab-case identifier used in output, ``--select``, suppressions,
-    #: and the baseline.
+    #: kebab-case identifier used in output, ``--select`` and
+    #: suppressions.
     name: str = ""
     #: one-line rationale shown by ``repro lint --list-rules``.
     description: str = ""
-    #: "error" (default) gates CI; "warning" renders as an annotation
-    #: but still counts toward the exit code — downgrades are for
-    #: rules being soft-launched, not for permanently ignorable noise.
-    severity: str = "error"
     #: path segments the rule is restricted to; empty = every file.
     scopes: tuple[str, ...] = ()
     #: path segments the rule must *not* run on (e.g. the obs package

@@ -2,10 +2,10 @@
 
 Exit codes are stable and documented (CI depends on them):
 
-* ``0`` — no findings (after suppressions and baseline).
+* ``0`` — no findings (after suppressions).
 * ``1`` — at least one finding.
-* ``2`` — usage or environment error (bad flag, unreadable baseline,
-  git failure under ``--changed``); argparse uses 2 as well.
+* ``2`` — usage or environment error (bad flag, internal failure, time
+  budget exceeded); argparse uses 2 as well.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .base import all_rules
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import lint_paths
 from .report import render_github, render_json, render_text
 
@@ -46,23 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--root", type=Path, default=None,
-        help="project root for relative paths, the default baseline, and "
-        "docs cross-checks (default: current directory)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help=f"baseline JSON of grandfathered findings (default: "
-        f"<root>/{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-        "(grandfather everything currently reported)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint only files changed relative to git REF (default HEAD); "
-        "keeps CI and pre-commit runs fast as the repo grows",
+        help="project root for relative paths and docs cross-checks "
+        "(default: current directory)",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -101,24 +85,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in all_rules():
             scope = f" [{','.join(rule.scopes)}]" if rule.scopes else ""
-            print(
-                f"{rule.name:<28} {rule.severity:<8}{scope} {rule.description}"
-            )
+            print(f"{rule.name:<28}{scope} {rule.description}")
         return 0
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        candidate = root / DEFAULT_BASELINE_NAME
-        if candidate.exists():
-            baseline_path = candidate
-    baseline = None
-    if baseline_path is not None and baseline_path.exists() and not args.write_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"fenlint: unreadable baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     started = time.monotonic()
     try:
@@ -127,21 +95,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             root=root,
             select=_split(args.select),
             ignore=_split(args.ignore),
-            baseline=baseline,
-            changed_ref=args.changed,
         )
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, exit 2
         print(f"fenlint: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = baseline_path or root / DEFAULT_BASELINE_NAME
-        Baseline.from_findings(result.findings).write(target)
-        print(
-            f"fenlint: baselined {len(result.findings)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        return 0
 
     sys.stdout.write(_FORMATS[args.format](result))
     if args.report is not None:

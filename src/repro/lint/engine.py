@@ -3,25 +3,22 @@
 ``lint_paths`` is the one entry point the CLI, the tests, and CI all
 share: collect ``.py`` files (sorted, so output order is deterministic
 across runs and machines), parse each once, run every applicable
-per-file rule, then every cross-file rule over the whole set, apply
-``# fenlint: disable`` suppressions, and finally subtract the
-baseline. Unparseable files surface as ``parse-error`` findings
-rather than crashing the run — a lint gate that dies on the broken
-file it should be reporting is useless in CI.
+per-file rule, then every cross-file rule over the whole set, and
+apply ``# fenlint: disable`` suppressions. Unparseable files surface
+as ``parse-error`` findings rather than crashing the run — a lint gate
+that dies on the broken file it should be reporting is useless in CI.
 """
 
 from __future__ import annotations
 
-import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .base import CrossFileRule, Rule, SourceFile, all_rules
-from .baseline import Baseline
 from .findings import Finding
 
-__all__ = ["LintResult", "changed_files", "lint_files", "lint_paths"]
+__all__ = ["LintResult", "lint_files", "lint_paths"]
 
 PARSE_ERROR_RULE = "parse-error"
 
@@ -33,7 +30,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -53,51 +49,6 @@ def collect_files(paths: Sequence[Path | str], root: Path) -> list[Path]:
         elif path.suffix == ".py" and path.exists():
             seen.add(path.resolve())
     return sorted(seen)
-
-
-def changed_files(ref: str, root: Path) -> list[Path]:
-    """Files changed relative to ``ref`` (git diff + untracked).
-
-    Diffs against ``git merge-base ref HEAD`` rather than ``ref``
-    itself: on a feature branch, ``--changed main`` must mean "what
-    this branch touched", not "every file main changed since the
-    branch point" — the naive ``git diff main`` answer includes the
-    latter and lints code the branch never modified. Deleted and
-    renamed-away paths are excluded (``--diff-filter=d`` plus an
-    existence check) so a removal doesn't crash the run on a file
-    that is no longer there.
-    """
-
-    def run(*args: str) -> list[str]:
-        completed = subprocess.run(
-            ["git", *args],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return [line for line in completed.stdout.splitlines() if line.strip()]
-
-    try:
-        base = run("merge-base", ref, "HEAD")[0]
-    except (subprocess.CalledProcessError, IndexError):
-        raise ValueError(
-            f"cannot resolve merge base of {ref!r} and HEAD; "
-            f"is {ref!r} a valid ref?"
-        ) from None
-    names = run("diff", "--name-only", "--diff-filter=d", base, "--", "*.py")
-    names += run("ls-files", "--others", "--exclude-standard", "--", "*.py")
-    paths = {(root / name).resolve() for name in names}
-    return sorted(path for path in paths if path.exists())
-
-
-def _stamped(rule: Rule, findings: Iterable[Finding]) -> Iterator[Finding]:
-    """Apply the producing rule's severity to its findings."""
-    for finding in findings:
-        if rule.severity == "error":
-            yield finding
-        else:
-            yield replace(finding, severity=rule.severity)
 
 
 def _select(
@@ -120,7 +71,6 @@ def lint_files(
     root: Path,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
     """Run the rule set over already-collected files."""
@@ -147,10 +97,10 @@ def lint_files(
             continue
         for rule in per_file:
             if rule.applies_to(source):
-                raw.extend(_stamped(rule, rule.check(source)))
+                raw.extend(rule.check(source))
 
     for rule in cross_file:
-        raw.extend(_stamped(rule, rule.check_project(sources, root)))
+        raw.extend(rule.check_project(sources, root))
 
     by_relpath = {source.relpath: source for source in sources}
     visible: list[Finding] = []
@@ -163,9 +113,6 @@ def lint_files(
         else:
             visible.append(finding)
 
-    if baseline is not None:
-        visible, result.baselined = baseline.filter(sorted(visible))
-
     result.findings = sorted(visible)
     return result
 
@@ -175,17 +122,9 @@ def lint_paths(
     root: Path,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-    changed_ref: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
-    """Collect files under ``paths`` (optionally intersected with the
-    git diff against ``changed_ref``) and lint them."""
+    """Collect the files under ``paths`` and lint them."""
     root = Path(root)
     files = collect_files(paths, root)
-    if changed_ref is not None:
-        changed = set(changed_files(changed_ref, root))
-        files = [path for path in files if path in changed]
-    return lint_files(
-        files, root, select=select, ignore=ignore, baseline=baseline, rules=rules
-    )
+    return lint_files(files, root, select=select, ignore=ignore, rules=rules)

@@ -1,15 +1,7 @@
-"""The :class:`Finding` record every rule emits.
-
-A finding pins a rule violation to a file position, but its
-*fingerprint* deliberately excludes the line number: baselines must
-survive unrelated edits above a grandfathered finding, so identity is
-(rule, file, enclosing definition, message) — stable under line drift,
-invalidated the moment the offending code actually changes shape.
-"""
+"""The :class:`Finding` record every rule emits."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 __all__ = ["Finding"]
@@ -25,16 +17,6 @@ class Finding:
     rule: str
     message: str
     context: str = ""  # dotted enclosing class/function chain, if any
-    #: the producing rule's severity ("error" or "warning"); stamped by
-    #: the engine, rendered by the GitHub/JSON reporters, excluded from
-    #: the fingerprint (a severity re-grade must not invalidate a
-    #: baseline).
-    severity: str = "error"
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        body = f"{self.rule}::{self.path}::{self.context}::{self.message}"
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
     def to_document(self) -> dict:
         return {
@@ -44,6 +26,4 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "context": self.context,
-            "severity": self.severity,
-            "fingerprint": self.fingerprint(),
         }

@@ -24,7 +24,7 @@ def render_text(result: LintResult) -> str:
     ]
     tail = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
-        f" ({result.suppressed} suppressed, {result.baselined} baselined)"
+        f" ({result.suppressed} suppressed)"
     )
     lines.append(tail)
     return "\n".join(lines) + "\n"
@@ -35,7 +35,6 @@ def render_json(result: LintResult) -> str:
         "version": 1,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [finding.to_document() for finding in result.findings],
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
@@ -47,10 +46,9 @@ def _escape_github(text: str) -> str:
 
 
 def render_github(result: LintResult) -> str:
-    """``::error``/``::warning`` workflow commands, one per finding,
-    for CI logs — the level follows the producing rule's severity."""
+    """One ``::error`` workflow command per finding, for CI logs."""
     lines = [
-        f"::{finding.severity} file={finding.path},line={finding.line},"
+        f"::error file={finding.path},line={finding.line},"
         f"col={finding.col + 1},title=fenlint({finding.rule})::"
         f"{_escape_github(finding.message)}"
         for finding in result.findings

@@ -31,9 +31,13 @@ from ..protocol import ERR_NO_SUCH_MONITOR, ServeTimeout
 from ..ring import HashRing
 from .connection import AsyncConnection, Dialer, RequestNotSent
 
-__all__ = ["AsyncServeClient"]
+__all__ = ["AsyncServeClient", "CLIENT_INFLIGHT"]
 
 Address = Tuple[str, int]
+
+#: Requests one client may have in flight across every server it talks
+#: to; the excess waits FIFO for a slot.
+CLIENT_INFLIGHT = 64
 
 
 class _Topology:
@@ -73,36 +77,28 @@ class AsyncServeClient(CommandMethods):
         host: str = "127.0.0.1",
         port: int = 7339,
         timeout: Optional[float] = 30.0,
-        max_inflight: int = 64,
         ring_aware: bool = False,
         topology_ttl: float = 5.0,
-        max_frame: int = protocol.MAX_FRAME,
         max_connections: int = 1,
     ) -> None:
         """Configure the client; connections are dialed on first use.
 
         ``timeout`` bounds each dial and each request's slot wait and
         response wait (:class:`~repro.serve.protocol.ServeTimeout` on
-        expiry). ``max_inflight`` is the hard cap on requests in flight
-        across every server this client talks to; the excess waits FIFO.
-        ``ring_aware`` turns on direct-to-shard routing against a
-        router, refreshed every ``topology_ttl`` seconds. ``max_frame``
-        caps each request and response frame. ``max_connections`` is
-        accepted for old callers and must be 1: there is one connection
-        per server.
+        expiry). At most :data:`CLIENT_INFLIGHT` requests are in flight
+        across every server this client talks to. ``ring_aware`` turns
+        on direct-to-shard routing against a router, refreshed every
+        ``topology_ttl`` seconds. ``max_connections`` is accepted for
+        old callers and must be 1: there is one connection per server.
         """
         if max_connections != 1:
             raise ValueError("max_connections must be 1 (one connection per server)")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_inflight = max_inflight
         self.ring_aware = ring_aware
         self.topology_ttl = topology_ttl
-        self.max_frame = max_frame
-        self._slots = asyncio.Semaphore(max_inflight)
+        self._slots = asyncio.Semaphore(CLIENT_INFLIGHT)
         self._router = Dialer(self._dial)
         self._shards: Dict[Address, Dialer] = {}
         self._topology: Optional[_Topology] = None
@@ -170,7 +166,7 @@ class AsyncServeClient(CommandMethods):
         except asyncio.TimeoutError as exc:
             raise ServeTimeout(
                 f"no free request slot for {command!r} within {self.timeout}s "
-                f"({self.max_inflight} in flight)"
+                f"({CLIENT_INFLIGHT} in flight)"
             ) from exc
         try:
             connection = await dialer.connect(address)
@@ -190,13 +186,7 @@ class AsyncServeClient(CommandMethods):
         :class:`OSError` becomes a :class:`ConnectionError`.
         """
         try:
-            return await AsyncConnection.open(
-                host,
-                port,
-                connect_timeout=self.timeout,
-                max_inflight=self.max_inflight,
-                max_frame=self.max_frame,
-            )
+            return await AsyncConnection.open(host, port, connect_timeout=self.timeout)
         except (ConnectionError, ServeTimeout):
             raise
         except OSError as exc:

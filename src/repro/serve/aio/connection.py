@@ -62,13 +62,7 @@ class AsyncConnection:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        max_inflight: int = 64,
-        max_frame: int = protocol.MAX_FRAME,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        self.max_inflight = max_inflight
-        self.max_frame = max_frame
         self._reader = reader
         self._writer = writer
         self._ids = RequestIds()
@@ -85,8 +79,6 @@ class AsyncConnection:
         host: str,
         port: int,
         connect_timeout: Optional[float] = None,
-        max_inflight: int = 64,
-        max_frame: int = protocol.MAX_FRAME,
     ) -> "AsyncConnection":
         """Dial ``host:port``; :class:`ServeTimeout` on a slow connect."""
         try:
@@ -100,7 +92,7 @@ class AsyncConnection:
         sock = writer.get_extra_info("socket")
         if sock is not None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(reader, writer, max_inflight=max_inflight, max_frame=max_frame)
+        return cls(reader, writer)
 
     # -- state ---------------------------------------------------------------
 
@@ -140,7 +132,7 @@ class AsyncConnection:
         """
         request_id = self._ids.next()
         message = {"cmd": command, "id": request_id, **fields}
-        return self._send(request_id, protocol.encode_frame(message, self.max_frame))
+        return self._send(request_id, protocol.encode_frame(message))
 
     def submit_bytes(self, head: bytes, tail: bytes) -> "asyncio.Future[bytes]":
         """Write the payload ``head + <id> + tail`` now; future of the raw reply.
@@ -158,13 +150,13 @@ class AsyncConnection:
     def _send(self, request_id: int, frame: bytes, raw: bool = False) -> asyncio.Future:
         if not self.healthy:
             raise RequestNotSent(f"connection is closed: {self._closed or 'closing'}")
-        if len(self._pending) >= self.max_inflight:
-            # AsyncServeClient's in-flight bound never lets this happen
-            # (its cap is this connection's); direct users get a loud
-            # error rather than silent unbounded queueing.
+        if len(self._pending) >= protocol.MAX_INFLIGHT:
+            # The server would answer the excess ``overloaded``; direct
+            # users get a loud error rather than silent unbounded
+            # queueing (AsyncServeClient's own bound is lower).
             raise RuntimeError(
                 f"connection already has {len(self._pending)} requests in "
-                f"flight (cap {self.max_inflight})"
+                f"flight (cap {protocol.MAX_INFLIGHT})"
             )
         self._writer.write(frame)
         if self._writer.is_closing():
@@ -197,7 +189,7 @@ class AsyncConnection:
         """
         request_id = self._ids.next()
         message = {"cmd": command, "id": request_id, **fields}
-        future = self._send(request_id, protocol.encode_frame(message, self.max_frame))
+        future = self._send(request_id, protocol.encode_frame(message))
         try:
             try:
                 await self._writer.drain()
@@ -222,7 +214,7 @@ class AsyncConnection:
         """Resolve pending futures from response frames until EOF/error."""
         try:
             while True:
-                payload = await protocol.read_frame_bytes(self._reader, self.max_frame)
+                payload = await protocol.read_frame_bytes(self._reader)
                 if payload is None:
                     self._fail(ConnectionError("server closed the connection"))
                     return

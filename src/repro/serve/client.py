@@ -20,7 +20,6 @@ import functools
 import threading
 from typing import Any, Callable, Concatenate, Coroutine, Optional, ParamSpec, TypeVar
 
-from . import protocol
 from .aio.client import AsyncServeClient
 from .protocol import (
     BatchRejectedError,
@@ -78,22 +77,17 @@ class ServeClient:
         host: str = "127.0.0.1",
         port: int = 7339,
         timeout: Optional[float] = 30.0,
-        max_frame: int = protocol.MAX_FRAME,
     ) -> None:
         """Connect to ``host:port``.
 
         ``timeout`` bounds the dial and each request (None = block
         forever — only sensible in debugging) and raises
-        :class:`ServeTimeout` on expiry; ``max_frame`` caps each request
-        and response frame.
+        :class:`ServeTimeout` on expiry.
         """
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_frame = max_frame
-        self._client = AsyncServeClient(
-            host, port, timeout=timeout, max_frame=max_frame
-        )
+        self._client = AsyncServeClient(host, port, timeout=timeout)
         self._loop = asyncio.new_event_loop()
         try:
             self._connect()

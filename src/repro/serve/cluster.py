@@ -41,10 +41,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry
-from . import protocol
 from .aio.client import AsyncServeClient
 from .protocol import ERR_BAD_REQUEST, FrameError, ServeClientError
-from .ring import DEFAULT_VNODES, HashRing, misplaced
+from .ring import HashRing, misplaced
 from .router import ClusterState, ShardRouter
 
 if TYPE_CHECKING:
@@ -58,6 +57,8 @@ __all__ = [
 
 _READY_PREFIX = "listening on "
 _SPAWN_TIMEOUT = 60.0
+#: Seconds between the supervisor's liveness checks of its children.
+_POLL_INTERVAL = 0.1
 
 
 async def _kill(process: asyncio.subprocess.Process) -> None:
@@ -94,7 +95,7 @@ class ReplicationFollower:
         self.primary = primary
         self.interval = interval
         self._stopped = asyncio.Event()
-        self._client = AsyncServeClient(*primary, max_frame=server.config.max_frame)
+        self._client = AsyncServeClient(*primary)
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -202,9 +203,6 @@ class ClusterConfig:
     queue_size: int = 256
     snapshot_every: int = 1000
     fsync: bool = False
-    max_frame: int = protocol.MAX_FRAME
-    poll_interval: float = 0.1  # supervisor liveness check cadence
-    vnodes: int = DEFAULT_VNODES
 
     def __post_init__(self) -> None:
         self.data_dir = Path(self.data_dir)
@@ -241,15 +239,9 @@ class ClusterSupervisor:
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.registry = MetricsRegistry()
-        self.state = ClusterState(
-            ring=HashRing.for_cluster(config.shards, vnodes=config.vnodes)
-        )
+        self.state = ClusterState(ring=HashRing.for_cluster(config.shards))
         self.router = ShardRouter(
-            self.state,
-            host=config.host,
-            port=config.port,
-            max_frame=config.max_frame,
-            registry=self.registry,
+            self.state, host=config.host, port=config.port, registry=self.registry
         )
         self._shards: Dict[int, _ShardPair] = {}
         self._watch_task: Optional[asyncio.Task] = None
@@ -494,7 +486,7 @@ class ClusterSupervisor:
     async def _watch(self) -> None:
         """Liveness loop: restart dead shards, promote followers."""
         while True:
-            await asyncio.sleep(self.config.poll_interval)
+            await asyncio.sleep(_POLL_INTERVAL)
             for shard_id, pair in self._shards.items():
                 if not pair.primary.alive:
                     await self._heal_primary(shard_id, pair)
@@ -537,9 +529,7 @@ class ClusterSupervisor:
         follower = pair.follower
         assert follower is not None
         try:
-            async with AsyncServeClient(
-                *follower.address, timeout=10.0, max_frame=self.config.max_frame
-            ) as client:
+            async with AsyncServeClient(*follower.address, timeout=10.0) as client:
                 await client.promote()
         except (ConnectionError, OSError, FrameError, ServeClientError):
             return False
@@ -586,11 +576,7 @@ class ClusterSupervisor:
         """
         # A move ships a whole monitor's state: allow it the spawn timeout.
         shards = {
-            shard_id: AsyncServeClient(
-                *pair.primary.address,
-                timeout=_SPAWN_TIMEOUT,
-                max_frame=self.config.max_frame,
-            )
+            shard_id: AsyncServeClient(*pair.primary.address, timeout=_SPAWN_TIMEOUT)
             for shard_id, pair in self._shards.items()
         }
         try:

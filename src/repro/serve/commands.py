@@ -22,6 +22,10 @@ __all__ = ["CommandMethods"]
 
 Round = tuple[Mapping[str, str], datetime | str]
 
+#: Seconds :meth:`CommandMethods.ingest_many` waits before resending a
+#: batch the server answered ``overloaded``.
+_OVERLOAD_BACKOFF = 0.05
+
 
 def _given(**fields: object) -> dict:
     """Only the optional fields actually given."""
@@ -88,8 +92,6 @@ class CommandMethods:
         monitor: str,
         rounds: Sequence[Round],
         batch_size: int = 128,
-        retry_overload: bool = True,
-        backoff_seconds: float = 0.05,
     ) -> list[dict]:
         """Stream ``rounds`` in batches; returns one update doc per round.
 
@@ -112,9 +114,7 @@ class CommandMethods:
                     )
                     break
                 except OverloadedError:
-                    if not retry_overload:
-                        raise
-                    await asyncio.sleep(backoff_seconds)
+                    await asyncio.sleep(_OVERLOAD_BACKOFF)
             applied.extend(response["results"])
             failed = response.get("failed")
             if failed is not None:

@@ -1,12 +1,10 @@
-"""Server metrics, backed by the unified ``repro.obs`` registry.
+"""Server metrics: the serve-flavoured view over one
+:class:`~repro.obs.MetricsRegistry`.
 
-Historically this module owned its own ``Counter`` and latency rings;
-both now live in :mod:`repro.obs` and this is the serve-flavoured view
-over one :class:`~repro.obs.MetricsRegistry`. The ``stats`` command's
-wire format is unchanged — plain counters plus exact recent
+The ``stats`` command reports plain counters plus exact recent
 percentiles from the bounded :class:`~repro.obs.LatencyRecorder`
-windows — but every observation also lands in the registry (counters
-as ``serve_<name>_total``, latencies as cumulative
+windows; every observation also lands in the registry (counters as
+``serve_<name>_total``, latencies as cumulative
 ``serve_command_latency_seconds{command=...}`` histograms), which is
 what the ``metrics`` wire command and ``repro client metrics`` render
 as Prometheus text.
@@ -23,8 +21,6 @@ from ..obs import Counter, LatencyRecorder, MetricsRegistry
 
 __all__ = ["LatencyRecorder", "ServerMetrics"]
 
-_DEFAULT_WINDOW = 4096
-
 #: Prometheus naming for the registry mirror of each stats counter.
 _COUNTER_PREFIX = "serve_"
 _COUNTER_SUFFIX = "_total"
@@ -38,14 +34,9 @@ class ServerMetrics:
     sink both the ``stats`` and ``metrics`` commands read from.
     """
 
-    def __init__(
-        self,
-        latency_window: int = _DEFAULT_WINDOW,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.latency = LatencyRecorder(
-            latency_window,
             registry=self.registry,
             histogram_name="serve_command_latency_seconds",
             label_name="command",

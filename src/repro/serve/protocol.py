@@ -27,6 +27,7 @@ from typing import Awaitable, Callable, Mapping, NamedTuple, Optional, TypeVar
 
 __all__ = [
     "MAX_FRAME",
+    "MAX_INFLIGHT",
     "FieldType",
     "Field",
     "Route",
@@ -68,10 +69,16 @@ __all__ = [
 
 _LENGTH = struct.Struct(">I")
 
-#: Default cap on a single frame's payload (4 MiB). Large enough for an
-#: ingest round over hundreds of thousands of networks, small enough
-#: that a garbage length prefix cannot make the server buffer gigabytes.
+#: Cap on a single frame's payload (4 MiB), on every tier and both
+#: directions. Large enough for an ingest round over hundreds of
+#: thousands of networks, small enough that a garbage length prefix
+#: cannot make the server buffer gigabytes.
 MAX_FRAME = 4 * 1024 * 1024
+
+#: Requests one connection may have in flight: past it the server and
+#: the router answer ``overloaded``, and a client connection refuses to
+#: send. One-at-a-time clients never notice (docs/async-client.md).
+MAX_INFLIGHT = 512
 
 
 # -- the command table --------------------------------------------------------
@@ -445,10 +452,10 @@ def encode_payload(message: object) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode("utf-8")
 
 
-def encode_frame(message: dict, max_frame: int = MAX_FRAME) -> bytes:
+def encode_frame(message: dict) -> bytes:
     payload = encode_payload(message)
-    if len(payload) > max_frame:
-        raise FrameTooLarge(f"frame of {len(payload)} bytes exceeds {max_frame}")
+    if len(payload) > MAX_FRAME:
+        raise FrameTooLarge(f"frame of {len(payload)} bytes exceeds {MAX_FRAME}")
     return frame_bytes(payload)
 
 
@@ -491,17 +498,13 @@ def _ignore(_value: object) -> None:
     """The default ``count``/``observe_fill`` hook: record nothing."""
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Optional[dict]:
+async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
     """Read and decode one frame; None on clean EOF before a length prefix."""
-    payload = await read_frame_bytes(reader, max_frame)
+    payload = await read_frame_bytes(reader)
     return None if payload is None else decode_payload(payload)
 
 
-async def read_frame_bytes(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> Optional[bytes]:
+async def read_frame_bytes(reader: asyncio.StreamReader) -> Optional[bytes]:
     """Read one frame's raw payload bytes; None on clean EOF.
 
     The serving loop and the client connection's reader: a frame can be
@@ -514,8 +517,8 @@ async def read_frame_bytes(
             return None
         raise FrameError("connection closed mid length prefix") from exc
     (length,) = _LENGTH.unpack(prefix)
-    if length > max_frame:
-        raise FrameTooLarge(f"declared frame of {length} bytes exceeds {max_frame}")
+    if length > MAX_FRAME:
+        raise FrameTooLarge(f"declared frame of {length} bytes exceeds {MAX_FRAME}")
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
@@ -528,8 +531,6 @@ async def serve_pipelined(
     parse: Callable[[bytes], tuple[object, _Item]],
     handle: Callable[[object, _Item], Awaitable[bytes]],
     *,
-    max_frame: int = MAX_FRAME,
-    max_inflight: int = 512,
     count: Callable[[str], object] = _ignore,
     observe_fill: Callable[[float], object] = _ignore,
 ) -> None:
@@ -549,18 +550,18 @@ async def serve_pipelined(
     write to a shard) happens in send order: pipelined ingests on one
     connection apply in the order sent.
 
-    Failures, the same on every tier. A frame over ``max_frame`` is
+    Failures, the same on every tier. A frame over :data:`MAX_FRAME` is
     answered ``frame_too_large`` and one that cannot be read or parsed
     ``bad_frame``, with a null id; the connection then closes and no
-    later frame is handled. Past ``max_inflight`` pending requests a
-    frame is answered ``overloaded`` with its id. A handler raising
+    later frame is handled. Past :data:`MAX_INFLIGHT` pending requests
+    a frame is answered ``overloaded`` with its id. A handler raising
     :class:`FrameRejected` has that answer written, then the connection
-    closes. A response over ``max_frame`` becomes an ``internal`` error
-    with the request's id, and the connection stays open.
+    closes. A response over :data:`MAX_FRAME` becomes an ``internal``
+    error with the request's id, and the connection stays open.
 
     ``count`` receives ``frames_oversized``, ``frames_malformed`` and
     ``pipeline_overloads``; ``observe_fill`` the in-flight depth over
-    ``max_inflight`` at each arrival. When the loop ends, pending tasks
+    :data:`MAX_INFLIGHT` at each arrival. When the loop ends, pending tasks
     are cancelled (an enqueued ingest's future is abandoned) and awaited
     before the socket closes.
     """
@@ -581,12 +582,12 @@ async def serve_pipelined(
                 await reply(encode_payload(exc.response))
                 writer.close()  # the read loop sees EOF and ends
                 return
-            if len(payload) > max_frame:
+            if len(payload) > MAX_FRAME:
                 payload = encode_payload(
                     error_response(
                         ERR_INTERNAL,
                         f"response of {len(payload)} bytes exceeds the "
-                        f"{max_frame}-byte frame cap",
+                        f"{MAX_FRAME}-byte frame cap",
                         request_id,
                     )
                 )
@@ -597,7 +598,7 @@ async def serve_pipelined(
     try:
         while not writer.is_closing():
             try:
-                payload = await read_frame_bytes(reader, max_frame)
+                payload = await read_frame_bytes(reader)
                 if payload is None:
                     break
                 request_id, item = parse(payload)
@@ -608,13 +609,13 @@ async def serve_pipelined(
                 code = ERR_FRAME_TOO_LARGE if too_large else ERR_BAD_FRAME
                 await reply(encode_payload(error_response(code, str(exc))))
                 break
-            observe_fill(len(inflight) / max_inflight)
-            if len(inflight) >= max_inflight:
+            observe_fill(len(inflight) / MAX_INFLIGHT)
+            if len(inflight) >= MAX_INFLIGHT:
                 count("pipeline_overloads")
                 overloaded = error_response(
                     ERR_OVERLOADED,
                     f"connection has {len(inflight)} requests in "
-                    f"flight (cap {max_inflight})",
+                    f"flight (cap {MAX_INFLIGHT})",
                     request_id,
                     in_flight=len(inflight),
                 )
@@ -717,9 +718,7 @@ class Listener:
             del self._open[task]
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, message: dict, max_frame: int = MAX_FRAME
-) -> None:
-    writer.write(encode_frame(message, max_frame))
+async def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
+    writer.write(encode_frame(message))
     await writer.drain()
 

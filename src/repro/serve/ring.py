@@ -10,7 +10,7 @@ point clockwise of SHA-1 of its name.
 Two properties matter operationally and are pinned by the Hypothesis
 suite in ``tests/test_cluster_ring.py``:
 
-* **balance** — with the default 128 vnodes per shard, shard loads stay
+* **balance** — with 128 vnodes per shard, shard loads stay
   within a modest factor of ideal at realistic monitor counts;
 * **minimal remap** — adding or removing one shard only moves the keys
   that shard gains or loses; everyone else's monitors stay put, so a
@@ -104,11 +104,11 @@ class HashRing:
         return HashRing(remaining, vnodes=self.vnodes)
 
     @classmethod
-    def for_cluster(cls, num_shards: int, vnodes: int = DEFAULT_VNODES) -> "HashRing":
+    def for_cluster(cls, num_shards: int) -> "HashRing":
         """The ring every cluster component builds: shards ``0..N-1``."""
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        return cls(range(num_shards), vnodes=vnodes)
+        return cls(range(num_shards))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HashRing):

@@ -112,22 +112,13 @@ class ShardRouter:
         state: ClusterState,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame: int = protocol.MAX_FRAME,
-        max_inflight: int = 512,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
         self.state = state
         self.host = host
         self.port = port
-        self.max_frame = max_frame
-        self.max_inflight = max_inflight
         self.registry = registry if registry is not None else MetricsRegistry()
         self._listener = protocol.Listener(self._serve_client)
-        self._dial = functools.partial(
-            AsyncConnection.open, max_inflight=max_inflight, max_frame=max_frame
-        )
         self._started = time.time()
         self.registry.gauge(
             "cluster_uptime_seconds", help="Seconds since this router constructed"
@@ -173,7 +164,7 @@ class ShardRouter:
             raise ConnectionError(f"shard {shard} has no live address")
         dialer = links.get(shard)
         if dialer is None:
-            dialer = links[shard] = Dialer(self._dial)
+            dialer = links[shard] = Dialer(AsyncConnection.open)
         return await dialer.connect(address)
 
     async def _forward(
@@ -214,8 +205,6 @@ class ShardRouter:
                 writer,
                 self._parse,
                 functools.partial(self._route, links),
-                max_frame=self.max_frame,
-                max_inflight=self.max_inflight,
             )
         finally:
             try:

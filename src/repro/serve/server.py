@@ -32,7 +32,7 @@ from ..classify.model import ClassifierModel, ModelError
 from ..core.compare import UnknownPolicy
 from ..obs import CONTENT_TYPE, MetricsRegistry, render_prometheus
 from ..vps import PlanError, VPPlan
-from .journal import SNAPSHOT_FILE, JournalError
+from .journal import SNAPSHOT_FILE, JournalError, _fsync_directory
 from .metrics import ServerMetrics
 from .monitor import BatchResult, DurableMonitor, MonitorError, valid_monitor_name
 from .ring import HashRing
@@ -71,19 +71,12 @@ class ServeConfig:
     port: int = 7339  # 0 = let the OS pick (printed/queryable after start)
     queue_size: int = 256
     snapshot_every: int = 1000  # auto-checkpoint cadence per monitor; 0 = never
-    max_frame: int = protocol.MAX_FRAME
     fsync: bool = False
-    #: Pipelining cap: how many requests one connection may have in
-    #: flight before further frames are answered with an ``overloaded``
-    #: error (docs/async-client.md). One-at-a-time clients never notice.
-    max_inflight: int = 512
 
     def __post_init__(self) -> None:
         self.data_dir = Path(self.data_dir)
         if self.queue_size < 1:
             raise ValueError("queue_size must be at least 1")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
 
 
 @dataclass
@@ -850,9 +843,17 @@ class FenrirServer:
         while target.exists():
             suffix += 1
             target = directory.with_name(f"_retired-{name}-{seq}.{suffix}")
-        await asyncio.to_thread(os.rename, directory, target)
+        await asyncio.to_thread(self._retire_directory, directory, target)
         self.metrics.increment("monitors_retired")
         return seq
+
+    def _retire_directory(self, directory: Path, target: Path) -> None:
+        """Rename ``directory`` to ``target``; with ``fsync``, make the
+        rename durable, so a retired monitor stays retired after a
+        power loss."""
+        os.rename(directory, target)
+        if self.config.fsync:
+            _fsync_directory(directory.parent)
 
     async def _retire(self, request: dict) -> dict:
         runtime = self._runtime_for(request)  # maps the usual error codes
@@ -950,8 +951,6 @@ class FenrirServer:
             writer,
             protocol.decode_request,
             self._answer,
-            max_frame=self.config.max_frame,
-            max_inflight=self.config.max_inflight,
             count=self.metrics.increment,
             observe_fill=self._fill_histogram.observe,
         )

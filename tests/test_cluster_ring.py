@@ -67,7 +67,8 @@ class TestBalance:
         assert max(counts.values()) <= 1.6 * ideal
 
     def test_counts_cover_every_shard(self):
-        ring = HashRing.for_cluster(5, vnodes=DEFAULT_VNODES)
+        ring = HashRing.for_cluster(5)
+        assert ring.vnodes == DEFAULT_VNODES
         keys = [f"monitor-{i:04d}" for i in range(600)]
         counts = ring.counts(keys)
         # Every shard appears (even a hypothetical zero-load one) and

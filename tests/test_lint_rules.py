@@ -18,15 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     all_rules,
     lint_paths,
     render_github,
     render_json,
 )
-from repro.lint.base import Rule
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import PARSE_ERROR_RULE, changed_files, lint_files
+from repro.lint.engine import PARSE_ERROR_RULE, lint_files
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
@@ -122,78 +120,6 @@ def test_suppressions_trailing_above_and_wildcard():
         ("swallowed-exception", line)
         for line in marker_lines(FIXTURES / "suppressed.py")
     }
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-def test_baseline_absorbs_and_overflows(tmp_path):
-    result = run_rule("swallowed-exception", "swallow_bad.py")
-    assert len(result.findings) == 3
-
-    baseline = Baseline.from_findings(result.findings)
-    rerun = lint_paths(
-        ["swallow_bad.py"],
-        root=FIXTURES,
-        select=["swallowed-exception"],
-        baseline=baseline,
-    )
-    assert rerun.findings == []
-    assert rerun.baselined == 3
-    assert rerun.exit_code == 0
-
-    # A *new* violation is not absorbed by the grandfathered budget.
-    extra = tmp_path / "swallow_new.py"
-    extra.write_text(
-        "def fresh(work):\n"
-        "    try:\n"
-        "        work()\n"
-        "    except Exception:\n"
-        "        pass\n",
-        encoding="utf-8",
-    )
-    overflow = lint_files(
-        [FIXTURES / "swallow_bad.py", extra],
-        root=FIXTURES,
-        select=["swallowed-exception"],
-        baseline=baseline,
-    )
-    assert len(overflow.findings) == 1
-    assert overflow.findings[0].path.endswith("swallow_new.py")
-    assert overflow.exit_code == 1
-
-
-def test_baseline_fingerprints_survive_line_drift(tmp_path):
-    original = (FIXTURES / "swallow_bad.py").read_text(encoding="utf-8")
-    copy = tmp_path / "swallow_bad.py"
-    copy.write_text(original, encoding="utf-8")
-    before = lint_files([copy], root=tmp_path, select=["swallowed-exception"])
-    baseline = Baseline.from_findings(before.findings)
-
-    # Shift every finding down three lines; fingerprints must not move.
-    copy.write_text("# drift\n# drift\n# drift\n" + original, encoding="utf-8")
-    after = lint_files(
-        [copy], root=tmp_path, select=["swallowed-exception"], baseline=baseline
-    )
-    assert after.findings == []
-    assert after.baselined == 3
-
-
-def test_baseline_round_trips_through_json(tmp_path):
-    result = run_rule("swallowed-exception", "swallow_bad.py")
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(result.findings).write(path)
-    loaded = Baseline.load(path)
-    surviving, absorbed = loaded.filter(result.findings)
-    assert surviving == [] and absorbed == 3
-
-
-def test_committed_baseline_is_empty():
-    document = json.loads(
-        (REPO_ROOT / "fenlint-baseline.json").read_text(encoding="utf-8")
-    )
-    assert document["version"] == 1
-    assert document["findings"] == {}
 
 
 # -- determinism of output ----------------------------------------------------
@@ -292,198 +218,13 @@ def test_cli_exit_codes_and_report_artifact(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_unreadable_baseline_exits_2(tmp_path, capsys):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{\"version\": 99}", encoding="utf-8")
-    code = lint_main(
-        ["swallow_bad.py", "--root", str(FIXTURES), "--baseline", str(bad)]
-    )
-    assert code == 2
-    assert "unreadable baseline" in capsys.readouterr().err
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert (
-        lint_main(
-            [
-                "swallow_bad.py",
-                "--root",
-                str(FIXTURES),
-                "--select",
-                "swallowed-exception",
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    assert (
-        lint_main(
-            [
-                "swallow_bad.py",
-                "--root",
-                str(FIXTURES),
-                "--select",
-                "swallowed-exception",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-
-
-# -- --changed ----------------------------------------------------------------
-
-
-def git(*args: str, cwd: Path) -> None:
-    subprocess.run(
-        ["git", *args],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(cwd),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-def test_changed_lints_only_touched_files(tmp_path):
-    git("init", "-q", cwd=tmp_path)
-    committed = tmp_path / "committed.py"
-    committed.write_text(
-        "def old(work):\n"
-        "    try:\n"
-        "        work()\n"
-        "    except Exception:\n"
-        "        pass\n",
-        encoding="utf-8",
-    )
-    git("add", "committed.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "seed", cwd=tmp_path)
-
-    fresh = tmp_path / "fresh.py"
-    fresh.write_text(
-        "def new(work):\n"
-        "    try:\n"
-        "        work()\n"
-        "    except Exception:\n"
-        "        pass\n",
-        encoding="utf-8",
-    )
-    result = lint_paths(
-        ["."],
-        root=tmp_path,
-        select=["swallowed-exception"],
-        changed_ref="HEAD",
-    )
-    # Only the untracked file is linted; the committed violation is not.
-    assert {f.path for f in result.findings} == {"fresh.py"}
-    assert result.files_checked == 1
-
-
-_SWALLOW = (
-    "def handle(work):\n"
-    "    try:\n"
-    "        work()\n"
-    "    except Exception:\n"
-    "        pass\n"
-)
-
-
-def test_changed_diffs_against_merge_base(tmp_path):
-    """``--changed main`` on a feature branch must mean "what this
-    branch touched", not "every file main changed since the branch
-    point"."""
-    git("init", "-q", cwd=tmp_path)
-    shared = tmp_path / "shared.py"
-    shared.write_text("def shared():\n    return 1\n", encoding="utf-8")
-    git("add", "shared.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "seed", cwd=tmp_path)
-    git("branch", "-m", "main", cwd=tmp_path)
-
-    git("checkout", "-q", "-b", "feature", cwd=tmp_path)
-    (tmp_path / "feature.py").write_text(_SWALLOW, encoding="utf-8")
-    git("add", "feature.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "feature work", cwd=tmp_path)
-
-    # main moves on and edits shared.py (introducing a violation there).
-    git("checkout", "-q", "main", cwd=tmp_path)
-    shared.write_text(_SWALLOW, encoding="utf-8")
-    git("add", "shared.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "main-only change", cwd=tmp_path)
-    git("checkout", "-q", "feature", cwd=tmp_path)
-
-    result = lint_paths(
-        ["."],
-        root=tmp_path,
-        select=["swallowed-exception"],
-        changed_ref="main",
-    )
-    # shared.py differs between main's tip and this branch, but the
-    # branch never touched it: only feature.py is linted.
-    assert result.files_checked == 1
-    assert {f.path for f in result.findings} == {"feature.py"}
-
-
-def test_changed_skips_deleted_files(tmp_path):
-    git("init", "-q", cwd=tmp_path)
-    keep = tmp_path / "keep.py"
-    gone = tmp_path / "gone.py"
-    keep.write_text("def keep():\n    return 1\n", encoding="utf-8")
-    gone.write_text("def gone():\n    return 2\n", encoding="utf-8")
-    git("add", "keep.py", "gone.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "seed", cwd=tmp_path)
-
-    keep.write_text(_SWALLOW, encoding="utf-8")
-    gone.unlink()
-
-    assert gone.resolve() not in changed_files("HEAD", tmp_path)
-    result = lint_paths(
-        ["."],
-        root=tmp_path,
-        select=["swallowed-exception"],
-        changed_ref="HEAD",
-    )
-    assert result.files_checked == 1
-    assert {f.path for f in result.findings} == {"keep.py"}
-
-
-def test_changed_rejects_unknown_ref(tmp_path):
-    git("init", "-q", cwd=tmp_path)
-    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
-    git("add", "a.py", cwd=tmp_path)
-    git("commit", "-q", "-m", "seed", cwd=tmp_path)
-    with pytest.raises(ValueError, match="no-such-ref"):
-        changed_files("no-such-ref", tmp_path)
-
-
-# -- severity and the time budget ---------------------------------------------
-
-
-def test_severity_is_stamped_and_rendered(tmp_path):
-    class SoftRule(Rule):
-        name = "soft-launch-test"
-        description = "test-only warning-severity rule"
-        severity = "warning"
-
-        def check(self, source):
-            yield source.finding(self.name, None, "soft finding", line=1)
-
-    target = tmp_path / "m.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    result = lint_files([target], tmp_path, rules=[SoftRule()])
-    assert [f.severity for f in result.findings] == ["warning"]
-    assert "::warning file=m.py" in render_github(result)
-    assert json.loads(render_json(result))["findings"][0]["severity"] == "warning"
+def test_cli_removed_flags_are_usage_errors(capsys):
+    # No baseline, no changed-files mode: each is an unknown flag.
+    for flags in (["--baseline", "x.json"], ["--write-baseline"], ["--changed"]):
+        with pytest.raises(SystemExit) as exc_info:
+            lint_main(["swallow_bad.py", "--root", str(FIXTURES), *flags])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_time_budget_flag(tmp_path, capsys):
@@ -498,8 +239,20 @@ def test_time_budget_flag(tmp_path, capsys):
 # -- the repo itself ----------------------------------------------------------
 
 
+def test_committed_baseline_is_empty():
+    """No grandfathered findings: the repo commits no baseline file and
+    CI runs fenlint over ``src`` with nothing to absorb findings."""
+    assert not (REPO_ROOT / "fenlint-baseline.json").exists()
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    assert "python -m repro.lint src" in workflow
+    assert "fenlint-baseline" not in workflow
+    assert "--baseline" not in workflow
+
+
 def test_src_tree_is_fenlint_clean():
-    """``repro lint src/`` must exit 0 with an *empty* baseline."""
+    """``repro lint src/`` must report zero findings."""
     result = lint_paths(["src"], root=REPO_ROOT)
     rendered = "\n".join(
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in result.findings

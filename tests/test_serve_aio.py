@@ -38,9 +38,12 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
+from repro.serve import protocol
 from repro.serve.aio import AsyncConnection, RequestNotSent
+from repro.serve.aio.client import CLIENT_INFLIGHT
 from repro.serve.aio.connection import Dialer
-from repro.serve.protocol import ServeTimeout, check_response
+from repro.serve.commands import CommandMethods
+from repro.serve.protocol import MAX_INFLIGHT, ServeTimeout, check_response
 from cluster_chaos import (
     ClusterHarness,
     canonical,
@@ -98,8 +101,6 @@ class ShuffledResponder:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        from repro.serve import protocol
-
         held: list[dict] = []
         try:
             while len(held) < self.expect:
@@ -133,9 +134,7 @@ class TestCorrelationProperty:
         async def main() -> None:
             async with ShuffledResponder(expect=12, order=list(order)) as fake:
                 host, port = fake.address
-                async with AsyncServeClient(
-                    host, port, timeout=10.0, max_inflight=16
-                ) as client:
+                async with AsyncServeClient(host, port, timeout=10.0) as client:
                     responses = await asyncio.gather(
                         *(
                             client.request("query", monitor="m", marker=i)
@@ -179,33 +178,46 @@ def gate_dispatch(server: FenrirServer, seen: list | None = None) -> asyncio.Eve
 class TestServerPipelining:
     def test_out_of_order_completion_and_inflight_cap(self, tmp_path):
         async def main() -> None:
-            server = await start_server(tmp_path, max_inflight=1)
+            server = await start_server(tmp_path)
             release = gate_dispatch(server)
             try:
-                host, port = server.address
-                connection = await AsyncConnection.open(host, port, max_inflight=8)
+                # Raw frames: an AsyncConnection refuses to send past
+                # the cap itself.
+                reader, writer = await asyncio.open_connection(*server.address)
                 try:
-                    blocked = connection.submit("wait")
-                    await connection.drain()
-                    # Give the reader loop one turn to create the task;
-                    # frames after this point exceed the cap of 1.
-                    rejected = connection.submit("stats")
-                    await connection.drain()
-                    overloaded = await asyncio.wait_for(rejected, 5.0)
+                    # Fill the connection's window with held requests,
+                    # then one more frame, which exceeds the cap.
+                    held = [
+                        protocol.encode_frame({"cmd": "wait", "id": request_id})
+                        for request_id in range(1, MAX_INFLIGHT + 1)
+                    ]
+                    rejected = {"cmd": "stats", "id": MAX_INFLIGHT + 1}
+                    writer.write(b"".join(held) + protocol.encode_frame(rejected))
+                    await writer.drain()
+                    overloaded = await asyncio.wait_for(
+                        protocol.read_frame(reader), 5.0
+                    )
                     # The capped frame is answered immediately — out of
-                    # order, before the first request has completed —
+                    # order, before any held request has completed —
                     # with the explicit backpressure error and depth.
-                    assert not blocked.done()
+                    assert overloaded["id"] == MAX_INFLIGHT + 1
                     assert overloaded["ok"] is False
                     assert overloaded["error"] == "overloaded"
-                    assert overloaded["in_flight"] == 1
+                    assert overloaded["in_flight"] == MAX_INFLIGHT
                     with pytest.raises(OverloadedError):
                         check_response(overloaded)
                     release.set()
-                    first = await asyncio.wait_for(blocked, 5.0)
-                    assert first["waited"] is True
+                    answered = [
+                        await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+                        for _request in held
+                    ]
+                    assert all(first["waited"] is True for first in answered)
+                    assert sorted(r["id"] for r in answered) == list(
+                        range(1, MAX_INFLIGHT + 1)
+                    )
                 finally:
-                    await connection.close()
+                    writer.close()
+                    await writer.wait_closed()
             finally:
                 await server.stop()
 
@@ -240,7 +252,7 @@ class TestServerPipelining:
             server = await start_server(tmp_path)
             try:
                 host, port = server.address
-                connection = await AsyncConnection.open(host, port, max_inflight=64)
+                connection = await AsyncConnection.open(host, port)
                 try:
                     await connection.request(
                         "create", monitor="mon", networks=NETWORKS
@@ -335,22 +347,23 @@ class TestAsyncServeClient:
             release = gate_dispatch(server, seen)
             try:
                 host, port = server.address
-                async with AsyncServeClient(
-                    host, port, timeout=10.0, max_inflight=2
-                ) as client:
+                async with AsyncServeClient(host, port, timeout=10.0) as client:
                     tasks = [
                         asyncio.ensure_future(client.request("wait", marker=i))
-                        for i in range(4)
+                        for i in range(CLIENT_INFLIGHT + 2)
                     ]
+                    deadline = time.monotonic() + 10.0
+                    while len(seen) < CLIENT_INFLIGHT and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
                     await asyncio.sleep(0.1)
-                    # Two hold slots and reached the server; two wait
-                    # FIFO in the client.
-                    assert seen == [0, 1]
+                    # CLIENT_INFLIGHT hold slots and reached the server;
+                    # two wait FIFO in the client.
+                    assert seen == list(range(CLIENT_INFLIGHT))
                     assert not any(task.done() for task in tasks)
                     release.set()
                     responses = await asyncio.gather(*tasks)
                     assert all(r["waited"] for r in responses)
-                    assert seen == [0, 1, 2, 3]
+                    assert seen == list(range(CLIENT_INFLIGHT + 2))
             finally:
                 await server.stop()
 
@@ -399,11 +412,11 @@ class TestAsyncServeClient:
 
         async def main() -> None:
             host, port = listener.getsockname()[:2]
-            async with AsyncServeClient(
-                host, port, timeout=0.1, max_inflight=2
-            ) as client:
-                for _attempt in range(4):
-                    with pytest.raises(ServeTimeout):
+            async with AsyncServeClient(host, port, timeout=0.02) as client:
+                # One more timeout than there are slots: each must be a
+                # response wait, never a wait for a slot still held.
+                for _attempt in range(CLIENT_INFLIGHT + 1):
+                    with pytest.raises(ServeTimeout, match="no response"):
                         await client.stats()
                 connection = client._router._connection
                 assert connection is not None and connection.healthy
@@ -413,6 +426,24 @@ class TestAsyncServeClient:
             run(main())
         finally:
             listener.close()
+
+    def test_ingest_many_resends_an_overloaded_batch(self):
+        # An overloaded batch was rejected before anything was enqueued,
+        # so ingest_many sends it again after a short backoff.
+        class OverloadedOnce(CommandMethods):
+            def __init__(self) -> None:
+                self.sent: list[str] = []
+
+            async def request(self, command: str, **fields: object) -> dict:
+                self.sent.append(command)
+                if len(self.sent) == 1:
+                    raise OverloadedError("overloaded", "queue full", {})
+                return {"results": [{"seq": 1}], "failed": None}
+
+        client = OverloadedOnce()
+        updates = run(client.ingest_many("mon", [({"n": "up"}, T0)]))
+        assert updates == [{"seq": 1}]
+        assert client.sent == ["ingest_batch", "ingest_batch"]
 
     def test_only_one_connection_per_server(self):
         AsyncServeClient(max_connections=1)
@@ -671,9 +702,7 @@ class TestKillAShardUnderAsyncLoad:
                 return applied
 
             async def feed_all() -> list[int]:
-                async with AsyncServeClient(
-                    host, port, timeout=10.0, max_inflight=32
-                ) as client:
+                async with AsyncServeClient(host, port, timeout=10.0) as client:
                     return await asyncio.gather(
                         *(feed_stream(client, name) for name in monitors)
                     )

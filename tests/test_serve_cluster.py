@@ -12,6 +12,7 @@ uninterrupted single-process oracle.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import shutil
@@ -31,6 +32,7 @@ from cluster_chaos import (
     generate_rounds,
     oracle_state,
 )
+from repro.cli import build_parser
 from repro.serve import (
     AsyncServeClient,
     FenrirServer,
@@ -651,6 +653,39 @@ class TestSupervisorStart:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_every_server_setting_reaches_the_shard_command_line(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard child runs with the cluster's value of each server
+        setting: a ClusterConfig field that `_spawn` does not pass on
+        would run every shard at the child's default instead."""
+        config = ClusterConfig(
+            data_dir=tmp_path, port=0, queue_size=7, snapshot_every=3, fsync=True
+        )
+        spawned: list[tuple] = []
+
+        class Recorded(Exception):
+            pass
+
+        async def record_exec(*argv, **kwargs):
+            spawned.append(argv)
+            raise Recorded
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", record_exec)
+
+        async def scenario() -> None:
+            supervisor = ClusterSupervisor(config)
+            with pytest.raises(Recorded):
+                await supervisor._spawn(0, "primary", tmp_path / "shard-00")
+
+        asyncio.run(scenario())
+        (argv,) = spawned
+        assert argv[1:4] == ("-m", "repro", "serve")
+        args = vars(build_parser().parse_args(list(argv[3:])))
+        for field in dataclasses.fields(ServeConfig):
+            if field.name not in {"data_dir", "host", "port"}:
+                assert args.get(field.name) == getattr(config, field.name), field.name
 
 
 @pytest.mark.slow

@@ -9,6 +9,7 @@ import struct
 import pytest
 
 from repro.serve.protocol import (
+    MAX_FRAME,
     FrameError,
     FrameTooLarge,
     Listener,
@@ -27,7 +28,7 @@ class TestFrames:
 
     def test_encode_rejects_oversized(self):
         with pytest.raises(FrameTooLarge):
-            encode_frame({"blob": "x" * 100}, max_frame=50)
+            encode_frame({"blob": "x" * MAX_FRAME})
 
     def test_decode_rejects_bad_json(self):
         with pytest.raises(FrameError, match="undecodable"):

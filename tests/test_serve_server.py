@@ -35,6 +35,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import monitor as monitor_module
+from repro.serve import protocol
 from repro.serve.journal import JournalWriter
 from repro.serve.monitor import DurableMonitor
 from repro.serve.protocol import decode_payload, encode_frame
@@ -357,23 +358,33 @@ class TestStopCheckpoint:
         assert calls == durable_checkpoint_calls("delta-000000000005.json", fsync)
 
 
+@pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+def test_retire_rename_is_durable(tmp_path, monkeypatch, fsync):
+    """With ``fsync``, retiring a monitor fsyncs the data directory
+    after the rename, so a retired monitor stays retired after a power
+    loss; without it, retiring fsyncs nothing."""
+    data_dir = tmp_path / "data"
+    config = ServeConfig(data_dir=data_dir, port=0, fsync=fsync)
+    with ServerThread(config) as running:
+        with connect(running) as client:
+            client.create("svc", ["n1", "n2"])
+            client.ingest("svc", {"n1": "LAX", "n2": "AMS"}, T0)
+            calls = record_durability_calls(monkeypatch, data_dir)
+            assert client.retire("svc")["seq"] == 1
+            retired = list(calls)
+    assert retired == ([("fsync", "<dir>")] if fsync else [])
+    assert sorted(path.name for path in data_dir.iterdir()) == ["_retired-svc-1"]
+
+
 @pytest.fixture(params=["direct", "routed"])
 def endpoint(request, server):
-    """The server's address, or that of a one-shard router in front of it.
-
-    The router gets the server's frame and in-flight caps.
-    """
+    """The server's address, or that of a one-shard router in front of it."""
     if request.param == "direct":
         yield server.address
         return
     state = ClusterState(ring=HashRing.for_cluster(1))
     state.set_address(0, server.address)
-    router = ShardRouter(
-        state,
-        port=0,
-        max_frame=server.config.max_frame,
-        max_inflight=server.config.max_inflight,
-    )
+    router = ShardRouter(state, port=0)
 
     def on_server_loop(coroutine) -> None:
         asyncio.run_coroutine_threadsafe(coroutine, server._loop).result(timeout=10)
@@ -390,8 +401,6 @@ def test_stop_closes_open_client_connections(tmp_path, tier):
     """Stopping a server or a router ends each open connection while
     the event loop still runs: the client reads EOF, and no connection
     task is left for the loop's shutdown to cancel."""
-    from repro.serve import protocol
-
     async def scenario() -> None:
         if tier == "server":
             listener = FenrirServer(ServeConfig(data_dir=tmp_path, port=0))
@@ -467,10 +476,13 @@ class TestFailurePaths:
         with ServeClient(*endpoint) as client:
             assert client.stats()["ok"]
 
-    @pytest.mark.parametrize(
-        "server", [{"max_frame": 300}], indirect=True, ids=["max_frame=300"]
-    )
-    def test_oversized_response_answered_not_hung(self, endpoint):
+    @pytest.mark.parametrize("max_frame", [300], ids=["max_frame=300"])
+    def test_oversized_response_answered_not_hung(
+        self, endpoint, monkeypatch, max_frame
+    ):
+        # A small cap, so no test response has to outgrow the real one;
+        # server and router read it at each frame.
+        monkeypatch.setattr(protocol, "MAX_FRAME", max_frame)
         with socket.create_connection(endpoint, timeout=5) as sock:
             # Either tier's Prometheus text outgrows a 300-byte frame.
             send_frame(sock, {"cmd": "metrics", "id": 5})
@@ -482,20 +494,21 @@ class TestFailurePaths:
             assert recv_frame(sock) == {"id": 6, "ok": True, "monitors": []}
 
     @pytest.mark.parametrize(
-        "server", [{"max_inflight": 1}], indirect=True, ids=["max_inflight=1"]
+        "cap", [protocol.MAX_INFLIGHT], ids=[f"max_inflight={protocol.MAX_INFLIGHT}"]
     )
-    def test_overload_answer_echoes_the_request_id(self, endpoint):
+    def test_overload_answer_echoes_the_request_id(self, endpoint, cap):
+        requests = [{"cmd": "list", "id": 100 + index} for index in range(cap)]
         frames = [
             json.dumps(request).encode()
-            for request in ({"cmd": "list", "id": 1}, {"id": 7, "cmd": "list"})
+            for request in (*requests, {"id": 7, "cmd": "list"})
         ]
         with socket.create_connection(endpoint, timeout=10) as sock:
-            # One write: the second frame arrives with the first in flight.
+            # One write: the last frame arrives with the others in flight.
             sock.sendall(b"".join(struct.pack(">I", len(f)) + f for f in frames))
-            responses = {r["id"]: r for r in (recv_frame(sock), recv_frame(sock))}
-        assert responses[1]["ok"]
+            responses = {r["id"]: r for r in (recv_frame(sock) for _ in frames)}
+        assert all(responses[request["id"]]["ok"] for request in requests)
         assert responses[7]["error"] == "overloaded"
-        assert responses[7]["in_flight"] == 1
+        assert responses[7]["in_flight"] == cap
 
     def test_overload_response_when_queue_full(self, tmp_path):
         config = ServeConfig(data_dir=tmp_path / "data", port=0, queue_size=1)
